@@ -14,19 +14,26 @@ The received-signal power at user k splits into five buckets:
 `decompose` measures the buckets by driving isolated unit probes through
 the actual transmit/receive operations — one reference implementation
 that serves all six filters. `sum_rate_mc` evaluates the same quantities
-per channel draw through a T-point FFT of the cascade taps (identical
-numbers, two orders of magnitude faster) and averages over draws.
+in the tap domain and averages over draws: each draw is factored once
+(`DrawFactors`) from its tap products Hhat_l^H Hhat_l', the cascade taps
+c[d] follow directly (matched filters) or from a per-bin Gram
+eigendecomposition rescaled by 1/(lambda + beta), an N-point IFFT and a
+shift-add (ridge-family banks), and taps at delays d >= T fold mod T onto
+the block. Gains and interference energies are then c[0] and the summed
+squared taps (Parseval), matching the probes to rounding; a beta search
+re-evaluates the cached factors instead of rebuilding banks.
 
 Rates are (1/2) log2(1 + SINR) per user, in bits per channel use.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .channel import draw_channel, trial_rng
-from .dl_precoding import (cmfp_transmit, downlink_receive, precoded_transmit,
-                           rzfp_bank, zfp_bank)
+from .dl_precoding import (check_gram_conditioning, cmfp_transmit,
+                           downlink_receive, precoded_transmit, rzfp_bank,
+                           zfp_bank)
 from .ul_equalization import (apply_equalizer_bank, cmfe_apply,
                               make_uplink_frame, mmsee_bank, uplink_receive,
                               zfe_bank)
@@ -225,49 +232,263 @@ def decompose(link, filt, ch, blocks, reference_gains=None,
                           awgn_k=awgn_k, gains=g)
 
 
-def _draw_buckets(scenario, ch):
-    """Unit-power buckets for one draw via the T-grid FFT of the cascade.
+# ---------------------------------------------------------------------------
+# tap-domain bucket core
 
-    Returns (g, isi_u, mui_u, awgn): realized gains, same-user and
-    cross-user interference energies at unit symbol power, and the exact
-    per-draw AWGN bucket (downlink: 1; uplink: mean squared equalizer
-    row norm, by Parseval).
+CHUNK = 8       # draws factored or evaluated together; bounds the working set
+MATCHED = ("cmfp", "cmfe")
+ZERO_FORCING = ("zfp", "zfe")
+
+
+def _stacks(n, K):
+    """Empty (g, isi_u, mui_u, awgn) stacks for n draws."""
+    return (np.empty((n, K), dtype=complex), np.empty((n, K)),
+            np.empty((n, K)), np.empty((n, K)))
+
+
+def _fold(c, d0, T):
+    """Alias cascade taps at delays d0, d0 + 1, ... onto the T-point block
+    circle (delay d lands on d mod T); returns the taps and the index of
+    delay 0."""
+    D = c.shape[1]
+    if D <= T:
+        return c, -d0
+    out = np.zeros(c.shape[:1] + (T,) + c.shape[2:], dtype=c.dtype)
+    for j in range(D):
+        out[:, (d0 + j) % T] += c[:, j]
+    return out, 0
+
+
+def _cascade_buckets(c, zero):
+    """(g, isi_u, mui_u) from circular cascade taps c of shape (n, D, K, K).
+
+    c[:, j, k, q] carries user q's symbol to user k's output at the j-th of
+    D delays that are distinct mod T; j = zero is delay 0. By Parseval the
+    T-grid power of the cascade is the sum of the squared taps.
     """
-    dims = ch.dims
-    M, K, T = dims.M, dims.K, dims.T
-    filt = scenario.filt
-    if scenario.link == "downlink":
-        if scenario.dl_framing == "linear":
-            bd = decompose("downlink", filt, ch,
-                           SignalBlocks(rho_f=1.0, T=T, noise=None),
-                           beta=scenario.beta, framing="linear")
-            return bd.gains, bd.isi_k, bd.mui_k, np.ones(K)
-        Gch = np.fft.fft(np.conj(np.transpose(ch.Hhat, (0, 2, 1))),
-                         n=T, axis=0)                       # (T, K, M)
-        if filt == "cmfp":
-            C = Gch @ np.conj(np.transpose(Gch, (0, 2, 1))) / np.sqrt(M * K)
+    g = np.diagonal(c[:, zero], axis1=-2, axis2=-1).copy()
+    tot = (np.abs(c) ** 2).sum(axis=1)                      # (n, K, K)
+    own = np.diagonal(tot, axis1=-2, axis2=-1)
+    return g, np.maximum(own - np.abs(g) ** 2, 0.0), tot.sum(axis=-1) - own
+
+
+class DrawFactors:
+    """Channel draws of one scenario, factored once so that their buckets
+    at any ridge parameter are cheap.
+
+    Slot i holds trial first + i of the scenario's seed (first=None when
+    the trial is unknown; it only labels errors). What a slot keeps
+    depends on the filter:
+
+    * ridge-family banks (ZFP/RZFP on the synthesis bins B_nu, ZFE/MMSEE
+      on the analysis bins Hhat_nu, both written V_nu): the eigenpairs
+      V_nu^H V_nu = U Lambda U^H of every bin Gram matrix and the tap
+      products Hhat_l^H V_nu U (downlink) or U^H V_nu^H Hhat_l (uplink).
+      A ridge parameter beta then costs a 1/(lambda + beta) rescale, one
+      N-point IFFT across bins and a shift-add over the L channel taps;
+      the downlink power normalization and the uplink AWGN bucket follow
+      from Lambda in closed form;
+    * matched filters: their buckets, which have no ridge parameter,
+      from the cascade taps sum_{l - l' = d} Hhat_l^H Hhat_l' / sqrt(MK);
+    * linear downlink framing: the draws themselves, measured one by one
+      through decompose.
+    """
+
+    def __init__(self, scenario, n, first=None):
+        self.scenario, self.n, self.first = scenario, n, first
+        dims = scenario.dims
+        K, L, N = dims.K, dims.L, dims.N
+        self.downlink = scenario.link == "downlink"
+        if self.downlink and scenario.dl_framing == "linear":
+            self.kind, self.chans = "probe", [None] * n
+        elif scenario.filt in MATCHED:
+            self.kind, self.stacks = "matched", _stacks(n, K)
         else:
-            bank = zfp_bank(ch) if filt == "zfp" \
-                else rzfp_bank(ch, scenario.beta)
-            Wf = np.fft.fft(bank.norm * bank.time, n=T, axis=0)
-            C = Gch @ Wf
-        awgn = np.ones(K)
-    else:
-        Hch = np.fft.fft(ch.Hhat, n=T, axis=0)              # (T, M, K)
-        if filt == "cmfe":
-            Qf = np.conj(np.transpose(Hch, (0, 2, 1))) / np.sqrt(M * K)
+            self.kind = "ridge"
+            self.lam = np.empty((n, N, K))
+            self.U = np.empty((n, N, K, K), dtype=complex)
+            self.X = np.empty((n, N, L * K, K) if self.downlink
+                              else (n, N, K, L * K), dtype=complex)
+
+    def _where(self, i):
+        trial = "" if self.first is None else f", trial {self.first + i}"
+        scn = self.scenario
+        return f" ({scn.filt}, seed {scn.dims.seed}{trial})"
+
+    def fill(self, lo, chans):
+        """Factor the channel draws `chans` (any iterable; only their taps
+        are kept) into slots lo, lo + 1, ..."""
+        if self.kind == "probe":
+            chans = list(chans)
+            self.chans[lo:lo + len(chans)] = chans
+            return
+        dims = self.scenario.dims
+        M, K, L, N = dims.M, dims.K, dims.L, dims.N
+        Hhat = np.stack([ch.Hhat for ch in chans])          # (n, L, M, K)
+        n = Hhat.shape[0]
+        hi = lo + n
+        # F[:, l, :, l', :] = Hhat_l^H Hhat_l', every bin product below
+        # is an N-point transform of it. One product per tap l keeps each
+        # BLAS call under OpenBLAS's threading threshold: a threaded call
+        # this small runs many times slower when processes share the CPUs.
+        F = (np.conj(Hhat).transpose(0, 1, 3, 2)
+             @ Hhat.transpose(0, 2, 1, 3).reshape(n, 1, M, L * K)
+             ).reshape(n, L, K, L, K)
+        if self.kind == "matched":
+            c = np.zeros((n, 2 * L - 1, K, K), dtype=complex)
+            for l in range(L):
+                for lp in range(L):
+                    d = l - lp if self.downlink else lp - l
+                    c[:, d + L - 1] += F[:, l, :, lp, :]
+            c /= np.sqrt(M * K)
+            awgn = np.ones((n, K)) if self.downlink else np.real(
+                np.einsum("nlklk->nk", F)) / (M * K)
+            for dst, src in zip(self.stacks, (*_cascade_buckets(
+                    *_fold(c, 1 - L, dims.T)), awgn)):
+                dst[lo:hi] = src
+            return
+        if self.downlink:
+            # P[:, nu, l] = Hhat_l^H B_nu,
+            # B_nu = sum_l' e^{+2j pi nu l'/N} Hhat_l'
+            P = np.fft.ifft(F.transpose(0, 3, 1, 2, 4), n=N, axis=1,
+                            norm="forward")                 # (n, N, L, K, K)
+            taps = [P[:, :, l] for l in range(L)]
         else:
-            bank = zfe_bank(ch) if filt == "zfe" \
-                else mmsee_bank(ch, scenario.beta)
-            Qf = np.fft.fft(bank.norm * bank.time, n=T, axis=0)
-        C = Qf @ Hch
-        awgn = (np.abs(Qf) ** 2).mean(axis=0).sum(axis=1)
-    c0 = C.mean(axis=0)
-    g = np.diagonal(c0).copy()
-    tot = (np.abs(C) ** 2).mean(axis=0)
-    isi_u = np.maximum(np.diagonal(tot) - np.abs(g) ** 2, 0.0)
-    mui_u = tot.sum(axis=1) - np.diagonal(tot)
-    return g, isi_u, mui_u, awgn
+            # P[:, nu, :, l] = Hhat_nu^H Hhat_l,
+            # Hhat_nu = sum_l' e^{-2j pi nu l'/N} Hhat_l'
+            P = np.fft.ifft(F, n=N, axis=1, norm="forward")  # (n, N, K, L, K)
+            taps = [P[:, :, :, l] for l in range(L)]
+        # bin Gram V_nu^H V_nu = sum_l e^{-2j pi nu l/N} (Hhat_l^H V_nu)
+        phase = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(L)) / N)
+        gram = sum(phase[:, l, None, None] * taps[l] for l in range(L))
+        lam, U = np.linalg.eigh(gram)
+        if self.scenario.filt in ZERO_FORCING:
+            for i in range(n):
+                check_gram_conditioning(lam[i], where=self._where(lo + i))
+        if self.downlink:
+            np.matmul(P.reshape(n, N, L * K, K), U, out=self.X[lo:hi])
+        else:
+            np.matmul(np.conj(np.swapaxes(U, -1, -2)),
+                      P.reshape(n, N, K, L * K), out=self.X[lo:hi])
+        self.lam[lo:hi], self.U[lo:hi] = lam, U
+
+    def buckets(self, beta, lo=0, hi=None):
+        """(g, isi_u, mui_u, awgn) stacks of slots lo .. hi - 1 at ridge
+        parameter beta (ignored by the matched and zero-forcing filters)."""
+        hi = self.n if hi is None else hi
+        if not 0 <= lo <= hi <= self.n:
+            raise IndexError(f"slots [{lo}, {hi}) outside the {self.n} "
+                             f"factored draws")
+        if self.kind == "matched":
+            return tuple(s[lo:hi] for s in self.stacks)
+        if self.kind == "probe":
+            scn = replace(self.scenario, beta=beta)
+            parts = [_probe_buckets(scn, ch) for ch in self.chans[lo:hi]]
+            return tuple(np.array(p) for p in zip(*parts))
+        if self.scenario.filt in ZERO_FORCING:
+            beta = 0.0
+        elif beta < 0:
+            raise ValueError(f"beta must be >= 0, got {beta}")
+        out = _stacks(hi - lo, self.scenario.dims.K)
+        for a in range(lo, hi, CHUNK):
+            b = min(a + CHUNK, hi)
+            for dst, src in zip(out, self._ridge_buckets(beta, a, b)):
+                dst[a - lo:b - lo] = src
+        return out
+
+    def _ridge_buckets(self, beta, a, b):
+        lam, U, X = self.lam[a:b], self.U[a:b], self.X[a:b]
+        n, N, K = lam.shape
+        dims = self.scenario.dims
+        L = dims.L
+        shifted = lam + beta
+        if not np.all(shifted > 0):
+            i, nu = np.argwhere(~(shifted > 0))[0, :2]
+            raise np.linalg.LinAlgError(
+                f"Gram eigenvalue + beta = {shifted[i, nu].min():.3e} <= 0 "
+                f"at bin {nu}{self._where(a + i)}")
+        s = 1.0 / shifted
+        p = lam * s * s                     # lambda / (lambda + beta)^2
+        if self.downlink:
+            # Hhat_l^H W_nu = (Hhat_l^H B_nu U) (diag(s) U^H)
+            z = X @ (np.conj(np.swapaxes(U, -1, -2)) * s[:, :, :, None])
+        else:
+            # Q_nu Hhat_l = (U diag(s)) (U^H Hhat_nu^H Hhat_l)
+            z = (U * s[:, :, None, :]) @ X
+        z = np.fft.ifft(z, axis=1)          # bins -> bank taps
+        z = z.reshape(n, N, L, K, K) if self.downlink \
+            else z.reshape(n, N, K, L, K).transpose(0, 1, 3, 2, 4)
+        # z[:, m, l] = (bank tap m) x (channel tap l), landing at delay m + l
+        c = np.zeros((n, N + L - 1, K, K), dtype=complex)
+        for l in range(L):
+            c[:, l:l + N] += z[:, :, l]
+        if self.downlink:
+            # power normalization a = sqrt(N / sum_nu ||W_nu||_F^2)
+            energy = p.sum(axis=(1, 2))
+            if not np.all(energy > 0):
+                raise ValueError(f"cannot normalize a zero-energy filter "
+                                 f"bank{self._where(a + np.argmin(energy))}")
+            c *= np.sqrt(N / energy)[:, None, None, None]
+            awgn = np.ones((n, K))
+        else:
+            # mean squared equalizer row norm, (1/N) sum_nu ||row k of Q_nu||^2
+            awgn = ((np.abs(U) ** 2) @ p[..., None])[..., 0].sum(axis=1) / N
+        return (*_cascade_buckets(*_fold(c, 0, dims.T)), awgn)
+
+
+def _probe_buckets(scenario, ch):
+    """Linear-framing buckets of one draw, measured through decompose."""
+    bd = decompose("downlink", scenario.filt, ch,
+                   SignalBlocks(rho_f=1.0, T=ch.dims.T, noise=None),
+                   beta=scenario.beta, framing="linear")
+    return bd.gains, bd.isi_k, bd.mui_k, np.ones(ch.dims.K)
+
+
+def _draw_buckets(scenario, ch):
+    """Unit-power buckets (g, isi_u, mui_u, awgn) of one channel draw.
+
+    g holds the realized gains, isi_u and mui_u the same-user and
+    cross-user interference energies at unit symbol power, awgn the exact
+    per-draw AWGN bucket (downlink: 1; uplink: mean squared equalizer row
+    norm).
+    """
+    factors = DrawFactors(scenario, 1)
+    factors.fill(0, [ch])
+    return tuple(s[0] for s in factors.buckets(scenario.beta))
+
+
+def factor_draws(scenario, trials, first=0):
+    """Draw trials first .. first + trials - 1 of the scenario's seed and
+    factor them, CHUNK draws at a time, into one DrawFactors."""
+    dims = scenario.dims
+    factors = DrawFactors(scenario, trials, first)
+    for lo in range(0, trials, CHUNK):
+        factors.fill(lo, (draw_channel(dims, scenario.pdp, scenario.corr,
+                                       trial_rng(dims.seed, first + t))
+                          for t in range(lo, min(lo + CHUNK, trials))))
+    return factors
+
+
+def mc_buckets_at(scenario, trials, betas, factors=None):
+    """Bucket stacks of draws 0 .. trials - 1 at each ridge parameter in
+    `betas`, one (g, isi_u, mui_u, awgn) tuple per beta.
+
+    Every chunk of draws is factored once and evaluated at each beta. The
+    leading draws already held in `factors` (from factor_draws on the same
+    scenario up to power and beta) are reused instead of drawn again.
+    """
+    out = [_stacks(trials, scenario.dims.K) for _ in betas]
+    cached = 0 if factors is None else min(factors.n, trials)
+    bounds = [*range(0, cached, CHUNK), *range(cached, trials, CHUNK), trials]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi <= cached:
+            src, a = factors, lo
+        else:
+            src, a = factor_draws(scenario, hi - lo, first=lo), 0
+        for stacks, beta in zip(out, betas):
+            for dst, part in zip(stacks, src.buckets(beta, a, a + hi - lo)):
+                dst[lo:hi] = part
+    return out
 
 
 def mc_buckets(scenario, trials):
@@ -275,19 +496,9 @@ def mc_buckets(scenario, trials):
 
     Returns (g, isi_u, mui_u, awgn) arrays of shape (trials, K) at unit
     symbol power. Draw t uses the counter-based stream (seed, t), so the
-    stack is independent of evaluation order.
+    stack is independent of evaluation order and chunking.
     """
-    dims = scenario.dims
-    K = dims.K
-    g = np.empty((trials, K), dtype=complex)
-    isi_u = np.empty((trials, K))
-    mui_u = np.empty((trials, K))
-    awgn = np.empty((trials, K))
-    for t in range(trials):
-        ch = draw_channel(dims, scenario.pdp, scenario.corr,
-                          trial_rng(dims.seed, t))
-        g[t], isi_u[t], mui_u[t], awgn[t] = _draw_buckets(scenario, ch)
-    return g, isi_u, mui_u, awgn
+    return mc_buckets_at(scenario, trials, [scenario.beta])[0]
 
 
 def _aggregate(scenario, g, isi_u, mui_u, awgn):

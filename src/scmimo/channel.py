@@ -20,7 +20,7 @@ class SimulationDims:
     """Static scenario dimensions.
 
     M antennas, K users, L channel taps, N filter-bank bins (N > L),
-    T-symbol blocks, cyclic prefix T_c > L.
+    T-symbol blocks (T >= N), cyclic prefix T_c > L.
     """
 
     M: int
@@ -35,6 +35,10 @@ class SimulationDims:
     def __post_init__(self):
         if self.N <= self.L:
             raise ValueError(f"need N > L, got N={self.N}, L={self.L}")
+        if self.T < self.N:
+            raise ValueError(f"need T >= N (a block must hold the "
+                             f"N-tap filter bank), got T={self.T}, "
+                             f"N={self.N}")
         if self.T_c <= self.L:
             raise ValueError(f"need T_c > L, got T_c={self.T_c}, L={self.L}")
         if self.K > self.M:

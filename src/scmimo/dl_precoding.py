@@ -73,17 +73,28 @@ def _apply_bank(bank, block):
     return bank.norm * out
 
 
+def check_gram_conditioning(eigs, where=""):
+    """Raise LinAlgError naming the worst bin when a bin Gram matrix is
+    rank-deficient, i.e. its reciprocal condition is below RCOND_MIN.
+
+    eigs holds each bin's Gram eigenvalues in ascending order, shape
+    (N, K), as np.linalg.eigh and eigvalsh return them; `where` is
+    appended to the draw's description in the message.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rcond = eigs[:, 0] / eigs[:, -1]
+    bad = int(np.argmin(rcond))
+    if not rcond[bad] >= RCOND_MIN:
+        raise np.linalg.LinAlgError(
+            f"rank-deficient channel draw{where}: Gram matrix at bin {bad} "
+            f"has reciprocal condition {rcond[bad]:.3e} < {RCOND_MIN:g}")
+
+
 def _ridge_bank(ch, beta, check_conditioning):
     B = synthesis_bins(ch.Hhat, ch.dims.N)          # (N, M, K)
     gram = np.conj(np.transpose(B, (0, 2, 1))) @ B  # (N, K, K)
     if check_conditioning:
-        s = np.linalg.svd(gram, compute_uv=False)
-        rcond = s[:, -1] / s[:, 0]
-        bad = int(np.argmin(rcond))
-        if rcond[bad] < RCOND_MIN:
-            raise np.linalg.LinAlgError(
-                f"rank-deficient channel draw: Gram matrix at bin {bad} has "
-                f"reciprocal condition {rcond[bad]:.3e} < {RCOND_MIN:g}")
+        check_gram_conditioning(np.linalg.eigvalsh(gram))
     K = gram.shape[-1]
     W = B @ np.linalg.inv(gram + beta * np.eye(K))
     bank = FrequencyFilterBank.from_freq(W, beta=beta)

@@ -215,7 +215,7 @@ def _scenario(cfg, filt, param, rho_db, beta=0.0):
 # ridge-parameter optimization
 
 
-def optimize_beta(scenario, rho_f, trials=100):
+def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
     """Ridge parameter maximizing the Monte Carlo sum rate at power rho_f.
 
     Evaluates beta in {0} union {10^k : k = -6..6} under common random
@@ -224,6 +224,11 @@ def optimize_beta(scenario, rho_f, trials=100):
     Exact ties return the earliest candidate, biasing toward beta = 0;
     when beta = 0 wins outright the search returns 0.0 without
     refinement. Deterministic given the scenario seed.
+
+    The draws are factored once (analysis.DrawFactors), so each candidate
+    costs only a rescale of the cached per-bin eigendecompositions.
+    `factors` supplies that cache for draws 0 .. trials - 1 of the
+    scenario (from analysis.factor_draws); by default it is built here.
     """
     if scenario.filt not in BETA_FILTERS:
         raise ValueError(f"filter {scenario.filt!r} has no ridge parameter")
@@ -231,20 +236,14 @@ def optimize_beta(scenario, rho_f, trials=100):
     rho_db = 10.0 * math.log10(rho_f)
     base = dataclasses.replace(
         scenario, dims=dataclasses.replace(dims, rho_f_db=rho_db))
-    draws = [draw_channel(dims, scenario.pdp, scenario.corr,
-                          trial_rng(dims.seed, t)) for t in range(trials)]
+    if factors is None:
+        factors = analysis.factor_draws(scenario, trials)
 
     def rate_at(beta):
         scn = dataclasses.replace(base, beta=beta)
-        K = dims.K
-        g = np.empty((trials, K), dtype=complex)
-        isi = np.empty((trials, K))
-        mui = np.empty((trials, K))
-        awgn = np.empty((trials, K))
-        for t, ch in enumerate(draws):
-            g[t], isi[t], mui[t], awgn[t] = analysis._draw_buckets(scn, ch)
-        return analysis.buckets_to_result(scn, trials, g, isi, mui,
-                                          awgn).rate_bpcu
+        stacks = factors.buckets(beta, 0, trials)
+        return analysis.rate_from_breakdown(
+            analysis._aggregate(scn, *stacks))[0]
 
     grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
     rates = [rate_at(b) for b in grid]
@@ -279,24 +278,42 @@ def optimize_beta(scenario, rho_f, trials=100):
 
 
 def _sweep_group(cfg, filt, param):
-    """All power-grid rows for one (filter, correlation-parameter) cell."""
-    rows = []
+    """All power-grid rows for one (filter, correlation-parameter) cell.
+
+    A cell without a beta search evaluates its draws once for every power
+    point. A cell with one factors its first beta.trials draws once,
+    searches beta at every power point on them, then evaluates all
+    `trials` reporting draws (reusing the factored ones) at every beta*
+    and at beta = 0 in one pass. A row reports beta* unless beta = 0 rates
+    strictly higher on those reporting draws, so it never falls below
+    the unregularized filter on its own draws.
+    """
     needs_beta = filt in BETA_FILTERS and cfg.beta_mode == "grid_opt"
     fixed_beta = cfg.beta_value if filt in BETA_FILTERS else 0.0
+    scn0 = _scenario(cfg, filt, param, cfg.rho_grid[0], beta=fixed_beta)
+
+    def at(rho_db, beta):
+        return dataclasses.replace(
+            scn0, beta=beta,
+            dims=dataclasses.replace(scn0.dims, rho_f_db=rho_db))
+
     if not needs_beta:
-        scn0 = _scenario(cfg, filt, param, cfg.rho_grid[0], beta=fixed_beta)
         stacks = mc_buckets(scn0, cfg.trials)
-    for rho_db in cfg.rho_grid:
-        if needs_beta:
-            scn = _scenario(cfg, filt, param, rho_db)
-            beta = optimize_beta(scn, 10.0 ** (rho_db / 10.0),
-                                 trials=cfg.beta_trials)
-            scn = dataclasses.replace(scn, beta=beta)
-            result = sum_rate_mc(scn, cfg.trials)
-        else:
-            scn = _scenario(cfg, filt, param, rho_db, beta=fixed_beta)
-            result = buckets_to_result(scn, cfg.trials, *stacks)
-        rows.append(_result_row(result))
+        return [_result_row(buckets_to_result(at(rho_db, fixed_beta),
+                                              cfg.trials, *stacks))
+                for rho_db in cfg.rho_grid]
+    factors = analysis.factor_draws(scn0, cfg.beta_trials)
+    betas = [optimize_beta(at(rho_db, 0.0), 10.0 ** (rho_db / 10.0),
+                           trials=cfg.beta_trials, factors=factors)
+             for rho_db in cfg.rho_grid]
+    candidates = sorted(set(betas) | {0.0})
+    stacks = dict(zip(candidates, analysis.mc_buckets_at(
+        scn0, cfg.trials, candidates, factors)))
+    rows = []
+    for rho_db, beta in zip(cfg.rho_grid, betas):
+        results = [buckets_to_result(at(rho_db, b), cfg.trials, *stacks[b])
+                   for b in dict.fromkeys((beta, 0.0))]
+        rows.append(_result_row(max(results, key=lambda r: r.rate_bpcu)))
     return rows
 
 

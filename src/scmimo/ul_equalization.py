@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dl_precoding import RCOND_MIN, FrequencyFilterBank, _apply_bank
+from .dl_precoding import (FrequencyFilterBank, _apply_bank,
+                           check_gram_conditioning)
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,7 @@ def _ridge_bank_ul(ch, beta, check_conditioning):
     G = np.conj(np.transpose(ch.Hhat_freq, (0, 2, 1)))  # (N, K, M)
     gram = G @ np.conj(np.transpose(G, (0, 2, 1)))      # (N, K, K)
     if check_conditioning:
-        s = np.linalg.svd(gram, compute_uv=False)
-        rcond = s[:, -1] / s[:, 0]
-        bad = int(np.argmin(rcond))
-        if rcond[bad] < RCOND_MIN:
-            raise np.linalg.LinAlgError(
-                f"rank-deficient channel draw: Gram matrix at bin {bad} has "
-                f"reciprocal condition {rcond[bad]:.3e} < {RCOND_MIN:g}")
+        check_gram_conditioning(np.linalg.eigvalsh(gram))
     K = gram.shape[-1]
     Q = np.linalg.inv(gram + beta * np.eye(K)) @ G
     return FrequencyFilterBank.from_freq(Q, beta=beta)

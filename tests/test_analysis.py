@@ -1,19 +1,24 @@
 """Analysis tests: bucket decomposition, sum rates, moment identities."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scmimo import analysis
 from scmimo.analysis import (NoiseBreakdown, Scenario, SignalBlocks,
                              _draw_buckets, appendix_moment,
                              buckets_to_result, cmfe_rate_closed,
                              cmfp_rate_closed, coop_capacity, decompose,
-                             mc_buckets, sum_rate_mc)
-from scmimo.channel import (PowerDelayProfile, SimulationDims, draw_channel,
-                            exponential_pdp, trial_rng)
-from scmimo.corr_models import exponential_correlation, identity_correlation, ula
+                             factor_draws, mc_buckets, mc_buckets_at,
+                             sum_rate_mc)
+from scmimo.channel import (ChannelRealization, PowerDelayProfile,
+                            SimulationDims, draw_channel, exponential_pdp,
+                            taps_to_freq, trial_rng)
+from scmimo.corr_models import (CorrelationMatrix, exponential_correlation,
+                                identity_correlation, ula)
 from scmimo.dl_precoding import downlink_receive, precoded_transmit, zfp_bank
 
 
@@ -54,7 +59,7 @@ def test_decompose_zero_noise_gives_zero_awgn():
 
 
 def test_decompose_buckets_match_fast_cascade():
-    """Probe measurement and FFT cascade agree draw by draw."""
+    """Probe measurement and the tap-domain core agree draw by draw."""
     for link, filt, beta in [("downlink", "cmfp", 0.0),
                              ("downlink", "zfp", 0.0),
                              ("downlink", "rzfp", 0.5),
@@ -70,6 +75,115 @@ def test_decompose_buckets_match_fast_cascade():
         assert_allclose(bd.gains, g, atol=1e-10)
         assert_allclose(bd.isi_k, isi_u, atol=1e-10)
         assert_allclose(bd.mui_k, mui_u, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# tap-domain bucket core
+
+SIX_FILTERS = [("downlink", "cmfp"), ("downlink", "zfp"), ("downlink", "rzfp"),
+               ("uplink", "cmfe"), ("uplink", "zfe"), ("uplink", "mmsee")]
+CORE_CASES = [(link, filt, beta) for link, filt in SIX_FILTERS
+              for beta in ((0.0, 1e-3, 1.0, 1e6)
+                           if filt in ("rzfp", "mmsee") else (0.0,))]
+
+
+def _exact_uplink_awgn(filt, ch, T, beta):
+    """Post-filter noise power per user for unit white noise, from one
+    noise impulse per antenna through decompose."""
+    total = 0.0
+    for m in range(ch.dims.M):
+        impulse = np.zeros((ch.dims.M, T), dtype=complex)
+        impulse[m, 0] = 1.0
+        total = total + T * decompose("uplink", filt, ch,
+                                      SignalBlocks(1.0, T, impulse),
+                                      beta=beta).awgn_k
+    return total
+
+
+@pytest.mark.parametrize("T", [5, 7, 12])       # N, N + L - 1, beyond
+@pytest.mark.parametrize("link,filt,beta", CORE_CASES)
+def test_core_matches_decompose(link, filt, beta, T):
+    """With N = 5, L = 3 a bank cascade has N + L - 1 = 7 taps: it folds
+    onto the block at T = N, just fits at T = 7 and leaves zero taps at
+    T = 12. Gains, ISI, MUI and the AWGN bucket match the probe
+    measurement to 1e-10 of their scale in every case."""
+    scn = scenario(link=link, filt=filt, M=8, K=3, L=3, N=5, T=T, T_c=5,
+                   alpha=0.7, beta=beta)
+    for t in range(2):
+        ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
+        bd = decompose(link, filt, ch, SignalBlocks(1.0, T, None), beta=beta)
+        g, isi_u, mui_u, awgn = _draw_buckets(scn, ch)
+        scale = np.max(np.abs(bd.gains))
+        assert_allclose(g / scale, bd.gains / scale, rtol=0, atol=1e-10)
+        assert_allclose(isi_u / scale ** 2, bd.isi_k / scale ** 2,
+                        rtol=0, atol=1e-10)
+        assert_allclose(mui_u / scale ** 2, bd.mui_k / scale ** 2,
+                        rtol=0, atol=1e-10)
+        want = np.ones(3) if link == "downlink" \
+            else _exact_uplink_awgn(filt, ch, T, beta)
+        assert_allclose(awgn, want, rtol=1e-10)
+
+
+@pytest.mark.parametrize("link,filt", SIX_FILTERS)
+def test_buckets_bit_identical_across_chunk_sizes(monkeypatch, link, filt):
+    """Chunking changes how many draws are factored and evaluated
+    together, never a bit of any draw's buckets; neither does reusing
+    factored draws in a multi-beta pass."""
+    scn = scenario(link=link, filt=filt, M=8, K=3, L=3, N=5, T=7, T_c=5,
+                   alpha=0.7, beta=0.3)
+    ref = mc_buckets(scn, 23)
+    for chunk in (1, 6, 64):
+        monkeypatch.setattr(analysis, "CHUNK", chunk)
+        for got, want in zip(mc_buckets(scn, 23), ref):
+            assert np.array_equal(got, want)
+        stacks = mc_buckets_at(scn, 23, [0.0, 0.3], factor_draws(scn, 10))
+        for got, want in zip(stacks[1], ref):
+            assert np.array_equal(got, want)
+        zero = mc_buckets(dataclasses.replace(scn, beta=0.0), 23)
+        for got, want in zip(stacks[0], zero):
+            assert np.array_equal(got, want)
+
+
+def _rank_one_scenario(link, filt, beta=0.0, seed=3):
+    """Every antenna sees the same signal (A = all-ones, rank 1), so with
+    K = 2 users every bin Gram matrix is singular."""
+    M = 4
+    ones = np.ones((M, M))
+    corr = CorrelationMatrix(A=ones, sqrt_A=ones / np.sqrt(M),
+                             trace_A=float(M), trace_A2=float(M * M))
+    scn = scenario(link=link, filt=filt, M=M, K=2, L=2, N=4, T=8, T_c=4,
+                   seed=seed, beta=beta)
+    return dataclasses.replace(scn, corr=corr)
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "zfp"),
+                                       ("uplink", "zfe")])
+def test_rank_deficient_draw_names_filter_seed_trial_and_bin(link, filt):
+    scn = _rank_one_scenario(link, filt)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"{filt}, seed 3, trial 0\): .*bin \d+"):
+        mc_buckets(scn, 5)
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
+                                       ("uplink", "mmsee")])
+def test_ridge_rejects_nonpositive_shifted_eigenvalue(link, filt):
+    """A user with no channel at all has an exactly zero Gram eigenvalue:
+    beta = 0 must raise rather than divide by it, and any beta > 0 gives
+    finite buckets."""
+    scn = scenario(link=link, filt=filt, M=4, K=2, L=2, N=4, T=8, T_c=4,
+                   seed=3)
+    ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(3, 0))
+    Hhat = ch.Hhat.copy()
+    Hhat[:, :, 1] = 0.0
+    silent = ChannelRealization(H=ch.H, Hhat=Hhat,
+                                Hhat_freq=taps_to_freq(Hhat, 4),
+                                pdp=ch.pdp, dims=ch.dims)
+    with pytest.raises(np.linalg.LinAlgError, match=r"<= 0 at bin \d+"):
+        _draw_buckets(scn, silent)
+    for beta in (1e-3, 1.0):
+        buckets = _draw_buckets(dataclasses.replace(scn, beta=beta), silent)
+        assert all(np.all(np.isfinite(b)) for b in buckets)
 
 
 def test_total_power_equals_bucket_sum():

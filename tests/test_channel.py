@@ -243,3 +243,11 @@ def test_channel_realization_is_frozen():
     assert isinstance(ch, ChannelRealization)
     with pytest.raises(Exception):
         ch.H = None
+
+
+def test_dims_reject_block_shorter_than_bank():
+    """A T-symbol block cannot hold an N-tap bank: reject T < N up front
+    rather than let the bucket core fold a truncated cascade."""
+    with pytest.raises(ValueError, match="T >= N"):
+        small_dims(N=8, T=4)
+    assert small_dims(N=8, T=8).T == 8

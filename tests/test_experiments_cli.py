@@ -9,8 +9,9 @@ import textwrap
 import numpy as np
 import pytest
 
-from scmimo.analysis import Scenario, sum_rate_mc
-from scmimo.channel import DEFAULT_SEED, SimulationDims, exponential_pdp
+from scmimo.analysis import Scenario, _draw_buckets, sum_rate_mc
+from scmimo.channel import (DEFAULT_SEED, SimulationDims, draw_channel,
+                            exponential_pdp, trial_rng)
 from scmimo.corr_models import exponential_correlation, identity_correlation, ula
 from scmimo.experiments_cli import (CSV_HEADER, _scenario, emit_plot_script,
                                     load_config, main, optimize_beta,
@@ -191,6 +192,36 @@ def test_optimize_beta_dominates_grid_endpoints():
     assert rate(beta_star) >= rate(1e-6) - 1e-12
     assert rate(beta_star) >= rate(1e6) - 1e-12
     assert rate(beta_star) >= rate(0.0) - 1e-12
+
+
+class _PerDrawSearch:
+    """Reference for optimize_beta's factor cache: whole draws, each
+    evaluated on its own through _draw_buckets."""
+
+    def __init__(self, scn, trials):
+        self.scn = scn
+        self.chans = [draw_channel(scn.dims, scn.pdp, scn.corr,
+                                   trial_rng(scn.dims.seed, t))
+                      for t in range(trials)]
+
+    def buckets(self, beta, lo, hi):
+        scn = dataclasses.replace(self.scn, beta=beta)
+        return tuple(np.array(b) for b in zip(
+            *(_draw_buckets(scn, ch) for ch in self.chans[lo:hi])))
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
+                                       ("uplink", "mmsee")])
+@pytest.mark.parametrize("rho_db", [0.0, 10.0, 30.0])
+def test_optimize_beta_matches_per_draw_search(link, filt, rho_db):
+    dims = SimulationDims(M=8, K=3, L=2, N=4, T=8, T_c=4,
+                          rho_f_db=rho_db, seed=31)
+    scn = Scenario(link=link, filt=filt, dims=dims,
+                   corr=exponential_correlation(ula(8, 0.5), 0.7),
+                   pdp=exponential_pdp(3, 2))
+    rho = 10.0 ** (rho_db / 10.0)
+    assert optimize_beta(scn, rho, trials=25) == optimize_beta(
+        scn, rho, trials=25, factors=_PerDrawSearch(scn, 25))
 
 
 # ---------------------------------------------------------------------------
@@ -383,3 +414,39 @@ def test_main_beta_requires_ridge_filter(tmp_path):
         main(["beta", "--config", path, "--rho-db", "0",
               "--override=filters=cmfp"])
     assert exc.value.code == 2
+
+
+SHORTFALL_CFG = """
+link = {link}
+filters = {filt}
+corr.model = exponential
+corr.alpha = 0.0,0.5,0.9
+geometry.m = 8
+dims.k = 3
+dims.l = 2
+dims.n = 4
+dims.t = 8
+dims.t_c = 4
+trials = 40
+beta.trials = 10
+grid.rho_db = -10,0,10,20,30
+seed = 1
+"""
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
+                                       ("uplink", "mmsee")])
+def test_grid_opt_rows_never_below_beta_zero(tmp_path, link, filt):
+    """A searched row reports the better of beta* and 0 on its reporting
+    draws, so it never falls below the same cell at fixed beta = 0 (here
+    the uplink search alone picks a beta* that loses by about 0.01 bpcu
+    at one point). The rows do not depend on the worker count."""
+    path = cfg_file(tmp_path, SHORTFALL_CFG.format(link=link, filt=filt))
+    out = [f"output={tmp_path / 'out.csv'}"]
+    opt = run_sweep(load_config(path, overrides=out), workers=1)
+    assert run_sweep(load_config(path, overrides=out), workers=3) == opt
+    zero = run_sweep(load_config(path, overrides=out + [
+        "beta.mode=fixed", "beta.value=0"]), workers=1)
+    assert len(opt) == len(zero) == 15
+    for row, row0 in zip(opt, zero):
+        assert float(row["rate_bpcu"]) >= float(row0["rate_bpcu"])
