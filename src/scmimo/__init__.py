@@ -16,7 +16,7 @@ from .channel import (ChannelRealization, PowerDelayProfile, SimulationDims,
 from .corr_models import (ArrayGeometry, CorrelationMatrix,
                           bessel_correlation, distance_matrix,
                           exponential_correlation, hermitian_sqrt,
-                          identity_correlation, pairwise_distance, ula, upa)
+                          identity_correlation, ula, upa)
 from .dl_precoding import (FrequencyFilterBank, cmfp_transmit,
                            downlink_receive, normalize_bank,
                            precoded_transmit, rzfp_bank, synthesis_bins,
@@ -29,7 +29,7 @@ from .ul_equalization import (UplinkFrame, apply_equalizer_bank, cmfe_apply,
 
 __all__ = [
     "ArrayGeometry", "CorrelationMatrix", "ula", "upa",
-    "pairwise_distance", "distance_matrix", "hermitian_sqrt",
+    "distance_matrix", "hermitian_sqrt",
     "identity_correlation", "exponential_correlation", "bessel_correlation",
     "SimulationDims", "PowerDelayProfile", "ChannelRealization",
     "exponential_pdp", "draw_channel", "taps_to_freq", "trial_rng",

@@ -26,7 +26,7 @@ re-evaluates the cached factors instead of rebuilding banks.
 Rates are (1/2) log2(1 + SINR) per user, in bits per channel use.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,7 +107,6 @@ class Scenario:
     corr: object
     pdp: object
     beta: float = 0.0
-    dl_framing: str = "circular"
     corr_model: str = ""
     corr_param: float = None
     mu: float = None
@@ -144,7 +143,7 @@ def _check_combo(link, filt):
         raise ValueError(f"unknown link {link!r}")
 
 
-def _make_pipeline(link, filt, ch, beta, framing):
+def _make_pipeline(link, filt, ch, beta):
     """Return run(symbols, noise) -> output block, through the real ops."""
     _check_combo(link, filt)
     if link == "downlink":
@@ -153,7 +152,7 @@ def _make_pipeline(link, filt, ch, beta, framing):
         else:
             bank = zfp_bank(ch) if filt == "zfp" else rzfp_bank(ch, beta)
             tx = lambda s: precoded_transmit(bank, s)
-        return lambda s, n: downlink_receive(ch, tx(s), n, framing=framing)
+        return lambda s, n: downlink_receive(ch, tx(s), n)
     if filt == "cmfe":
         eq = lambda r: cmfe_apply(ch, r)
     else:
@@ -166,51 +165,35 @@ def _make_pipeline(link, filt, ch, beta, framing):
     return run
 
 
-def _reference_gains(link, filt, ch):
-    """Mean same-symbol gain: analytic for CMFP, realized otherwise."""
-    if link == "downlink" and filt == "cmfp":
-        M, K = ch.dims.M, ch.dims.K
-        return np.sqrt(M / K) * ch.pdp.d.sum(axis=1)
-    return None
+def _cmfp_reference_gains(dims, pdp):
+    """Analytic CMFP mean same-symbol gain per user, sqrt(M/K) sum_l d_l[k]."""
+    return np.sqrt(dims.M / dims.K) * pdp.d.sum(axis=1)
 
 
-def decompose(link, filt, ch, blocks, reference_gains=None,
-              beta=0.0, framing="circular"):
+def decompose(link, filt, ch, blocks, reference_gains=None, beta=0.0):
     """Probe-based power decomposition through the actual signal path.
 
-    Sends one unit impulse per user (zero noise) to measure the full
-    cascade tap response, then a noise-only block for the AWGN bucket.
-    reference_gains=None selects the analytic CMFP mean gain on the
-    downlink and the realized per-draw gain everywhere else (which makes
-    the uplink IF bucket exactly zero).
-
-    With framing="linear" (downlink only) the probes are placed past the
-    channel transient and the transient rows are excluded, measuring the
-    steady-state response; requires T comfortably above N + 3L.
+    Sends one unit impulse per user (zero noise) at symbol 0 to measure
+    the full circular cascade tap response, then a noise-only block for
+    the AWGN bucket. reference_gains=None selects the analytic CMFP mean
+    gain on the downlink and the realized per-draw gain everywhere else
+    (which makes the uplink IF bucket exactly zero).
     """
     dims = ch.dims
-    K, L, T = dims.K, dims.L, blocks.T
+    K, T = dims.K, blocks.T
     rho = blocks.rho_f
-    run = _make_pipeline(link, filt, ch, beta, framing)
-    p0 = 2 * (L - 1)
-    if framing == "linear" and T < dims.N + 3 * L:
-        raise ValueError("linear framing needs T >= N + 3L for a clean "
-                         "steady-state measurement window")
+    run = _make_pipeline(link, filt, ch, beta)
 
     C = np.zeros((T, K, K), dtype=complex)
     zero_noise = np.zeros((K if link == "downlink" else dims.M, T))
     for q in range(K):
         s = np.zeros((K, T), dtype=complex)
-        s[q, p0] = 1.0
-        y = run(s, zero_noise)
-        C[:, :, q] = np.roll(y, -p0, axis=1).T
-    if framing == "linear":
-        # rows 0..L-2 of each probe response are channel transient
-        C[[(i - p0) % T for i in range(L - 1)]] = 0.0
+        s[q, 0] = 1.0
+        C[:, :, q] = run(s, zero_noise).T
 
     g = np.diagonal(C[0]).copy()
-    if reference_gains is None:
-        reference_gains = _reference_gains(link, filt, ch)
+    if reference_gains is None and link == "downlink" and filt == "cmfp":
+        reference_gains = _cmfp_reference_gains(dims, ch.pdp)
     gbar = g if reference_gains is None else np.asarray(reference_gains)
 
     tot = (np.abs(C) ** 2).sum(axis=0)          # (K, K) over all delays
@@ -223,8 +206,7 @@ def decompose(link, filt, ch, blocks, reference_gains=None,
         awgn_k = np.zeros(K)
     else:
         y_n = run(np.zeros((K, T), dtype=complex), blocks.noise)
-        lo = L - 1 if framing == "linear" else 0
-        awgn_k = (np.abs(y_n[:, lo:]) ** 2).mean(axis=1)
+        awgn_k = (np.abs(y_n) ** 2).mean(axis=1)
 
     return NoiseBreakdown(desired_k=desired_k, if_k=if_k,
                           isi_k=np.maximum(isi_k, 0.0),
@@ -289,9 +271,7 @@ class DrawFactors:
       the downlink power normalization and the uplink AWGN bucket follow
       from Lambda in closed form;
     * matched filters: their buckets, which have no ridge parameter,
-      from the cascade taps sum_{l - l' = d} Hhat_l^H Hhat_l' / sqrt(MK);
-    * linear downlink framing: the draws themselves, measured one by one
-      through decompose.
+      from the cascade taps sum_{l - l' = d} Hhat_l^H Hhat_l' / sqrt(MK).
     """
 
     def __init__(self, scenario, n, first=None):
@@ -299,9 +279,7 @@ class DrawFactors:
         dims = scenario.dims
         K, L, N = dims.K, dims.L, dims.N
         self.downlink = scenario.link == "downlink"
-        if self.downlink and scenario.dl_framing == "linear":
-            self.kind, self.chans = "probe", [None] * n
-        elif scenario.filt in MATCHED:
+        if scenario.filt in MATCHED:
             self.kind, self.stacks = "matched", _stacks(n, K)
         else:
             self.kind = "ridge"
@@ -318,10 +296,6 @@ class DrawFactors:
     def fill(self, lo, chans):
         """Factor the channel draws `chans` (any iterable; only their taps
         are kept) into slots lo, lo + 1, ..."""
-        if self.kind == "probe":
-            chans = list(chans)
-            self.chans[lo:lo + len(chans)] = chans
-            return
         dims = self.scenario.dims
         M, K, L, N = dims.M, dims.K, dims.L, dims.N
         Hhat = np.stack([ch.Hhat for ch in chans])          # (n, L, M, K)
@@ -381,10 +355,6 @@ class DrawFactors:
                              f"factored draws")
         if self.kind == "matched":
             return tuple(s[lo:hi] for s in self.stacks)
-        if self.kind == "probe":
-            scn = replace(self.scenario, beta=beta)
-            parts = [_probe_buckets(scn, ch) for ch in self.chans[lo:hi]]
-            return tuple(np.array(p) for p in zip(*parts))
         if self.scenario.filt in ZERO_FORCING:
             beta = 0.0
         elif beta < 0:
@@ -434,14 +404,6 @@ class DrawFactors:
             # mean squared equalizer row norm, (1/N) sum_nu ||row k of Q_nu||^2
             awgn = ((np.abs(U) ** 2) @ p[..., None])[..., 0].sum(axis=1) / N
         return (*_cascade_buckets(*_fold(c, 0, dims.T)), awgn)
-
-
-def _probe_buckets(scenario, ch):
-    """Linear-framing buckets of one draw, measured through decompose."""
-    bd = decompose("downlink", scenario.filt, ch,
-                   SignalBlocks(rho_f=1.0, T=ch.dims.T, noise=None),
-                   beta=scenario.beta, framing="linear")
-    return bd.gains, bd.isi_k, bd.mui_k, np.ones(ch.dims.K)
 
 
 def _draw_buckets(scenario, ch):
@@ -517,10 +479,8 @@ def _aggregate(scenario, g, isi_u, mui_u, awgn):
     mui_k = rho * mui_u.mean(axis=0)
     awgn_k = awgn.mean(axis=0)
     if scenario.link == "downlink":
-        if scenario.filt == "cmfp":
-            ref = np.sqrt(dims.M / dims.K) * scenario.pdp.d.sum(axis=1)
-        else:
-            ref = mean_g
+        ref = _cmfp_reference_gains(dims, scenario.pdp) \
+            if scenario.filt == "cmfp" else mean_g
         desired_k = rho * np.abs(ref) ** 2
         if_k = rho * np.maximum(
             mean_g2 - 2 * np.real(np.conj(ref) * mean_g) + np.abs(ref) ** 2,

@@ -4,8 +4,8 @@ A user-k channel is an L-tap FIR filter whose tap l is an M-vector
 sqrt(d_l[k]) * A^{1/2} h, with h i.i.d. CN(0,1) fast fading, d the power
 delay profile (rows summing to one), and A the base-station correlation
 matrix. The composite CSI taps Hhat_l = A^{1/2} H_l D_l^{1/2} are what
-every precoder/equalizer consumes, alongside their N-point DFT across
-the tap index.
+every precoder/equalizer consumes; a bank builder that works per bin
+takes their N-point DFT across the tap index itself (taps_to_freq).
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +20,8 @@ class SimulationDims:
     """Static scenario dimensions.
 
     M antennas, K users, L channel taps, N filter-bank bins (N > L),
-    T-symbol blocks (T >= N), cyclic prefix T_c > L.
+    T-symbol blocks (T >= N), cyclic prefix T_c > L, and a seed in
+    [0, 2**64), the key range of the per-trial Philox streams.
     """
 
     M: int
@@ -43,6 +44,9 @@ class SimulationDims:
             raise ValueError(f"need T_c > L, got T_c={self.T_c}, L={self.L}")
         if self.K > self.M:
             raise ValueError(f"need K <= M, got K={self.K}, M={self.M}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed must lie in [0, 2**64), got "
+                             f"seed={self.seed}")
 
     @property
     def rho_f(self):
@@ -88,24 +92,27 @@ def exponential_pdp(K, L):
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One channel draw: raw fading H, composite CSI Hhat, and DFT view.
+    """One channel draw: raw fading H and composite CSI Hhat.
 
-    H and Hhat are (L, M, K) stacks; Hhat_freq is the (N, M, K) stack of
-    Hhat_nu = sum_l exp(-2j pi nu l / N) Hhat_l. The generating PDP and
-    dimensions ride along since every downstream stage needs them.
+    Both are (L, M, K) tap stacks. The generating PDP and dimensions ride
+    along since every downstream stage needs them.
     """
 
     H: np.ndarray
     Hhat: np.ndarray
-    Hhat_freq: np.ndarray
     pdp: PowerDelayProfile = field(repr=False)
     dims: SimulationDims = field(repr=False)
 
 
 def trial_rng(seed, trial):
     """Counter-based per-trial stream: independent, reproducible, and
-    insensitive to execution order across parallel workers."""
-    return np.random.Generator(np.random.Philox(key=(seed, trial)))
+    insensitive to execution order across parallel workers.
+
+    The key is built as uint64 so that seeds of 2**63 and above keep
+    every bit (a plain tuple would pass through float64).
+    """
+    key = np.array([seed, trial], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def draw_channel(dims, pdp, corr, rng_stream):
@@ -128,9 +135,7 @@ def draw_channel(dims, pdp, corr, rng_stream):
     # (L, 1, K) broadcast of sqrt(d_l[k]) over antennas
     amp = np.sqrt(pdp.d.T)[:, None, :]
     Hhat = (corr.sqrt_A @ H) * amp
-    return ChannelRealization(H=H, Hhat=Hhat,
-                              Hhat_freq=taps_to_freq(Hhat, dims.N),
-                              pdp=pdp, dims=dims)
+    return ChannelRealization(H=H, Hhat=Hhat, pdp=pdp, dims=dims)
 
 
 def taps_to_freq(taps, N):

@@ -74,22 +74,6 @@ class CorrelationMatrix:
     trace_A2: float
 
 
-def pairwise_distance(geometry, i, j):
-    """Normalized distance between antenna elements i and j.
-
-    ULA: |i - j| * d. UPA: d * sqrt(dr^2 + dc^2) with (row, column)
-    coordinates r_m = m // M_x, c_m = m % M_x.
-    """
-    M = geometry.M
-    if not (0 <= i < M and 0 <= j < M):
-        raise IndexError(f"antenna index out of range: ({i}, {j}) for M={M}")
-    if geometry.kind == "ula":
-        return abs(i - j) * geometry.spacing_d
-    ri, ci = divmod(i, geometry.M_x)
-    rj, cj = divmod(j, geometry.M_x)
-    return geometry.spacing_d * np.hypot(ri - rj, ci - cj)
-
-
 def distance_matrix(geometry):
     """All pairwise distances as an M x M array (vectorized)."""
     m = np.arange(geometry.M)

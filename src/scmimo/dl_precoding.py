@@ -17,8 +17,8 @@ B_nu^H W_nu = a I_K hold exactly at every bin:
 a is the power normalization making the block-averaged E||x[i]||^2 equal
 rho_f for unit-variance-times-rho_f symbols.
 
-All downlink block processing is circular (indices mod T); a linear
-framing variant of the channel is available for edge-effect studies.
+All downlink block processing is circular (indices mod T), as the
+paper's block rates assume.
 """
 
 from dataclasses import dataclass
@@ -41,12 +41,10 @@ class FrequencyFilterBank:
     freq: np.ndarray
     time: np.ndarray
     norm: float = 1.0
-    beta: float = 0.0
 
     @classmethod
-    def from_freq(cls, freq, beta=0.0):
-        return cls(freq=np.asarray(freq), time=np.fft.ifft(freq, axis=0),
-                   beta=beta)
+    def from_freq(cls, freq):
+        return cls(freq=np.asarray(freq), time=np.fft.ifft(freq, axis=0))
 
 
 def synthesis_bins(taps, N):
@@ -90,14 +88,23 @@ def check_gram_conditioning(eigs, where=""):
             f"has reciprocal condition {rcond[bad]:.3e} < {RCOND_MIN:g}")
 
 
-def _ridge_bank(ch, beta, check_conditioning):
-    B = synthesis_bins(ch.Hhat, ch.dims.N)          # (N, M, K)
-    gram = np.conj(np.transpose(B, (0, 2, 1))) @ B  # (N, K, K)
+def ridge_inverse(V, beta, check_conditioning):
+    """Per-bin ridge inverse (V_nu^H V_nu + beta I)^{-1} of an (N, M, K)
+    bin stack, after the rank check when check_conditioning is set.
+
+    The precoders design on V = B (W_nu = B_nu R_nu), the equalizers on
+    V = Hhat_nu (Q_nu = R_nu Hhat_nu^H).
+    """
+    gram = np.conj(np.swapaxes(V, -1, -2)) @ V      # (N, K, K)
     if check_conditioning:
         check_gram_conditioning(np.linalg.eigvalsh(gram))
-    K = gram.shape[-1]
-    W = B @ np.linalg.inv(gram + beta * np.eye(K))
-    bank = FrequencyFilterBank.from_freq(W, beta=beta)
+    return np.linalg.inv(gram + beta * np.eye(gram.shape[-1]))
+
+
+def _ridge_bank(ch, beta, check_conditioning):
+    B = synthesis_bins(ch.Hhat, ch.dims.N)          # (N, M, K)
+    bank = FrequencyFilterBank.from_freq(
+        B @ ridge_inverse(B, beta, check_conditioning))
     bank.norm = normalize_bank(bank)
     return bank
 
@@ -122,14 +129,14 @@ def rzfp_bank(ch, beta):
     return _ridge_bank(ch, float(beta), check_conditioning=False)
 
 
-def normalize_bank(bank, rho_f=1.0):
+def normalize_bank(bank):
     """Power normalization a with a^2 = N / sum_nu ||freq[nu]||_F^2.
 
     Derivation: for i.i.d. symbols of variance rho_f, the block-averaged
     transmit power is E||x[i]||^2 = a^2 rho_f sum_m ||time[m]||_F^2, and
     Parseval gives sum_m ||time[m]||^2 = (1/N) sum_nu ||freq[nu]||^2.
-    Setting E||x||^2 = rho_f, the target power cancels — `rho_f` is
-    accepted to document that invariance, nothing more.
+    Setting E||x||^2 = rho_f, the target power cancels, so a does not
+    depend on it.
     """
     energy = np.sum(np.abs(bank.freq) ** 2)
     if energy == 0:
@@ -142,13 +149,12 @@ def precoded_transmit(bank, symbols):
     return _apply_bank(bank, symbols)
 
 
-def cmfp_transmit(ch, symbols, rho_f=None):
+def cmfp_transmit(ch, symbols):
     """Matched-filter transmit x[i] = sqrt(1/(MK)) sum_l Hhat_l s[(i+l) mod T].
 
     Symbols must already be drawn at per-symbol variance rho_f; the
     explicit 1/sqrt(MK) then yields E||x[i]||^2 = rho_f for any
-    correlation matrix with unit diagonal (the argument is accepted only
-    to document that precondition).
+    correlation matrix with unit diagonal.
     """
     M, K, L = ch.dims.M, ch.dims.K, ch.dims.L
     if symbols.shape[0] != K:
@@ -160,24 +166,14 @@ def cmfp_transmit(ch, symbols, rho_f=None):
     return x / np.sqrt(M * K)
 
 
-def downlink_receive(ch, x, noise, framing="circular"):
-    """User-side reception y[i] = sum_l Hhat_l^H x[(i-l) mod T] + n[i].
-
-    framing="linear" drops the wrapped terms instead (x indices below
-    zero contribute nothing), which only affects the first L-1 output
-    samples of the block — the steady-state rows are identical.
-    """
+def downlink_receive(ch, x, noise):
+    """User-side reception y[i] = sum_l Hhat_l^H x[(i-l) mod T] + n[i],
+    circular over the T-symbol block."""
     K, T = ch.dims.K, x.shape[1]
     if noise.shape != (K, T):
         raise ValueError(f"noise block shaped {noise.shape}, "
                          f"expected ({K}, {T})")
     y = np.zeros((K, T), dtype=complex)
-    if framing == "circular":
-        for l in range(ch.dims.L):
-            y += np.conj(ch.Hhat[l].T) @ np.roll(x, l, axis=1)
-    elif framing == "linear":
-        for l in range(ch.dims.L):
-            y[:, l:] += np.conj(ch.Hhat[l].T) @ x[:, :T - l]
-    else:
-        raise ValueError(f"unknown framing {framing!r}")
+    for l in range(ch.dims.L):
+        y += np.conj(ch.Hhat[l].T) @ np.roll(x, l, axis=1)
     return y + noise

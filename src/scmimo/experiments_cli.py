@@ -34,8 +34,8 @@ from .analysis import (Scenario, buckets_to_result, cmfe_rate_closed,
                        sum_rate_mc)
 from .channel import (DEFAULT_SEED, SimulationDims, draw_channel,
                       exponential_pdp, trial_rng)
-from .corr_models import (bessel_correlation, exponential_correlation,
-                          identity_correlation, ula, upa)
+from .corr_models import (ArrayGeometry, bessel_correlation,
+                          exponential_correlation, identity_correlation, ula)
 
 CSV_HEADER = ("link,filter,corr_model,corr_param,mu,rho_f_db,rate_bpcu,"
               "desired,if,isi,mui,awgn,trials,seed")
@@ -49,8 +49,7 @@ CONFIG_KEYS = frozenset([
     "geometry.kind", "geometry.m", "geometry.m_x", "geometry.spacing",
     "dims.k", "dims.l", "dims.n", "dims.t", "dims.t_c",
     "grid.rho_db", "trials", "seed",
-    "beta.mode", "beta.value", "beta.trials",
-    "dl_framing", "output",
+    "beta.mode", "beta.value", "beta.trials", "output",
 ])
 
 
@@ -60,10 +59,7 @@ class ScenarioConfig:
     filters: list
     corr_model: str
     corr_params: list          # floats (alpha) or (eta, mu) tuples
-    geometry_kind: str
-    M: int
-    M_x: int
-    spacing: float
+    geometry: ArrayGeometry
     K: int
     L: int
     N: int
@@ -75,12 +71,15 @@ class ScenarioConfig:
     beta_mode: str = "grid_opt"
     beta_value: float = 0.0
     beta_trials: int = 100
-    dl_framing: str = "circular"
     output: str = "sweep.csv"
+
+    @property
+    def M(self):
+        return self.geometry.M
 
 
 def _parse_kv_file(path):
-    kv = {}
+    kv, first_line = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -89,8 +88,11 @@ def _parse_kv_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', "
                                  f"got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            kv[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in kv:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r} "
+                                 f"(first set on line {first_line[key]})")
+            kv[key], first_line[key] = value, lineno
     return kv
 
 
@@ -144,13 +146,16 @@ def load_config(path, overrides=()):
         raise ValueError(f"corr.model: unknown model {corr_model!r}")
 
     seed = int(kv.get("seed", os.environ.get("SCMIMO_SEED", DEFAULT_SEED)))
+    M = int(need("geometry.m"))
+    try:
+        geometry = ArrayGeometry(kv.get("geometry.kind", "ula"), M,
+                                 int(kv.get("geometry.m_x", M)),
+                                 float(kv.get("geometry.spacing", "0.5")))
+    except ValueError as err:
+        raise ValueError(f"geometry: {err}") from None
     cfg = ScenarioConfig(
         link=link, filters=filters, corr_model=corr_model,
-        corr_params=params,
-        geometry_kind=kv.get("geometry.kind", "ula"),
-        M=int(need("geometry.m")),
-        M_x=int(kv.get("geometry.m_x", kv.get("geometry.m"))),
-        spacing=float(kv.get("geometry.spacing", "0.5")),
+        corr_params=params, geometry=geometry,
         K=int(need("dims.k")), L=int(need("dims.l")),
         N=int(need("dims.n")), T=int(need("dims.t")),
         T_c=int(need("dims.t_c")),
@@ -161,7 +166,6 @@ def load_config(path, overrides=()):
         beta_mode=kv.get("beta.mode", "grid_opt"),
         beta_value=float(kv.get("beta.value", "0")),
         beta_trials=int(kv.get("beta.trials", "100")),
-        dl_framing=kv.get("dl_framing", "circular"),
         output=kv.get("output", "sweep.csv"))
 
     if not cfg.rho_grid:
@@ -171,28 +175,16 @@ def load_config(path, overrides=()):
     if cfg.beta_mode not in ("grid_opt", "fixed"):
         raise ValueError(f"beta.mode: expected grid_opt or fixed, "
                          f"got {cfg.beta_mode!r}")
-    if cfg.dl_framing not in ("circular", "linear"):
-        raise ValueError(f"dl_framing: expected circular or linear, "
-                         f"got {cfg.dl_framing!r}")
     return cfg
 
 
-def _geometry(cfg):
-    if cfg.geometry_kind == "ula":
-        return ula(cfg.M, cfg.spacing)
-    if cfg.geometry_kind == "upa":
-        return upa(cfg.M, cfg.M_x, cfg.spacing)
-    raise ValueError(f"geometry.kind: unknown kind {cfg.geometry_kind!r}")
-
-
 def _correlation(cfg, param):
-    geom = _geometry(cfg)
     if cfg.corr_model == "identity":
         return identity_correlation(cfg.M)
     if cfg.corr_model == "exponential":
-        return exponential_correlation(geom, param)
+        return exponential_correlation(cfg.geometry, param)
     eta, mu = param
-    return bessel_correlation(geom, eta, mu)
+    return bessel_correlation(cfg.geometry, eta, mu)
 
 
 def _scenario(cfg, filt, param, rho_db, beta=0.0):
@@ -207,8 +199,8 @@ def _scenario(cfg, filt, param, rho_db, beta=0.0):
     return Scenario(link=cfg.link, filt=filt, dims=dims,
                     corr=_correlation(cfg, param),
                     pdp=exponential_pdp(cfg.K, cfg.L),
-                    beta=beta, dl_framing=cfg.dl_framing,
-                    corr_model=cfg.corr_model, corr_param=corr_param, mu=mu)
+                    beta=beta, corr_model=cfg.corr_model,
+                    corr_param=corr_param, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +482,9 @@ def _quick_cfg(link, filters, M=64, K=10, L=4, N=20, T=100, T_c=20,
                M_x=None):
     return ScenarioConfig(
         link=link, filters=list(filters), corr_model="exponential",
-        corr_params=list(alphas), geometry_kind=kind, M=M,
-        M_x=M_x or M, spacing=0.5, K=K, L=L, N=N, T=T, T_c=T_c,
+        corr_params=list(alphas),
+        geometry=ArrayGeometry(kind, M, M_x or M, 0.5),
+        K=K, L=L, N=N, T=T, T_c=T_c,
         rho_grid=list(RHO_GRID_DEFAULT), trials=trials, seed=seed)
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dl_precoding import (FrequencyFilterBank, _apply_bank,
-                           check_gram_conditioning)
+from .channel import taps_to_freq
+from .dl_precoding import FrequencyFilterBank, _apply_bank, ridge_inverse
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,10 @@ def cmfe_apply(ch, r):
 
 
 def _ridge_bank_ul(ch, beta, check_conditioning):
-    G = np.conj(np.transpose(ch.Hhat_freq, (0, 2, 1)))  # (N, K, M)
-    gram = G @ np.conj(np.transpose(G, (0, 2, 1)))      # (N, K, K)
-    if check_conditioning:
-        check_gram_conditioning(np.linalg.eigvalsh(gram))
-    K = gram.shape[-1]
-    Q = np.linalg.inv(gram + beta * np.eye(K)) @ G
-    return FrequencyFilterBank.from_freq(Q, beta=beta)
+    Hnu = taps_to_freq(ch.Hhat, ch.dims.N)              # (N, M, K)
+    return FrequencyFilterBank.from_freq(
+        ridge_inverse(Hnu, beta, check_conditioning)
+        @ np.conj(np.swapaxes(Hnu, -1, -2)))
 
 
 def zfe_bank(ch):

@@ -16,7 +16,7 @@ from scmimo.analysis import (NoiseBreakdown, Scenario, SignalBlocks,
                              sum_rate_mc)
 from scmimo.channel import (ChannelRealization, PowerDelayProfile,
                             SimulationDims, draw_channel, exponential_pdp,
-                            taps_to_freq, trial_rng)
+                            trial_rng)
 from scmimo.corr_models import (CorrelationMatrix, exponential_correlation,
                                 identity_correlation, ula)
 from scmimo.dl_precoding import downlink_receive, precoded_transmit, zfp_bank
@@ -177,7 +177,6 @@ def test_ridge_rejects_nonpositive_shifted_eigenvalue(link, filt):
     Hhat = ch.Hhat.copy()
     Hhat[:, :, 1] = 0.0
     silent = ChannelRealization(H=ch.H, Hhat=Hhat,
-                                Hhat_freq=taps_to_freq(Hhat, 4),
                                 pdp=ch.pdp, dims=ch.dims)
     with pytest.raises(np.linalg.LinAlgError, match=r"<= 0 at bin \d+"):
         _draw_buckets(scn, silent)

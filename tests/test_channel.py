@@ -68,6 +68,25 @@ def test_dims_validation():
         small_dims(M=2, K=3)        # more users than antennas
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_dims_reject_seed_outside_philox_key_range(seed):
+    with pytest.raises(ValueError, match=rf"seed={seed}"):
+        small_dims(seed=seed)
+
+
+def test_dims_accept_every_seed_in_range():
+    """Seeds up to 2**64 - 1 are valid, and neighbouring seeds above 2**63
+    (where a float64 key would merge them) still draw different fading."""
+    draws = []
+    for seed in (0, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1):
+        dims = small_dims(seed=seed)
+        ch = draw_channel(dims, exponential_pdp(3, 2),
+                          identity_correlation(8), trial_rng(dims.seed, 0))
+        assert np.all(np.isfinite(ch.H))
+        draws.append(ch.H)
+    assert not np.allclose(draws[1], draws[2])
+
+
 def test_dims_power_conversion():
     assert small_dims(rho_f_db=0.0).rho_f == pytest.approx(1.0)
     assert small_dims(rho_f_db=10.0).rho_f == pytest.approx(10.0)
@@ -84,7 +103,6 @@ def test_draw_channel_shapes():
                       identity_correlation(8), trial_rng(123, 0))
     assert ch.H.shape == (2, 8, 3)
     assert ch.Hhat.shape == (2, 8, 3)
-    assert ch.Hhat_freq.shape == (4, 8, 3)
     assert ch.H.dtype == np.complex128
 
 
@@ -183,7 +201,7 @@ def test_hhat_freq_matches_direct_sum():
     for nu in range(5):
         direct = sum(np.exp(-2j * np.pi * nu * l / 5) * ch.Hhat[l]
                      for l in range(2))
-        assert np.max(np.abs(ch.Hhat_freq[nu] - direct)) < 1e-10
+        assert np.max(np.abs(taps_to_freq(ch.Hhat, 5)[nu] - direct)) < 1e-10
 
 
 # ---------------------------------------------------------------------------

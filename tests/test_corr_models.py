@@ -7,8 +7,8 @@ from scipy.special import j0
 
 from scmimo.corr_models import (ArrayGeometry, bessel_correlation,
                                 distance_matrix, exponential_correlation,
-                                hermitian_sqrt, identity_correlation,
-                                pairwise_distance, ula, upa)
+                                hermitian_sqrt, identity_correlation, ula,
+                                upa)
 
 
 def test_ula_geometry_fields():
@@ -39,34 +39,31 @@ def test_geometry_validation(bad):
 
 
 def test_pairwise_distance_ula():
-    g = ula(16, 0.5)
-    assert pairwise_distance(g, 0, 3) == pytest.approx(1.5)
-    assert pairwise_distance(g, 3, 0) == pytest.approx(1.5)
-    assert pairwise_distance(g, 7, 7) == 0.0
+    D = distance_matrix(ula(16, 0.5))
+    assert D[0, 3] == pytest.approx(1.5)
+    assert D[3, 0] == pytest.approx(1.5)
+    assert D[7, 7] == 0.0
 
 
 def test_pairwise_distance_upa_row_col():
     # element 9 on an 8-wide grid sits one row down, one column over
-    g = upa(64, 8, 0.5)
-    assert pairwise_distance(g, 0, 9) == pytest.approx(0.5 * np.sqrt(2.0))
-    assert pairwise_distance(g, 0, 8) == pytest.approx(0.5)
-    assert pairwise_distance(g, 0, 1) == pytest.approx(0.5)
-
-
-def test_pairwise_distance_out_of_range():
-    g = ula(4, 0.5)
-    with pytest.raises(IndexError):
-        pairwise_distance(g, 0, 4)
-    with pytest.raises(IndexError):
-        pairwise_distance(g, -5, 0)
+    D = distance_matrix(upa(64, 8, 0.5))
+    assert D[0, 9] == pytest.approx(0.5 * np.sqrt(2.0))
+    assert D[0, 8] == pytest.approx(0.5)
+    assert D[0, 1] == pytest.approx(0.5)
 
 
 def test_distance_matrix_matches_pairwise():
+    """Every entry equals the scalar element distance: |i - j| d on a
+    ULA, d times the hypotenuse of the row-major (row, column) offsets on
+    a UPA."""
     for g in (ula(6, 0.7), upa(12, 4, 0.3)):
         D = distance_matrix(g)
         for i in range(g.M):
             for j in range(g.M):
-                assert D[i, j] == pytest.approx(pairwise_distance(g, i, j))
+                (ri, ci), (rj, cj) = divmod(i, g.M_x), divmod(j, g.M_x)
+                assert D[i, j] == pytest.approx(
+                    g.spacing_d * np.hypot(ri - rj, ci - cj))
         assert_allclose(D, D.T)
         assert_allclose(np.diag(D), 0.0)
 

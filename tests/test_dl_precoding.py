@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from scmimo.analysis import Scenario, SignalBlocks, decompose, mc_buckets
 from scmimo.channel import (ChannelRealization, SimulationDims, draw_channel,
-                            exponential_pdp, taps_to_freq, trial_rng)
+                            exponential_pdp, trial_rng)
 from scmimo.corr_models import exponential_correlation, identity_correlation, ula
 from scmimo.dl_precoding import (FrequencyFilterBank, cmfp_transmit,
                                  downlink_receive, normalize_bank,
@@ -103,7 +103,6 @@ def test_zfp_singular_gram_names_bin():
     Hhat = ch.Hhat.copy()
     Hhat[:, :, 1] = Hhat[:, :, 0]
     broken = ChannelRealization(H=ch.H, Hhat=Hhat,
-                                Hhat_freq=taps_to_freq(Hhat, 4),
                                 pdp=pdp, dims=dims)
     with pytest.raises(np.linalg.LinAlgError, match=r"bin \d+"):
         zfp_bank(broken)
@@ -212,7 +211,7 @@ def test_cmfp_transmit_power():
         for _ in range(2):
             s = np.sqrt(0.5) * (rng.standard_normal((K, T))
                                 + 1j * rng.standard_normal((K, T)))
-            x = cmfp_transmit(ch, s, 1.0)
+            x = cmfp_transmit(ch, s)
             total += float(np.sum(np.abs(x) ** 2))
             count += T
     assert abs(total / count - 1.0) < 0.03
@@ -229,11 +228,10 @@ def test_cmfp_identity_channel_unit_symbol():
     pdp = exponential_pdp(M, 1)
     Hhat = np.eye(M, dtype=complex)[None, :, :]
     ch = ChannelRealization(H=Hhat.copy(), Hhat=Hhat,
-                            Hhat_freq=taps_to_freq(Hhat, 2),
                             pdp=pdp, dims=dims)
     s = np.zeros((M, 6), dtype=complex)
     s[0, 0] = 1.0
-    x = cmfp_transmit(ch, s, 1.0)
+    x = cmfp_transmit(ch, s)
     expected = np.zeros((M, 6), dtype=complex)
     expected[0, 0] = 1.0 / M            # sqrt(1/(M K)) with K = M
     assert_allclose(x, expected, atol=1e-14)
@@ -246,11 +244,10 @@ def test_cmfp_reads_future_symbols_modulo_t():
     Hhat = np.zeros((2, 2, 2), dtype=complex)
     Hhat[1] = np.eye(2)                 # only the delayed tap is active
     ch = ChannelRealization(H=Hhat.copy(), Hhat=Hhat,
-                            Hhat_freq=taps_to_freq(Hhat, 4),
                             pdp=pdp, dims=dims)
     s = np.zeros((2, 5), dtype=complex)
     s[0, 0] = 1.0
-    x = cmfp_transmit(ch, s, 1.0)
+    x = cmfp_transmit(ch, s)
     # x[i] uses s[i+1 mod T], so the symbol at i=0 shows up at i = T-1
     assert abs(x[0, 4] - 0.5) < 1e-14
     assert np.max(np.abs(x[:, :4])) < 1e-14
@@ -259,7 +256,7 @@ def test_cmfp_reads_future_symbols_modulo_t():
 def test_cmfp_rejects_wrong_user_count():
     ch = make_channel()
     with pytest.raises(ValueError):
-        cmfp_transmit(ch, np.zeros((3, 40), dtype=complex), 1.0)
+        cmfp_transmit(ch, np.zeros((3, 40), dtype=complex))
 
 
 def test_precoded_transmit_memoryless():
@@ -322,7 +319,6 @@ def test_receive_applies_conjugate_taps_with_delay():
     Hhat = np.zeros((2, 2, 2), dtype=complex)
     Hhat[1] = np.diag([2.0 + 1j, 3.0])
     ch = ChannelRealization(H=Hhat.copy(), Hhat=Hhat,
-                            Hhat_freq=taps_to_freq(Hhat, 4),
                             pdp=pdp, dims=dims)
     x = np.zeros((2, 6), dtype=complex)
     x[0, 0] = 1.0
@@ -349,27 +345,11 @@ def test_receive_noise_variance():
     assert abs(acc / n - 1.0) < 0.03
 
 
-def test_receive_linear_framing_has_no_wraparound():
-    ch = make_channel()
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(16, 40)) + 1j * rng.normal(size=(16, 40))
-    zero = np.zeros((4, 40), dtype=complex)
-    y_circ = downlink_receive(ch, x, zero, framing="circular")
-    y_lin = downlink_receive(ch, x, zero, framing="linear")
-    L = ch.dims.L
-    # they agree once past the channel memory, differ inside it
-    assert np.max(np.abs(y_circ[:, L - 1:] - y_lin[:, L - 1:])) < 1e-12
-    assert np.max(np.abs(y_circ[:, :L - 1] - y_lin[:, :L - 1])) > 1e-6
-
-
 def test_receive_validation():
     ch = make_channel()
     x = np.zeros((16, 40), dtype=complex)
     with pytest.raises(ValueError):
         downlink_receive(ch, x, np.zeros((3, 40), dtype=complex))
-    with pytest.raises(ValueError):
-        downlink_receive(ch, x, np.zeros((4, 40), dtype=complex),
-                         framing="windowed")
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ from scmimo.analysis import Scenario, _draw_buckets, sum_rate_mc
 from scmimo.channel import (DEFAULT_SEED, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
 from scmimo.corr_models import exponential_correlation, identity_correlation, ula
-from scmimo.experiments_cli import (CSV_HEADER, _scenario, emit_plot_script,
-                                    load_config, main, optimize_beta,
-                                    read_csv, run_sweep, validate)
+from scmimo.experiments_cli import (CSV_HEADER, _correlation, _scenario,
+                                    emit_plot_script, load_config, main,
+                                    optimize_beta, read_csv, run_sweep,
+                                    validate)
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 BASE_CFG = """
 # small downlink sweep for tests
@@ -96,6 +99,31 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(cfg_file(tmp_path, text))
     with pytest.raises(ValueError, match="trails"):
         load_config(cfg_file(tmp_path, BASE_CFG), overrides=["trails=9"])
+    # downlink blocks are always circular: there is no framing switch
+    with pytest.raises(ValueError, match="unknown config key.*dl_framing"):
+        load_config(cfg_file(tmp_path, BASE_CFG + "dl_framing = linear\n",
+                             name="framed.cfg"))
+
+
+def test_load_config_rejects_duplicate_key(tmp_path):
+    path = cfg_file(tmp_path, BASE_CFG + "trials = 5\n")
+    line = len(textwrap.dedent(BASE_CFG).splitlines()) + 1
+    with pytest.raises(ValueError,
+                       match=rf"run\.cfg:{line}: duplicate key 'trials'"):
+        load_config(path)
+
+
+def test_load_config_rejects_row_length_on_ula(tmp_path):
+    with pytest.raises(ValueError, match="ULA requires M_x == M"):
+        load_config(cfg_file(tmp_path, BASE_CFG + "geometry.m_x = 3\n"))
+
+
+@pytest.mark.parametrize("name", [f"fig{i}.cfg" for i in range(1, 9)])
+def test_shipped_configs_load_and_build_every_correlation(name):
+    cfg = load_config(os.path.join(CONFIG_DIR, name))
+    for param in cfg.corr_params:
+        corr = _correlation(cfg, param)
+        assert corr.A.shape == (cfg.M, cfg.M)
 
 
 def test_load_config_rejects_malformed_lines(tmp_path):
@@ -131,6 +159,15 @@ def test_seed_priority(tmp_path, monkeypatch):
     assert load_config(without).seed == 777
     monkeypatch.delenv("SCMIMO_SEED")
     assert load_config(without).seed == DEFAULT_SEED
+
+
+def test_sweep_rejects_negative_seed_before_writing(tmp_path):
+    out = tmp_path / "neg.csv"
+    cfg = load_config(cfg_file(tmp_path, BASE_CFG),
+                      overrides=["seed=-1", f"output={out}"])
+    with pytest.raises(ValueError, match="seed=-1"):
+        run_sweep(cfg)
+    assert not out.exists()
 
 
 def test_scenario_meta_split(tmp_path):
@@ -334,6 +371,16 @@ def test_emit_plot_script_rejects_empty_table(tmp_path):
     with pytest.raises(ValueError, match="csv_path"):
         emit_plot_script([{"filter": "CMFP"}], script)
     assert not os.path.exists(script)
+
+
+def test_emitted_script_compiles(tmp_path):
+    """The emitted script is valid Python (rendering it needs matplotlib,
+    which test_emitted_script_renders_png exercises)."""
+    rows, csv_path = sweep_rows(tmp_path)
+    script = str(tmp_path / "curves.py")
+    emit_plot_script(rows, script, csv_path=csv_path)
+    with open(script) as fh:
+        compile(fh.read(), script, "exec")
 
 
 def test_emitted_script_renders_png(tmp_path):

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from scmimo.analysis import Scenario, SignalBlocks, decompose
 from scmimo.channel import (ChannelRealization, SimulationDims, draw_channel,
-                            exponential_pdp, taps_to_freq, trial_rng)
+                            exponential_pdp, trial_rng)
 from scmimo.corr_models import exponential_correlation, identity_correlation, ula
 from scmimo.dl_precoding import FrequencyFilterBank
 from scmimo.ul_equalization import (apply_equalizer_bank, cmfe_apply,
@@ -209,7 +209,6 @@ def test_zfe_singular_names_bin():
     Hhat = ch.Hhat.copy()
     Hhat[:, :, 1] = Hhat[:, :, 0]
     broken = ChannelRealization(H=ch.H, Hhat=Hhat,
-                                Hhat_freq=taps_to_freq(Hhat, 4),
                                 pdp=pdp, dims=dims)
     with pytest.raises(np.linalg.LinAlgError, match=r"bin \d+"):
         zfe_bank(broken)
