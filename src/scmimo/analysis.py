@@ -15,17 +15,20 @@ The received-signal power at user k splits into five buckets:
 the actual transmit/receive operations — one reference implementation
 that serves all six filters. `sum_rate_mc` evaluates the same quantities
 in the tap domain and averages over draws: each draw is factored once
-(`DrawFactors`) from its tap products Hhat_l^H Hhat_l', the cascade taps
-c[d] follow directly (matched filters) or from a per-bin Gram
-eigendecomposition rescaled by 1/(lambda + beta), an N-point IFFT and a
-shift-add (ridge-family banks), and taps at delays d >= T fold mod T onto
-the block. Gains and interference energies are then c[0] and the summed
-squared taps (Parseval), matching the probes to rounding; a beta search
-re-evaluates the cached factors instead of rebuilding banks.
+(`DrawFactors`) from its tap products Hhat_l^H Hhat_l', and the circular
+cascade taps c[d] come from one cached placement matrix per (N, L, T)
+(`_tap_placement`: an N-point inverse DFT that puts each tap product at
+its delay mod T), applied to those products directly (matched filters) or
+to per-bin products rescaled from a Gram eigendecomposition by
+1/(lambda + beta) (ridge-family banks). Gains and interference energies
+are then c[0] and the summed squared taps (Parseval), matching the probes
+to rounding; a beta search re-evaluates the cached factors instead of
+rebuilding banks.
 
 Rates are (1/2) log2(1 + SINR) per user, in bits per channel use.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,27 +231,31 @@ def _stacks(n, K):
             np.empty((n, K)), np.empty((n, K)))
 
 
-def _fold(c, d0, T):
-    """Alias cascade taps at delays d0, d0 + 1, ... onto the T-point block
-    circle (delay d lands on d mod T); returns the taps and the index of
-    delay 0."""
-    D = c.shape[1]
-    if D <= T:
-        return c, -d0
-    out = np.zeros(c.shape[:1] + (T,) + c.shape[2:], dtype=c.dtype)
-    for j in range(D):
-        out[:, (d0 + j) % T] += c[:, j]
-    return out, 0
+@functools.lru_cache(maxsize=None)
+def _tap_placement(N, shifts, T):
+    """Matrix A, shape (D, len(shifts), N), taking per-bin products to
+    circular cascade taps: c[d] = sum_j A[d, j] @ z[:, j], where z[nu, j]
+    is bank bin nu times channel term j. The N-point inverse DFT turns bin
+    nu into bank tap m, which term j places at delay (m + shifts[j]) mod T;
+    rows are the D distinct delays in increasing order, so delay 0 comes
+    first when some term has shift 0 (every caller's does). With N = 1 it
+    is a 0/1 matrix placing the terms alone."""
+    m = np.arange(N)
+    delay = (m + np.array(shifts)[:, None]) % T
+    idft = np.exp(2j * np.pi * np.outer(m, m) / N) / N     # [m, nu]
+    A = (delay == np.unique(delay)[:, None, None]) @ idft
+    A.flags.writeable = False
+    return A
 
 
-def _cascade_buckets(c, zero):
+def _cascade_buckets(c):
     """(g, isi_u, mui_u) from circular cascade taps c of shape (n, D, K, K).
 
     c[:, j, k, q] carries user q's symbol to user k's output at the j-th of
-    D delays that are distinct mod T; j = zero is delay 0. By Parseval the
+    D delays that are distinct mod T, delay 0 first. By Parseval the
     T-grid power of the cascade is the sum of the squared taps.
     """
-    g = np.diagonal(c[:, zero], axis1=-2, axis2=-1).copy()
+    g = np.diagonal(c[:, 0], axis1=-2, axis2=-1).copy()
     tot = (np.abs(c) ** 2).sum(axis=1)                      # (n, K, K)
     own = np.diagonal(tot, axis1=-2, axis2=-1)
     return g, np.maximum(own - np.abs(g) ** 2, 0.0), tot.sum(axis=-1) - own
@@ -264,14 +271,17 @@ class DrawFactors:
 
     * ridge-family banks (ZFP/RZFP on the synthesis bins B_nu, ZFE/MMSEE
       on the analysis bins Hhat_nu, both written V_nu): the eigenpairs
-      V_nu^H V_nu = U Lambda U^H of every bin Gram matrix and the tap
-      products Hhat_l^H V_nu U (downlink) or U^H V_nu^H Hhat_l (uplink).
-      A ridge parameter beta then costs a 1/(lambda + beta) rescale, one
-      N-point IFFT across bins and a shift-add over the L channel taps;
-      the downlink power normalization and the uplink AWGN bucket follow
-      from Lambda in closed form;
-    * matched filters: their buckets, which have no ridge parameter,
-      from the cascade taps sum_{l - l' = d} Hhat_l^H Hhat_l' / sqrt(MK).
+      G_nu = U Lambda U^H of every bin Gram matrix, G_nu = V_nu^H V_nu on
+      the downlink and its transpose on the uplink, and the tap products
+      P_nu,l U with P_nu,l = Hhat_l^H B_nu (downlink) or
+      (Hhat_nu^H Hhat_l)^T (uplink). A ridge parameter beta then costs a
+      1/(lambda + beta) rescale and one `_tap_placement` product per
+      channel tap, which takes the bins to the cascade taps (transposed on
+      the uplink); the downlink power normalization and the uplink AWGN
+      bucket follow from Lambda in closed form;
+    * matched filters: their buckets, which have no ridge parameter, from
+      the cascade taps sum_{l - l' = d mod T} Hhat_l^H Hhat_l' / sqrt(MK)
+      (uplink: l' - l), placed by `_tap_placement` with N = 1.
     """
 
     def __init__(self, scenario, n, first=None):
@@ -285,13 +295,19 @@ class DrawFactors:
             self.kind = "ridge"
             self.lam = np.empty((n, N, K))
             self.U = np.empty((n, N, K, K), dtype=complex)
-            self.X = np.empty((n, N, L * K, K) if self.downlink
-                              else (n, N, K, L * K), dtype=complex)
+            self.X = np.empty((n, N, L * K, K), dtype=complex)
 
     def _where(self, i):
-        trial = "" if self.first is None else f", trial {self.first + i}"
         scn = self.scenario
-        return f" ({scn.filt}, seed {scn.dims.seed}{trial})"
+        corr = [scn.corr_model] if scn.corr_model else []
+        if scn.corr_param is not None:
+            name = "eta" if scn.corr_model == "bessel" else "alpha"
+            corr.append(f"{name}={scn.corr_param:g}")
+        if scn.mu is not None:
+            corr.append(f"mu={scn.mu:g}")
+        corr = f"{' '.join(corr)}, " if corr else ""
+        trial = "" if self.first is None else f", trial {self.first + i}"
+        return f" ({corr}{scn.filt}, seed {scn.dims.seed}{trial})"
 
     def fill(self, lo, chans):
         """Factor the channel draws `chans` (any iterable; only their taps
@@ -309,41 +325,30 @@ class DrawFactors:
              @ Hhat.transpose(0, 2, 1, 3).reshape(n, 1, M, L * K)
              ).reshape(n, L, K, L, K)
         if self.kind == "matched":
-            c = np.zeros((n, 2 * L - 1, K, K), dtype=complex)
-            for l in range(L):
-                for lp in range(L):
-                    d = l - lp if self.downlink else lp - l
-                    c[:, d + L - 1] += F[:, l, :, lp, :]
-            c /= np.sqrt(M * K)
+            sign = 1 if self.downlink else -1
+            A = _tap_placement(1, tuple(sign * (l - lp) for l in range(L)
+                                        for lp in range(L)), dims.T)
+            c = (A[..., 0] @ F.transpose(0, 1, 3, 2, 4).reshape(
+                n, L * L, K * K)).reshape(n, -1, K, K) / np.sqrt(M * K)
             awgn = np.ones((n, K)) if self.downlink else np.real(
                 np.einsum("nlklk->nk", F)) / (M * K)
-            for dst, src in zip(self.stacks, (*_cascade_buckets(
-                    *_fold(c, 1 - L, dims.T)), awgn)):
+            for dst, src in zip(self.stacks, (*_cascade_buckets(c), awgn)):
                 dst[lo:hi] = src
             return
-        if self.downlink:
-            # P[:, nu, l] = Hhat_l^H B_nu,
-            # B_nu = sum_l' e^{+2j pi nu l'/N} Hhat_l'
-            P = np.fft.ifft(F.transpose(0, 3, 1, 2, 4), n=N, axis=1,
-                            norm="forward")                 # (n, N, L, K, K)
-            taps = [P[:, :, l] for l in range(L)]
-        else:
-            # P[:, nu, :, l] = Hhat_nu^H Hhat_l,
-            # Hhat_nu = sum_l' e^{-2j pi nu l'/N} Hhat_l'
-            P = np.fft.ifft(F, n=N, axis=1, norm="forward")  # (n, N, K, L, K)
-            taps = [P[:, :, :, l] for l in range(L)]
-        # bin Gram V_nu^H V_nu = sum_l e^{-2j pi nu l/N} (Hhat_l^H V_nu)
+        # P[:, nu, l] = Hhat_l^H B_nu with B_nu = sum_l' e^{+2j pi nu l'/N}
+        # Hhat_l' (downlink), or (Hhat_nu^H Hhat_l)^T with Hhat_nu =
+        # sum_l' e^{-2j pi nu l'/N} Hhat_l' (uplink)
+        P = np.fft.ifft(F.transpose((0, 3, 1, 2, 4) if self.downlink
+                                    else (0, 1, 3, 4, 2)),
+                        n=N, axis=1, norm="forward")        # (n, N, L, K, K)
+        # G_nu = sum_l e^{-2j pi nu l/N} P[:, nu, l]
         phase = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(L)) / N)
-        gram = sum(phase[:, l, None, None] * taps[l] for l in range(L))
+        gram = sum(phase[:, l, None, None] * P[:, :, l] for l in range(L))
         lam, U = np.linalg.eigh(gram)
         if self.scenario.filt in ZERO_FORCING:
             for i in range(n):
                 check_gram_conditioning(lam[i], where=self._where(lo + i))
-        if self.downlink:
-            np.matmul(P.reshape(n, N, L * K, K), U, out=self.X[lo:hi])
-        else:
-            np.matmul(np.conj(np.swapaxes(U, -1, -2)),
-                      P.reshape(n, N, K, L * K), out=self.X[lo:hi])
+        np.matmul(P.reshape(n, N, L * K, K), U, out=self.X[lo:hi])
         self.lam[lo:hi], self.U[lo:hi] = lam, U
 
     def buckets(self, beta, lo=0, hi=None):
@@ -379,19 +384,17 @@ class DrawFactors:
                 f"at bin {nu}{self._where(a + i)}")
         s = 1.0 / shifted
         p = lam * s * s                     # lambda / (lambda + beta)^2
-        if self.downlink:
-            # Hhat_l^H W_nu = (Hhat_l^H B_nu U) (diag(s) U^H)
-            z = X @ (np.conj(np.swapaxes(U, -1, -2)) * s[:, :, :, None])
-        else:
-            # Q_nu Hhat_l = (U diag(s)) (U^H Hhat_nu^H Hhat_l)
-            z = (U * s[:, :, None, :]) @ X
-        z = np.fft.ifft(z, axis=1)          # bins -> bank taps
-        z = z.reshape(n, N, L, K, K) if self.downlink \
-            else z.reshape(n, N, K, L, K).transpose(0, 1, 3, 2, 4)
-        # z[:, m, l] = (bank tap m) x (channel tap l), landing at delay m + l
-        c = np.zeros((n, N + L - 1, K, K), dtype=complex)
-        for l in range(L):
-            c[:, l:l + N] += z[:, :, l]
+        # z[:, nu, l] = Hhat_l^H W_nu = (Hhat_l^H B_nu U) (diag(s) U^H), or
+        # on the uplink (Q_nu Hhat_l)^T = (Hhat_nu^H Hhat_l)^T U^* diag(s) U^T
+        z = (X @ (np.conj(np.swapaxes(U, -1, -2)) * s[..., None])
+             ).reshape(n, N, L, K * K)
+        A = _tap_placement(N, tuple(range(L)), dims.T)
+        # one (D x N) @ (N x K^2) product per channel tap and draw: a fused
+        # product crosses OpenBLAS's threading threshold and runs slower
+        c = A[:, 0] @ z[:, :, 0]
+        for l in range(1, L):
+            c += A[:, l] @ z[:, :, l]
+        c = c.reshape(n, -1, K, K)
         if self.downlink:
             # power normalization a = sqrt(N / sum_nu ||W_nu||_F^2)
             energy = p.sum(axis=(1, 2))
@@ -401,9 +404,10 @@ class DrawFactors:
             c *= np.sqrt(N / energy)[:, None, None, None]
             awgn = np.ones((n, K))
         else:
+            c = np.swapaxes(c, -1, -2)
             # mean squared equalizer row norm, (1/N) sum_nu ||row k of Q_nu||^2
             awgn = ((np.abs(U) ** 2) @ p[..., None])[..., 0].sum(axis=1) / N
-        return (*_cascade_buckets(*_fold(c, 0, dims.T)), awgn)
+        return (*_cascade_buckets(c), awgn)
 
 
 def _draw_buckets(scenario, ch):

@@ -170,8 +170,17 @@ def load_config(path, overrides=()):
 
     if not cfg.rho_grid:
         raise ValueError("grid.rho_db: power grid must be non-empty")
+    for rho_db in cfg.rho_grid:
+        if not math.isfinite(rho_db):
+            raise ValueError(f"grid.rho_db: powers must be finite, "
+                             f"got {rho_db}")
     if cfg.trials < 1:
         raise ValueError("trials: must be >= 1")
+    if cfg.beta_trials < 1:
+        raise ValueError("beta.trials: must be >= 1")
+    if not (math.isfinite(cfg.beta_value) and cfg.beta_value >= 0):
+        raise ValueError(f"beta.value: must be finite and >= 0, "
+                         f"got {cfg.beta_value}")
     if cfg.beta_mode not in ("grid_opt", "fixed"):
         raise ValueError(f"beta.mode: expected grid_opt or fixed, "
                          f"got {cfg.beta_mode!r}")

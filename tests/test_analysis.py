@@ -124,6 +124,68 @@ def test_core_matches_decompose(link, filt, beta, T):
         assert_allclose(awgn, want, rtol=1e-10)
 
 
+@pytest.mark.parametrize("L,T", [(3, 6), (4, 5), (4, 6)])
+@pytest.mark.parametrize("link,filt,beta", CORE_CASES)
+def test_core_matches_decompose_when_delays_fold(link, filt, beta, L, T):
+    """With N = 5, L = 3 and T = 6 a bank cascade's 7 taps fold only
+    partly (delay 6 onto 0). With L = 4 and T < 2L - 1 the matched
+    cascade's delays -(L - 1) .. L - 1 collide mod T as well (T = 5: all
+    but delay 0 pair up). Both match the probe measurement to 1e-10."""
+    scn = scenario(link=link, filt=filt, M=8, K=3, L=L, N=5, T=T, T_c=5,
+                   alpha=0.7, beta=beta)
+    for t in range(2):
+        ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
+        bd = decompose(link, filt, ch, SignalBlocks(1.0, T, None), beta=beta)
+        g, isi_u, mui_u, awgn = _draw_buckets(scn, ch)
+        scale = np.max(np.abs(bd.gains))
+        for got, want, power in ((g, bd.gains, 1), (isi_u, bd.isi_k, 2),
+                                 (mui_u, bd.mui_k, 2)):
+            assert_allclose(got / scale ** power, want / scale ** power,
+                            rtol=0, atol=1e-10)
+        want = np.ones(3) if link == "downlink" \
+            else _exact_uplink_awgn(filt, ch, T, beta)
+        assert_allclose(awgn, want, rtol=1e-10)
+
+
+def _placed_by_ifft_shift_add_fold(z, shifts, T):
+    """The placement written out: an N-point IFFT over bins (axis 0), bank
+    tap m of term j added at delay m + shifts[j], then every delay folded
+    mod T; one row per delay mod T, in increasing order."""
+    N = z.shape[0]
+    taps = np.fft.ifft(z, axis=0)
+    lo = min(shifts)
+    c = np.zeros((N + max(shifts) - lo,) + z.shape[2:], dtype=complex)
+    for j, shift in enumerate(shifts):
+        c[shift - lo:shift - lo + N] += taps[:, j]
+    folded = {}
+    for i, tap in enumerate(c):
+        d = (lo + i) % T
+        folded[d] = folded.get(d, 0) + tap
+    return np.array([folded[d] for d in sorted(folded)])
+
+
+@pytest.mark.parametrize("N,L,T", [(5, 3, 5), (5, 3, 6), (5, 3, 7),
+                                   (5, 3, 12), (20, 4, 20), (20, 4, 100),
+                                   (1, 4, 5), (1, 4, 6), (1, 4, 7)])
+def test_tap_placement_equals_ifft_shift_add_fold(N, L, T):
+    """The cached placement matrix does the bank cascade's IFFT, shift-add
+    and mod-T fold (shifts 0 .. L - 1), and with N = 1 the matched
+    cascade's placement at delays +-(l - l')."""
+    rng = np.random.default_rng(N * 100 + L * 10 + T)
+    cases = [tuple(range(L))]
+    if N == 1:
+        cases += [tuple(sign * (l - lp) for l in range(L) for lp in range(L))
+                  for sign in (1, -1)]
+    for shifts in cases:
+        z = (rng.standard_normal((N, len(shifts), 3, 2))
+             + 1j * rng.standard_normal((N, len(shifts), 3, 2)))
+        A = analysis._tap_placement(N, shifts, T)
+        got = np.einsum("djn,nj...->d...", A, z)
+        assert_allclose(got, _placed_by_ifft_shift_add_fold(z, shifts, T),
+                        rtol=0, atol=1e-13)
+        assert A is analysis._tap_placement(N, shifts, T)
+
+
 @pytest.mark.parametrize("link,filt", SIX_FILTERS)
 def test_buckets_bit_identical_across_chunk_sizes(monkeypatch, link, filt):
     """Chunking changes how many draws are factored and evaluated
@@ -163,6 +225,19 @@ def test_rank_deficient_draw_names_filter_seed_trial_and_bin(link, filt):
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"{filt}, seed 3, trial 0\): .*bin \d+"):
         mc_buckets(scn, 5)
+    # the all-ones correlation is the exponential model at alpha = 1
+    labelled = dataclasses.replace(scn, corr_model="exponential",
+                                   corr_param=1.0)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"\(exponential alpha=1, {filt}, seed 3, "
+                             rf"trial 0\): .*bin \d+"):
+        mc_buckets(labelled, 5)
+    labelled = dataclasses.replace(scn, corr_model="bessel", corr_param=0.0,
+                                   mu=0.25)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"\(bessel eta=0 mu=0.25, {filt}, seed 3, "
+                             rf"trial 0\): .*bin \d+"):
+        mc_buckets(labelled, 5)
 
 
 @pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),

@@ -87,7 +87,17 @@ def test_load_config_bad_values(tmp_path):
             ("trials=0", "trials"),
             ("grid.rho_db=", "non-empty"),
             ("beta.mode=newton", "beta.mode"),
-            ("dl_framing=sliding", "dl_framing")]:
+            ("dl_framing=sliding", "dl_framing"),
+            # numbers no sweep can use: rejected at load, not as nan rows
+            # or mid-sweep
+            ("beta.trials=0", "^beta.trials: "),
+            ("beta.trials=-2", "^beta.trials: "),
+            ("grid.rho_db=nan", "^grid.rho_db: "),
+            ("grid.rho_db=0,inf", "^grid.rho_db: "),
+            ("grid.rho_db=-inf,0", "^grid.rho_db: "),
+            ("beta.value=nan", "^beta.value: "),
+            ("beta.value=-1", "^beta.value: "),
+            ("beta.value=inf", "^beta.value: ")]:
         with pytest.raises(ValueError, match=match):
             load_config(base, overrides=[override])
 
