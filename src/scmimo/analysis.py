@@ -282,10 +282,15 @@ class DrawFactors:
     * matched filters: their buckets, which have no ridge parameter, from
       the cascade taps sum_{l - l' = d mod T} Hhat_l^H Hhat_l' / sqrt(MK)
       (uplink: l' - l), placed by `_tap_placement` with N = 1.
+
+    Buckets do not depend on the power, so `_memo` keeps the stacks of the
+    beta search's coarse grid, keyed by (beta, hi), for every power point
+    that searches on these draws; it goes when the factors do.
     """
 
     def __init__(self, scenario, n, first=None):
         self.scenario, self.n, self.first = scenario, n, first
+        self._memo = {}
         dims = scenario.dims
         K, L, N = dims.K, dims.L, dims.N
         self.downlink = scenario.link == "downlink"

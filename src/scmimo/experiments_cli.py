@@ -230,6 +230,8 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
     costs only a rescale of the cached per-bin eigendecompositions.
     `factors` supplies that cache for draws 0 .. trials - 1 of the
     scenario (from analysis.factor_draws); by default it is built here.
+    Buckets do not depend on rho_f, so the coarse grid's stacks are kept
+    on `factors` and every later search on it reuses them.
     """
     if scenario.filt not in BETA_FILTERS:
         raise ValueError(f"filter {scenario.filt!r} has no ridge parameter")
@@ -239,15 +241,23 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
         scenario, dims=dataclasses.replace(dims, rho_f_db=rho_db))
     if factors is None:
         factors = analysis.factor_draws(scenario, trials)
+    memo = getattr(factors, "_memo", {})
 
-    def rate_at(beta):
+    def rate(beta, stacks):
         scn = dataclasses.replace(base, beta=beta)
-        stacks = factors.buckets(beta, 0, trials)
         return analysis.rate_from_breakdown(
             analysis._aggregate(scn, *stacks))[0]
 
+    def rate_at(beta):
+        return rate(beta, factors.buckets(beta, 0, trials))
+
+    def grid_rate(beta):
+        if (beta, trials) not in memo:
+            memo[beta, trials] = factors.buckets(beta, 0, trials)
+        return rate(beta, memo[beta, trials])
+
     grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
-    rates = [rate_at(b) for b in grid]
+    rates = [grid_rate(b) for b in grid]
     best = max(range(len(grid)), key=lambda i: (rates[i], -i))
     if best == 0:
         return 0.0
