@@ -216,15 +216,62 @@ def _scenario(cfg, filt, param, rho_db, beta=0.0):
 # ridge-parameter optimization
 
 
+def _brent_min(f, a, b, tol):
+    """Minimize f on [a, b] by Brent's bounded parabolic/golden search
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5; the scheme of the classic `fminbound`).
+
+    Each step fits a parabola through the three best points and takes its
+    vertex when it falls well inside the bracket and shrinks the step,
+    else a golden-section step into the larger side; no step is shorter
+    than tol. Stops once the best point x lies within 2 tol of both ends
+    of the bracket, which still holds the minimum of a unimodal f.
+    Returns (x, f(x)), the best point evaluated.
+    """
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while max(x - a, b - x) > 2.0 * tol:
+        mid = 0.5 * (a + b)
+        r = (x - w) * (fx - fv)
+        q = (x - v) * (fx - fw)
+        p = (x - v) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        p, q = (-p, q) if q > 0 else (p, -q)
+        if (abs(e) > tol and abs(p) < abs(0.5 * q * e)
+                and q * (a - x) < p < q * (b - x)):
+            e, d = d, p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:
+                d = math.copysign(tol, mid - x)
+        else:
+            e = (a if x >= mid else b) - x
+            d = golden * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = f(u)
+        if fu <= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v in (x, w):
+                v, fv = u, fu
+    return x, fx
+
+
 def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
     """Ridge parameter maximizing the Monte Carlo sum rate at power rho_f.
 
     Evaluates beta in {0} union {10^k : k = -6..6} under common random
-    numbers (one shared set of channel draws), then refines the best
-    log-grid bracket with golden-section search to a 1% bracket width.
-    Exact ties return the earliest candidate, biasing toward beta = 0;
-    when beta = 0 wins outright the search returns 0.0 without
-    refinement. Deterministic given the scenario seed.
+    numbers (one shared set of channel draws), then refines log beta over
+    the winner's two grid neighbours with Brent's bounded search
+    (`_brent_min`) until the best point is within log(1.01)/2 of both
+    ends of its bracket. Exact ties return the earliest candidate, biasing
+    toward beta = 0; when beta = 0 wins outright the search returns 0.0
+    without refinement, and a refined point that rates below the grid
+    winner is never returned. Deterministic given the scenario seed.
 
     The draws are factored once (analysis.DrawFactors), so each candidate
     costs only a rescale of the cached per-bin eigendecompositions.
@@ -235,6 +282,8 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
     """
     if scenario.filt not in BETA_FILTERS:
         raise ValueError(f"filter {scenario.filt!r} has no ridge parameter")
+    if not (math.isfinite(rho_f) and rho_f > 0):
+        raise ValueError(f"rho_f: power must be finite and > 0, got {rho_f}")
     dims = scenario.dims
     rho_db = 10.0 * math.log10(rho_f)
     base = dataclasses.replace(
@@ -262,26 +311,13 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
     if best == 0:
         return 0.0
 
-    lo = grid[max(best - 1, 1)]   # keep the refinement bracket positive
+    # the bracket ends are distinct grid points, both positive
+    lo = grid[max(best - 1, 1)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    if lo == hi:
-        return grid[best]
-    a, b = math.log(lo), math.log(hi)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = rate_at(math.exp(c)), rate_at(math.exp(d))
-    while (b - a) > math.log(1.01):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = rate_at(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = rate_at(math.exp(d))
-    beta_star = math.exp(0.5 * (a + b))
+    x, loss = _brent_min(lambda t: -rate_at(math.exp(t)), math.log(lo),
+                         math.log(hi), math.log(1.01) / 4.0)
     # never return a refined point that lost to the coarse winner
-    return beta_star if rate_at(beta_star) >= rates[best] else grid[best]
+    return math.exp(x) if -loss >= rates[best] else grid[best]
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +328,12 @@ def _sweep_group(cfg, filt, param):
     """All power-grid rows for one (filter, correlation-parameter) cell.
 
     A cell without a beta search evaluates its draws once for every power
-    point. A cell with one factors its first beta.trials draws once,
-    searches beta at every power point on them, then evaluates all
-    `trials` reporting draws (reusing the factored ones) at every beta*
-    and at beta = 0 in one pass. A row reports beta* unless beta = 0 rates
+    point. A cell with one factors its first beta.trials draws once and
+    searches beta at every power point on them (`optimize_beta`; the
+    coarse grid is evaluated once for the whole cell and only the
+    refinement runs per power point), then evaluates all `trials`
+    reporting draws (reusing the factored ones) at every beta* and at
+    beta = 0 in one pass. A row reports beta* unless beta = 0 rates
     strictly higher on those reporting draws, so it never falls below
     the unregularized filter on its own draws.
     """
@@ -507,14 +545,25 @@ def _quick_cfg(link, filters, M=64, K=10, L=4, N=20, T=100, T_c=20,
         rho_grid=list(RHO_GRID_DEFAULT), trials=trials, seed=seed)
 
 
-def _rate_point(cfg, filt, alpha, rho_db, trials=None, beta=None):
+def _point(cfg, filt, param, rho_db, trials=None):
+    """SumRateResult of one filter at one power point over `trials` draws
+    (default cfg.trials). A ridge filter first searches beta on draws
+    0 .. beta.trials - 1, and the reported rate reuses those factored
+    draws; its beta is in meta["beta"]."""
     trials = trials or cfg.trials
-    if filt in BETA_FILTERS and beta is None:
-        scn = _scenario(cfg, filt, alpha, rho_db)
-        beta = optimize_beta(scn, 10.0 ** (rho_db / 10.0),
-                             trials=cfg.beta_trials)
-    scn = _scenario(cfg, filt, alpha, rho_db, beta=beta or 0.0)
-    return sum_rate_mc(scn, trials).rate_bpcu
+    scn = _scenario(cfg, filt, param, rho_db)
+    if filt not in BETA_FILTERS:
+        return sum_rate_mc(scn, trials)
+    factors = analysis.factor_draws(scn, cfg.beta_trials)
+    beta = optimize_beta(scn, 10.0 ** (rho_db / 10.0),
+                         trials=cfg.beta_trials, factors=factors)
+    scn = dataclasses.replace(scn, beta=beta)
+    stacks = analysis.mc_buckets_at(scn, trials, [beta], factors)[0]
+    return buckets_to_result(scn, trials, *stacks)
+
+
+def _rate_point(cfg, filt, param, rho_db, trials=None):
+    return _point(cfg, filt, param, rho_db, trials).rate_bpcu
 
 
 def _validate_closed_forms(rep):
@@ -799,15 +848,14 @@ def main(argv=None):
         return 0
 
     if args.command == "beta":
+        if not math.isfinite(args.rho_db):
+            parser.error(f"--rho-db: must be finite, got {args.rho_db}")
         cfg = load_config(args.config, args.override)
         filt = next((f for f in cfg.filters if f in BETA_FILTERS), None)
         if filt is None:
             parser.error("config has no ridge-regularized filter")
-        scn = _scenario(cfg, filt, cfg.corr_params[0], args.rho_db)
-        beta = optimize_beta(scn, 10.0 ** (args.rho_db / 10.0),
-                             trials=cfg.beta_trials)
-        scn = dataclasses.replace(scn, beta=beta)
-        rate = sum_rate_mc(scn, cfg.trials).rate_bpcu
+        result = _point(cfg, filt, cfg.corr_params[0], args.rho_db)
+        beta, rate = result.meta["beta"], result.rate_bpcu
         print(f"beta* = {beta!r}  (sum rate {rate:.4f} bpcu at "
               f"{args.rho_db:+.1f} dB, filter {filt})")
         return 0

@@ -9,14 +9,15 @@ import textwrap
 import numpy as np
 import pytest
 
+from scmimo import analysis, experiments_cli as cli
 from scmimo.analysis import Scenario, _draw_buckets, sum_rate_mc
 from scmimo.channel import (DEFAULT_SEED, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
 from scmimo.corr_models import exponential_correlation, identity_correlation, ula
-from scmimo.experiments_cli import (CSV_HEADER, _correlation, _scenario,
-                                    emit_plot_script, load_config, main,
-                                    optimize_beta, read_csv, run_sweep,
-                                    validate)
+from scmimo.experiments_cli import (CSV_HEADER, _brent_min, _correlation,
+                                    _point, _scenario, emit_plot_script,
+                                    load_config, main, optimize_beta,
+                                    read_csv, run_sweep, validate)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -271,6 +272,143 @@ def test_optimize_beta_matches_per_draw_search(link, filt, rho_db):
         scn, rho, trials=25, factors=_PerDrawSearch(scn, 25))
 
 
+@pytest.mark.parametrize("rho_f", [float("nan"), float("inf"),
+                                   float("-inf"), 0.0, -1.0])
+def test_optimize_beta_rejects_bad_power(rho_f):
+    with pytest.raises(ValueError, match="^rho_f: "):
+        optimize_beta(small_beta_scenario(filt="mmsee"), rho_f, trials=2)
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
+                                       ("uplink", "mmsee")])
+@pytest.mark.parametrize("rho_db", [0.0, 10.0, 30.0])
+def test_optimize_beta_refinement_matches_dense_scan(link, filt, rho_db):
+    """On the search's own draws, beta* rates within 1e-9 of the best
+    point of a 0.005-decade scan over the bracket around the grid winner
+    (or is 0 when beta = 0 wins the grid)."""
+    dims = SimulationDims(M=8, K=3, L=2, N=4, T=8, T_c=4,
+                          rho_f_db=rho_db, seed=31)
+    scn = Scenario(link=link, filt=filt, dims=dims,
+                   corr=exponential_correlation(ula(8, 0.5), 0.7),
+                   pdp=exponential_pdp(3, 2))
+    rho = 10.0 ** (rho_db / 10.0)
+    factors = analysis.factor_draws(scn, 25)
+    beta_star = optimize_beta(scn, rho, trials=25, factors=factors)
+
+    def rate(beta):
+        at = dataclasses.replace(scn, beta=beta)
+        return analysis.rate_from_breakdown(analysis._aggregate(
+            at, *factors.buckets(beta, 0, 25)))[0]
+
+    grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
+    rates = [rate(b) for b in grid]
+    best = int(np.argmax(rates))
+    if best == 0:
+        assert beta_star == 0.0
+        return
+    lo, hi = grid[max(best - 1, 1)], grid[min(best + 1, len(grid) - 1)]
+    scan = 10.0 ** np.arange(np.log10(lo), np.log10(hi) + 1e-9, 0.005)
+    assert lo <= beta_star <= hi
+    assert rate(beta_star) >= max(rate(b) for b in scan) - 1e-9
+    assert rate(beta_star) >= rates[best]
+
+
+@pytest.mark.parametrize("f,a,b,x_min", [
+    (lambda x: (x - 1.234) ** 2 + 0.1 * (x - 1.234) ** 4, 0.0, 3.0, 1.234),
+    (lambda x: np.exp(x) - 2.0 * x, -1.0, 3.0, np.log(2.0)),
+    (lambda x: abs(x - 0.3), -1.0, 2.0, 0.3),
+    (lambda x: -np.sin(x), 0.0, 3.0, np.pi / 2),
+])
+def test_brent_min_reaches_tolerance(f, a, b, x_min):
+    """The minimizer stops with its best point within 2 tol of a unimodal
+    function's minimizer, in fewer evaluations than a golden-section
+    search needs for the same bracket."""
+    tol = np.log(1.01) / 4.0
+    calls = []
+    x, fx = _brent_min(lambda t: calls.append(t) or f(t), a, b, tol)
+    assert abs(x - x_min) <= 2.0 * tol
+    assert fx == f(x) and x in calls
+    golden_evals = 1 + np.ceil(np.log(2.0 * tol / (b - a))
+                               / np.log((np.sqrt(5.0) - 1.0) / 2.0))
+    assert len(calls) < golden_evals
+
+
+def test_beta_search_shares_its_coarse_grid_across_a_cell(tmp_path,
+                                                          monkeypatch):
+    """One grid_opt cell with three power points evaluates each coarse
+    grid beta once, and each refinement takes at most 12 evaluations."""
+    path = cfg_file(tmp_path, SHORTFALL_CFG.format(
+        link="downlink", filt="rzfp"))
+    cfg = load_config(path, overrides=[
+        "corr.alpha=0.7", "grid.rho_db=0,10,20",
+        f"output={tmp_path / 'out.csv'}"])
+    log = []
+    buckets = analysis.DrawFactors.buckets
+    search = optimize_beta
+
+    def counted_buckets(self, beta, lo=0, hi=None):
+        if (lo, hi) == (0, cfg.beta_trials):
+            log[-1].append(beta)
+        return buckets(self, beta, lo, hi)
+
+    def counted_search(*args, **kwargs):
+        log.append([])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(analysis.DrawFactors, "buckets", counted_buckets)
+    monkeypatch.setattr(cli, "optimize_beta", counted_search)
+    run_sweep(cfg, workers=1)
+    grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
+    assert len(log) == 3
+    assert log[0][:len(grid)] == grid
+    evals = [beta for betas in log for beta in betas]
+    for beta in grid:
+        assert evals.count(beta) == 1
+    refinements = [log[0][len(grid):], *log[1:]]
+    assert any(refinements)
+    assert all(len(r) <= 12 for r in refinements)
+
+
+def test_search_leaves_scipy_optimize_unimported():
+    """The search imports no optimizer: scipy.optimize would add about a
+    third to the package's import time."""
+    code = textwrap.dedent("""
+        import sys, tempfile, os
+        import scmimo
+        from scmimo.experiments_cli import load_config, run_sweep
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write(sys.argv[1])
+            cfg = load_config(path, [f"output={tmp}/out.csv"])
+            run_sweep(cfg, workers=1)
+        print("scipy.optimize" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        analysis.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code,
+         SHORTFALL_CFG.format(link="uplink", filt="mmsee")],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("filt", ["rzfp", "cmfp"])
+def test_point_reuses_search_draws_bit_identically(tmp_path, filt):
+    """A searched point reports through the search's factored draws; its
+    rate is bit-identical to a fresh evaluation at the same beta."""
+    text = SHORTFALL_CFG.format(link="downlink", filt=filt)
+    cfg = load_config(cfg_file(tmp_path, text))
+    result = _point(cfg, filt, 0.7, 10.0)
+    fresh = sum_rate_mc(_scenario(cfg, filt, 0.7, 10.0,
+                                  beta=result.meta["beta"]), cfg.trials)
+    assert result.rate_bpcu == fresh.rate_bpcu
+    assert (filt == "rzfp") == (result.meta["beta"] > 0)
+
+
 # ---------------------------------------------------------------------------
 # sweeps and CSV
 
@@ -463,6 +601,16 @@ def test_main_beta_subcommand(tmp_path, capsys):
     path = cfg_file(tmp_path, text + "beta.trials = 3\n")
     assert main(["beta", "--config", path, "--rho-db", "0"]) == 0
     assert "beta* =" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rho_db", ["nan", "inf", "-inf"])
+def test_main_beta_rejects_non_finite_power(tmp_path, capsys, rho_db):
+    text = BASE_CFG.replace("filters = cmfp,zfp,rzfp", "filters = rzfp")
+    with pytest.raises(SystemExit) as exc:
+        main(["beta", "--config", cfg_file(tmp_path, text),
+              f"--rho-db={rho_db}"])
+    assert exc.value.code == 2
+    assert "--rho-db: must be finite" in capsys.readouterr().err
 
 
 def test_main_beta_requires_ridge_filter(tmp_path):
