@@ -370,8 +370,8 @@ def test_beta_search_shares_its_coarse_grid_across_a_cell(tmp_path,
 
 
 def test_search_leaves_scipy_optimize_unimported():
-    """The search imports no optimizer: scipy.optimize would add about a
-    third to the package's import time."""
+    """The search imports no optimizer: importing scipy.optimize takes
+    about half as long again as importing the package itself."""
     code = textwrap.dedent("""
         import sys, tempfile, os
         import scmimo
