@@ -262,47 +262,53 @@ def _cascade_buckets(c):
 
 
 class DrawFactors:
-    """Channel draws of one scenario, factored once so that their buckets
-    at any ridge parameter are cheap.
+    """Channel draws of one link and correlation, factored once so that
+    every configured filter's buckets, at any ridge parameter, are cheap.
 
     Slot i holds trial first + i of the scenario's seed (first=None when
-    the trial is unknown; it only labels errors). What a slot keeps
-    depends on the filter:
+    the trial is unknown; it only labels errors). `filters` names the
+    filters of the scenario's link that the slots serve (default: the
+    scenario's own); a slot keeps only what they need:
 
-    * ridge-family banks (ZFP/RZFP on the synthesis bins B_nu, ZFE/MMSEE
-      on the analysis bins Hhat_nu, both written V_nu): the eigenpairs
-      G_nu = U Lambda U^H of every bin Gram matrix, G_nu = V_nu^H V_nu on
-      the downlink and its transpose on the uplink, and the tap products
-      P_nu,l U with P_nu,l = Hhat_l^H B_nu (downlink) or
-      (Hhat_nu^H Hhat_l)^T (uplink). A ridge parameter beta then costs a
-      1/(lambda + beta) rescale and one `_tap_placement` product per
+    * a matched filter: its buckets, which have no ridge parameter, from
+      the cascade taps sum_{l - l' = d mod T} Hhat_l^H Hhat_l' / sqrt(MK)
+      (uplink: l' - l), placed by `_tap_placement` with N = 1;
+    * a zero-forcing or ridge filter (ZFP/RZFP on the synthesis bins B_nu,
+      ZFE/MMSEE on the analysis bins Hhat_nu, both written V_nu): the
+      eigenpairs G_nu = U Lambda U^H of every bin Gram matrix,
+      G_nu = V_nu^H V_nu on the downlink and its transpose on the uplink,
+      and the tap products P_nu,l U with P_nu,l = Hhat_l^H B_nu (downlink)
+      or (Hhat_nu^H Hhat_l)^T (uplink). A ridge parameter beta then costs
+      a 1/(lambda + beta) rescale and one `_tap_placement` product per
       channel tap, which takes the bins to the cascade taps (transposed on
       the uplink); the downlink power normalization and the uplink AWGN
-      bucket follow from Lambda in closed form;
-    * matched filters: their buckets, which have no ridge parameter, from
-      the cascade taps sum_{l - l' = d mod T} Hhat_l^H Hhat_l' / sqrt(MK)
-      (uplink: l' - l), placed by `_tap_placement` with N = 1.
+      bucket follow from Lambda in closed form. Zero forcing is the ridge
+      family at beta = 0, after a conditioning check of each draw.
 
     Buckets do not depend on the power, so `_memo` keeps the stacks of the
     beta search's coarse grid, keyed by (beta, hi), for every power point
-    that searches on these draws; it goes when the factors do.
+    that searches on these draws, and for the reporting pass that follows;
+    it goes when the factors do.
     """
 
-    def __init__(self, scenario, n, first=None):
+    def __init__(self, scenario, n, first=None, filters=None):
         self.scenario, self.n, self.first = scenario, n, first
+        filters = (scenario.filt,) if filters is None else tuple(filters)
+        for filt in filters:
+            _check_combo(scenario.link, filt)
         self._memo = {}
         dims = scenario.dims
         K, L, N = dims.K, dims.L, dims.N
         self.downlink = scenario.link == "downlink"
-        if scenario.filt in MATCHED:
-            self.kind, self.stacks = "matched", _stacks(n, K)
-        else:
-            self.kind = "ridge"
+        self.stacks = _stacks(n, K) if any(
+            f in MATCHED for f in filters) else None
+        self.ridge = any(f not in MATCHED for f in filters)
+        if self.ridge:
             self.lam = np.empty((n, N, K))
             self.U = np.empty((n, N, K, K), dtype=complex)
             self.X = np.empty((n, N, L * K, K), dtype=complex)
 
-    def _where(self, i):
+    def _where(self, i, filt):
         scn = self.scenario
         corr = [scn.corr_model] if scn.corr_model else []
         if scn.corr_param is not None:
@@ -312,11 +318,13 @@ class DrawFactors:
             corr.append(f"mu={scn.mu:g}")
         corr = f"{' '.join(corr)}, " if corr else ""
         trial = "" if self.first is None else f", trial {self.first + i}"
-        return f" ({corr}{scn.filt}, seed {scn.dims.seed}{trial})"
+        return f" ({corr}{filt}, seed {scn.dims.seed}{trial})"
 
     def fill(self, lo, chans):
         """Factor the channel draws `chans` (any iterable; only their taps
-        are kept) into slots lo, lo + 1, ..."""
+        are kept) into slots lo, lo + 1, ...: their tap products F once,
+        then from F the matched buckets and the ridge eigenpairs, each
+        only if a filter served needs it."""
         dims = self.scenario.dims
         M, K, L, N = dims.M, dims.K, dims.L, dims.N
         Hhat = np.stack([ch.Hhat for ch in chans])          # (n, L, M, K)
@@ -329,7 +337,7 @@ class DrawFactors:
         F = (np.conj(Hhat).transpose(0, 1, 3, 2)
              @ Hhat.transpose(0, 2, 1, 3).reshape(n, 1, M, L * K)
              ).reshape(n, L, K, L, K)
-        if self.kind == "matched":
+        if self.stacks is not None:
             sign = 1 if self.downlink else -1
             A = _tap_placement(1, tuple(sign * (l - lp) for l in range(L)
                                         for lp in range(L)), dims.T)
@@ -339,6 +347,7 @@ class DrawFactors:
                 np.einsum("nlklk->nk", F)) / (M * K)
             for dst, src in zip(self.stacks, (*_cascade_buckets(c), awgn)):
                 dst[lo:hi] = src
+        if not self.ridge:
             return
         # P[:, nu, l] = Hhat_l^H B_nu with B_nu = sum_l' e^{+2j pi nu l'/N}
         # Hhat_l' (downlink), or (Hhat_nu^H Hhat_l)^T with Hhat_nu =
@@ -350,33 +359,42 @@ class DrawFactors:
         phase = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(L)) / N)
         gram = sum(phase[:, l, None, None] * P[:, :, l] for l in range(L))
         lam, U = np.linalg.eigh(gram)
-        if self.scenario.filt in ZERO_FORCING:
-            for i in range(n):
-                check_gram_conditioning(lam[i], where=self._where(lo + i))
         np.matmul(P.reshape(n, N, L * K, K), U, out=self.X[lo:hi])
         self.lam[lo:hi], self.U[lo:hi] = lam, U
 
+    def _check_conditioning(self, filt, lo, hi):
+        """Raise LinAlgError, naming filt, seed, trial and bin, if a Gram
+        matrix of slots lo .. hi - 1 is too ill-conditioned to invert."""
+        for i in range(lo, hi):
+            check_gram_conditioning(self.lam[i], where=self._where(i, filt))
+
     def buckets(self, beta, lo=0, hi=None):
-        """(g, isi_u, mui_u, awgn) stacks of slots lo .. hi - 1 at ridge
-        parameter beta (ignored by the matched and zero-forcing filters)."""
+        """(g, isi_u, mui_u, awgn) stacks of slots lo .. hi - 1 for the
+        scenario's filter at ridge parameter beta (ignored by the matched
+        and zero-forcing filters)."""
+        return self._filter_buckets(self.scenario.filt, beta, lo, hi)
+
+    def _filter_buckets(self, filt, beta, lo=0, hi=None):
+        """`buckets` for any filter the slots serve."""
         hi = self.n if hi is None else hi
         if not 0 <= lo <= hi <= self.n:
             raise IndexError(f"slots [{lo}, {hi}) outside the {self.n} "
                              f"factored draws")
-        if self.kind == "matched":
+        if filt in MATCHED:
             return tuple(s[lo:hi] for s in self.stacks)
-        if self.scenario.filt in ZERO_FORCING:
+        if filt in ZERO_FORCING:
+            self._check_conditioning(filt, lo, hi)
             beta = 0.0
         elif beta < 0:
             raise ValueError(f"beta must be >= 0, got {beta}")
         out = _stacks(hi - lo, self.scenario.dims.K)
         for a in range(lo, hi, CHUNK):
             b = min(a + CHUNK, hi)
-            for dst, src in zip(out, self._ridge_buckets(beta, a, b)):
+            for dst, src in zip(out, self._ridge_buckets(beta, a, b, filt)):
                 dst[a - lo:b - lo] = src
         return out
 
-    def _ridge_buckets(self, beta, a, b):
+    def _ridge_buckets(self, beta, a, b, filt):
         lam, U, X = self.lam[a:b], self.U[a:b], self.X[a:b]
         n, N, K = lam.shape
         dims = self.scenario.dims
@@ -386,7 +404,7 @@ class DrawFactors:
             i, nu = np.argwhere(~(shifted > 0))[0, :2]
             raise np.linalg.LinAlgError(
                 f"Gram eigenvalue + beta = {shifted[i, nu].min():.3e} <= 0 "
-                f"at bin {nu}{self._where(a + i)}")
+                f"at bin {nu}{self._where(a + i, filt)}")
         s = 1.0 / shifted
         p = lam * s * s                     # lambda / (lambda + beta)^2
         # z[:, nu, l] = Hhat_l^H W_nu = (Hhat_l^H B_nu U) (diag(s) U^H), or
@@ -404,8 +422,9 @@ class DrawFactors:
             # power normalization a = sqrt(N / sum_nu ||W_nu||_F^2)
             energy = p.sum(axis=(1, 2))
             if not np.all(energy > 0):
+                i = np.argmin(energy)
                 raise ValueError(f"cannot normalize a zero-energy filter "
-                                 f"bank{self._where(a + np.argmin(energy))}")
+                                 f"bank{self._where(a + i, filt)}")
             c *= np.sqrt(N / energy)[:, None, None, None]
             awgn = np.ones((n, K))
         else:
@@ -428,11 +447,12 @@ def _draw_buckets(scenario, ch):
     return tuple(s[0] for s in factors.buckets(scenario.beta))
 
 
-def factor_draws(scenario, trials, first=0):
+def factor_draws(scenario, trials, first=0, filters=None):
     """Draw trials first .. first + trials - 1 of the scenario's seed and
-    factor them, CHUNK draws at a time, into one DrawFactors."""
+    factor them, CHUNK draws at a time, into one DrawFactors serving
+    `filters` (default: the scenario's filter)."""
     dims = scenario.dims
-    factors = DrawFactors(scenario, trials, first)
+    factors = DrawFactors(scenario, trials, first, filters)
     for lo in range(0, trials, CHUNK):
         factors.fill(lo, (draw_channel(dims, scenario.pdp, scenario.corr,
                                        trial_rng(dims.seed, first + t))
@@ -440,26 +460,55 @@ def factor_draws(scenario, trials, first=0):
     return factors
 
 
-def mc_buckets_at(scenario, trials, betas, factors=None):
-    """Bucket stacks of draws 0 .. trials - 1 at each ridge parameter in
-    `betas`, one (g, isi_u, mui_u, awgn) tuple per beta.
+def mc_buckets_at(scenario, trials, requests, factors=None):
+    """Bucket stacks of draws 0 .. trials - 1 for each (filter, beta) pair
+    in `requests`, one (g, isi_u, mui_u, awgn) tuple per pair; the filters
+    are any of the scenario's link, and beta is ignored by the matched and
+    zero-forcing ones.
 
-    Every chunk of draws is factored once and evaluated at each beta. The
-    leading draws already held in `factors` (from factor_draws on the same
-    scenario up to power and beta) are reused instead of drawn again.
+    Every chunk of draws is drawn and factored once for all the requested
+    filters and evaluated for each of them; requests that name the same
+    stacks (a zero-forcing filter and the ridge filter at beta = 0) share
+    one evaluation, on which the zero-forcing check runs. The leading
+    draws already held in `factors` (from factor_draws on the same
+    scenario up to filter, power and beta, serving every requested filter)
+    are reused instead of drawn again, and so are the stacks of those
+    draws that a beta search kept in `factors._memo`.
     """
-    out = [_stacks(trials, scenario.dims.K) for _ in betas]
-    cached = 0 if factors is None else min(factors.n, trials)
+    filters = tuple(dict.fromkeys(f for f, _ in requests))
+    keys = ["matched" if f in MATCHED else 0.0 if f in ZERO_FORCING else b
+            for f, b in requests]
+    evaluate = {}                   # stack key -> filter that evaluates it
+    for (filt, _), key in zip(requests, keys):
+        if key not in evaluate or filt in ZERO_FORCING:
+            evaluate[key] = filt
+    out = {key: _stacks(trials, scenario.dims.K) for key in evaluate}
+    cached, kept = 0, {}
+    if factors is not None:
+        cached = min(factors.n, trials)
+        memo = getattr(factors, "_memo", {})
+        kept = {key: memo[key, factors.n] for key in evaluate
+                if (key, factors.n) in memo}
+    for key, stacks in kept.items():
+        for dst, src in zip(out[key], stacks):
+            dst[:cached] = src[:cached]
     bounds = [*range(0, cached, CHUNK), *range(cached, trials, CHUNK), trials]
     for lo, hi in zip(bounds, bounds[1:]):
         if hi <= cached:
             src, a = factors, lo
         else:
-            src, a = factor_draws(scenario, hi - lo, first=lo), 0
-        for stacks, beta in zip(out, betas):
-            for dst, part in zip(stacks, src.buckets(beta, a, a + hi - lo)):
+            src, a = factor_draws(scenario, hi - lo, first=lo,
+                                  filters=filters), 0
+        for key, filt in evaluate.items():
+            if hi <= cached and key in kept:
+                if filt in ZERO_FORCING:
+                    src._check_conditioning(filt, a, a + hi - lo)
+                continue
+            beta = 0.0 if key == "matched" else key
+            for dst, part in zip(out[key], src._filter_buckets(
+                    filt, beta, a, a + hi - lo)):
                 dst[lo:hi] = part
-    return out
+    return [out[key] for key in keys]
 
 
 def mc_buckets(scenario, trials):
@@ -469,7 +518,8 @@ def mc_buckets(scenario, trials):
     symbol power. Draw t uses the counter-based stream (seed, t), so the
     stack is independent of evaluation order and chunking.
     """
-    return mc_buckets_at(scenario, trials, [scenario.beta])[0]
+    return mc_buckets_at(scenario, trials,
+                         [(scenario.filt, scenario.beta)])[0]
 
 
 def _aggregate(scenario, g, isi_u, mui_u, awgn):

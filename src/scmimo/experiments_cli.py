@@ -324,45 +324,62 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
 # sweeps
 
 
-def _sweep_group(cfg, filt, param):
-    """All power-grid rows for one (filter, correlation-parameter) cell.
+def _sweep_group(cfg, param):
+    """All power-grid rows at one correlation parameter: one list of rows
+    per configured filter, in config order.
 
-    A cell without a beta search evaluates its draws once for every power
-    point. A cell with one factors its first beta.trials draws once and
-    searches beta at every power point on them (`optimize_beta`; the
-    coarse grid is evaluated once for the whole cell and only the
-    refinement runs per power point), then evaluates all `trials`
-    reporting draws (reusing the factored ones) at every beta* and at
-    beta = 0 in one pass. A row reports beta* unless beta = 0 rates
-    strictly higher on those reporting draws, so it never falls below
-    the unregularized filter on its own draws.
+    The cell draws and factors each of its `trials` channels once for all
+    the link's filters (`analysis.mc_buckets_at`, CHUNK draws at a time),
+    and evaluates every row's buckets in that one pass: a matched filter
+    from the tap products, a zero-forcing filter as the ridge family at
+    beta = 0 after its conditioning check, and a ridge filter at its beta.
+    With a beta search, the cell first factors draws 0 .. beta.trials - 1,
+    serving every filter, and searches beta at every power point on them
+    (`optimize_beta`; the coarse grid is evaluated once for the whole
+    cell and only the refinement runs per power point). The reporting
+    pass reuses those factored draws and the stacks the search kept, and
+    evaluates every beta* and beta = 0, whose stacks the zero-forcing
+    rows share. A ridge row reports beta* unless beta = 0 rates strictly
+    higher on the reporting draws, so it never falls below the
+    unregularized filter on its own draws.
     """
-    needs_beta = filt in BETA_FILTERS and cfg.beta_mode == "grid_opt"
-    fixed_beta = cfg.beta_value if filt in BETA_FILTERS else 0.0
-    scn0 = _scenario(cfg, filt, param, cfg.rho_grid[0], beta=fixed_beta)
+    scn0 = _scenario(cfg, cfg.filters[0], param, cfg.rho_grid[0])
 
-    def at(rho_db, beta):
+    def at(filt, rho_db, beta):
         return dataclasses.replace(
-            scn0, beta=beta,
+            scn0, filt=filt, beta=beta,
             dims=dataclasses.replace(scn0.dims, rho_f_db=rho_db))
 
-    if not needs_beta:
-        stacks = mc_buckets(scn0, cfg.trials)
-        return [_result_row(buckets_to_result(at(rho_db, fixed_beta),
-                                              cfg.trials, *stacks))
-                for rho_db in cfg.rho_grid]
-    factors = analysis.factor_draws(scn0, cfg.beta_trials)
-    betas = [optimize_beta(at(rho_db, 0.0), 10.0 ** (rho_db / 10.0),
-                           trials=cfg.beta_trials, factors=factors)
-             for rho_db in cfg.rho_grid]
-    candidates = sorted(set(betas) | {0.0})
-    stacks = dict(zip(candidates, analysis.mc_buckets_at(
-        scn0, cfg.trials, candidates, factors)))
+    fixed = {f: cfg.beta_value if f in BETA_FILTERS else 0.0
+             for f in cfg.filters}
+    search = next((f for f in cfg.filters if f in BETA_FILTERS),
+                  None) if cfg.beta_mode == "grid_opt" else None
+    requests = [(f, beta) for f, beta in fixed.items() if f != search]
+    factors = None
+    if search:
+        factors = analysis.factor_draws(at(search, cfg.rho_grid[0], 0.0),
+                                        cfg.beta_trials, filters=cfg.filters)
+        betas = [optimize_beta(at(search, rho_db, 0.0),
+                               10.0 ** (rho_db / 10.0),
+                               trials=cfg.beta_trials, factors=factors)
+                 for rho_db in cfg.rho_grid]
+        requests += [(search, b) for b in sorted(set(betas) | {0.0})]
+    stacks = dict(zip(requests, analysis.mc_buckets_at(
+        scn0, cfg.trials, requests, factors)))
     rows = []
-    for rho_db, beta in zip(cfg.rho_grid, betas):
-        results = [buckets_to_result(at(rho_db, b), cfg.trials, *stacks[b])
-                   for b in dict.fromkeys((beta, 0.0))]
-        rows.append(_result_row(max(results, key=lambda r: r.rate_bpcu)))
+    for filt in cfg.filters:
+        if filt != search:
+            rows.append([_result_row(buckets_to_result(
+                at(filt, rho_db, fixed[filt]), cfg.trials,
+                *stacks[filt, fixed[filt]])) for rho_db in cfg.rho_grid])
+            continue
+        rows.append([])
+        for rho_db, beta in zip(cfg.rho_grid, betas):
+            results = [buckets_to_result(at(filt, rho_db, b), cfg.trials,
+                                         *stacks[filt, b])
+                       for b in dict.fromkeys((beta, 0.0))]
+            rows[-1].append(_result_row(max(results,
+                                            key=lambda r: r.rate_bpcu)))
     return rows
 
 
@@ -391,21 +408,22 @@ def _result_row(result):
 def run_sweep(cfg, workers=None):
     """Evaluate the config's full (filter x parameter x power) grid.
 
-    Cells run on a thread pool; rows are buffered and written to
-    cfg.output in deterministic config order regardless of completion
-    order. Returns the row dicts.
+    Each correlation parameter is one cell (`_sweep_group`) that serves
+    every filter; cells run on a thread pool. Rows are buffered and
+    written to cfg.output in deterministic filter-major config order
+    regardless of completion order. Returns the row dicts.
     """
-    cells = [(filt, param) for filt in cfg.filters
-             for param in cfg.corr_params]
+    params = cfg.corr_params
     if workers is None:
-        workers = min(len(cells), os.cpu_count() or 1)
-    if workers > 1 and len(cells) > 1:
+        workers = min(len(params), os.cpu_count() or 1)
+    if workers > 1 and len(params) > 1:
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             per_cell = list(pool.map(
-                lambda cell: _sweep_group(cfg, *cell), cells))
+                lambda param: _sweep_group(cfg, param), params))
     else:
-        per_cell = [_sweep_group(cfg, *cell) for cell in cells]
-    rows = [row for cell_rows in per_cell for row in cell_rows]
+        per_cell = [_sweep_group(cfg, param) for param in params]
+    rows = [row for i in range(len(cfg.filters)) for cell in per_cell
+            for row in cell[i]]
     write_csv(rows, cfg.output)
     return rows
 
@@ -558,7 +576,8 @@ def _point(cfg, filt, param, rho_db, trials=None):
     beta = optimize_beta(scn, 10.0 ** (rho_db / 10.0),
                          trials=cfg.beta_trials, factors=factors)
     scn = dataclasses.replace(scn, beta=beta)
-    stacks = analysis.mc_buckets_at(scn, trials, [beta], factors)[0]
+    stacks = analysis.mc_buckets_at(scn, trials, [(filt, beta)],
+                                    factors)[0]
     return buckets_to_result(scn, trials, *stacks)
 
 

@@ -198,7 +198,8 @@ def test_buckets_bit_identical_across_chunk_sizes(monkeypatch, link, filt):
         monkeypatch.setattr(analysis, "CHUNK", chunk)
         for got, want in zip(mc_buckets(scn, 23), ref):
             assert np.array_equal(got, want)
-        stacks = mc_buckets_at(scn, 23, [0.0, 0.3], factor_draws(scn, 10))
+        stacks = mc_buckets_at(scn, 23, [(filt, 0.0), (filt, 0.3)],
+                               factor_draws(scn, 10))
         for got, want in zip(stacks[1], ref):
             assert np.array_equal(got, want)
         zero = mc_buckets(dataclasses.replace(scn, beta=0.0), 23)
