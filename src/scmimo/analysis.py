@@ -248,6 +248,15 @@ def _tap_placement(N, shifts, T):
     return A
 
 
+@functools.lru_cache(maxsize=None)
+def _bin_kernel(N, L):
+    """The (N, L) DFT kernel E[nu, l] = e^{+2j pi nu l / N} that takes L
+    channel taps to N bins (read-only)."""
+    E = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(L)) / N)
+    E.flags.writeable = False
+    return E
+
+
 def _cascade_buckets(c):
     """(g, isi_u, mui_u) from circular cascade taps c of shape (n, D, K, K).
 
@@ -349,15 +358,17 @@ class DrawFactors:
                 dst[lo:hi] = src
         if not self.ridge:
             return
-        # P[:, nu, l] = Hhat_l^H B_nu with B_nu = sum_l' e^{+2j pi nu l'/N}
-        # Hhat_l' (downlink), or (Hhat_nu^H Hhat_l)^T with Hhat_nu =
-        # sum_l' e^{-2j pi nu l'/N} Hhat_l' (uplink)
-        P = np.fft.ifft(F.transpose((0, 3, 1, 2, 4) if self.downlink
-                                    else (0, 1, 3, 4, 2)),
-                        n=N, axis=1, norm="forward")        # (n, N, L, K, K)
-        # G_nu = sum_l e^{-2j pi nu l/N} P[:, nu, l]
-        phase = np.exp(-2j * np.pi * np.outer(np.arange(N), np.arange(L)) / N)
-        gram = sum(phase[:, l, None, None] * P[:, :, l] for l in range(L))
+        # P[:, nu, l] = Hhat_l^H B_nu with B_nu = sum_l' E[nu, l'] Hhat_l'
+        # (downlink), or (Hhat_nu^H Hhat_l)^T with Hhat_nu = sum_l'
+        # conj(E[nu, l']) Hhat_l' (uplink): one (N x L) @ (L x L K^2)
+        # product per draw
+        E = _bin_kernel(N, L)
+        P = (E @ F.transpose((0, 3, 1, 2, 4) if self.downlink
+                             else (0, 1, 3, 4, 2)).reshape(n, L, -1)
+             ).reshape(n, N, L, K * K)
+        # G_nu = sum_l conj(E[nu, l]) P[:, nu, l], one (1 x L) @ (L x K^2)
+        # product per draw and bin
+        gram = (np.conj(E)[:, None, :] @ P).reshape(n, N, K, K)
         lam, U = np.linalg.eigh(gram)
         np.matmul(P.reshape(n, N, L * K, K), U, out=self.X[lo:hi])
         self.lam[lo:hi], self.U[lo:hi] = lam, U
