@@ -541,13 +541,19 @@ def _aggregate(scenario, g, isi_u, mui_u, awgn):
     squared wander around it. Uplink: desired is the mean squared realized
     gain and IF is zero.
     """
+    mean_g = g.mean(axis=0)
+    buckets = _user_buckets(scenario, mean_g, (np.abs(g) ** 2).mean(axis=0),
+                            isi_u.mean(axis=0), mui_u.mean(axis=0),
+                            awgn.mean(axis=0))
+    return NoiseBreakdown(*buckets, gains=mean_g)
+
+
+def _user_buckets(scenario, mean_g, mean_g2, isi, mui, awgn):
+    """(desired_k, if_k, isi_k, mui_k, awgn_k) at scenario power from the
+    draw means of g, |g|^2 and the unit-power buckets; every argument may
+    carry leading axes in front of the user axis."""
     dims = scenario.dims
     rho = dims.rho_f
-    mean_g = g.mean(axis=0)
-    mean_g2 = (np.abs(g) ** 2).mean(axis=0)
-    isi_k = rho * isi_u.mean(axis=0)
-    mui_k = rho * mui_u.mean(axis=0)
-    awgn_k = awgn.mean(axis=0)
     if scenario.link == "downlink":
         ref = _cmfp_reference_gains(dims, scenario.pdp) \
             if scenario.filt == "cmfp" else mean_g
@@ -557,23 +563,28 @@ def _aggregate(scenario, g, isi_u, mui_u, awgn):
             0.0)
     else:
         desired_k = rho * mean_g2
-        if_k = np.zeros(dims.K)
-    return NoiseBreakdown(desired_k=desired_k, if_k=if_k, isi_k=isi_k,
-                          mui_k=mui_k, awgn_k=awgn_k, gains=mean_g)
+        if_k = np.zeros(np.shape(mean_g2))
+    return desired_k, if_k, rho * isi, rho * mui, awgn
 
 
 def _jackknife_rate_stderr(scenario, g, isi_u, mui_u, awgn, blocks=10):
-    """Delete-one-block jackknife standard error of the sum rate."""
+    """Delete-one-block jackknife standard error of the sum rate.
+
+    The draws split into `blocks` contiguous blocks (np.array_split);
+    each block's sums are taken once, and every leave-one-block-out mean
+    is (total - block sum) / (draws outside the block).
+    """
     n = g.shape[0]
     blocks = min(blocks, n)
-    idx = np.array_split(np.arange(n), blocks)
-    rates = np.empty(blocks)
-    for i, drop in enumerate(idx):
-        keep = np.ones(n, dtype=bool)
-        keep[drop] = False
-        bd = _aggregate(scenario, g[keep], isi_u[keep], mui_u[keep],
-                        awgn[keep])
-        rates[i], _ = rate_from_breakdown(bd)
+    starts = np.array([idx[0] for idx in np.array_split(np.arange(n),
+                                                        blocks)])
+    kept = (n - np.diff(starts, append=n))[:, None]
+    means = []
+    for x in (g, np.abs(g) ** 2, isi_u, mui_u, awgn):
+        sums = np.add.reduceat(x, starts, axis=0)           # (blocks, K)
+        means.append((sums.sum(axis=0) - sums) / kept)
+    desired, *noise = _user_buckets(scenario, *means)
+    rates = 0.5 * np.log2(1.0 + desired / sum(noise)).sum(axis=1)
     return float(np.sqrt((blocks - 1) / blocks
                          * np.sum((rates - rates.mean()) ** 2)))
 

@@ -241,6 +241,36 @@ def test_rank_deficient_draw_names_filter_seed_trial_and_bin(link, filt):
         mc_buckets(labelled, 5)
 
 
+@pytest.mark.parametrize("link,filters", [("downlink", ("cmfp", "zfp")),
+                                          ("uplink", ("cmfe", "zfe"))])
+def test_rank_deficient_cell_names_the_zero_forcing_filter(link, filters):
+    """A cell that draws once for a matched and a zero-forcing filter runs
+    the zero-forcing check when it evaluates that filter, and the error
+    names it with the seed, trial and bin."""
+    matched, zf = filters
+    scn = _rank_one_scenario(link, matched)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"\({zf}, seed 3, trial 0\): .*bin \d+"):
+        mc_buckets_at(scn, 5, [(matched, 0.0), (zf, 0.0)])
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "cmfp"),
+                                       ("uplink", "cmfe")])
+def test_matched_only_cell_skips_the_eigendecomposition(monkeypatch, link,
+                                                        filt):
+    """Matched buckets come from the tap products alone: a rank-deficient
+    channel gives finite buckets, and no Gram matrix is decomposed."""
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called for a matched filter")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    stacks, = mc_buckets_at(_rank_one_scenario(link, filt), 5,
+                            [(filt, 0.0)])
+    assert all(np.all(np.isfinite(s)) for s in stacks)
+    row = buckets_to_result(_rank_one_scenario(link, filt), 5, *stacks)
+    assert np.isfinite(row.rate_bpcu)
+
+
 @pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
                                        ("uplink", "mmsee")])
 def test_ridge_rejects_nonpositive_shifted_eigenvalue(link, filt):
@@ -338,6 +368,36 @@ def test_stderr_presence():
     assert np.isnan(sum_rate_mc(scn, 10).stderr)
     se = sum_rate_mc(scn, 40).stderr
     assert np.isfinite(se) and se > 0.0
+
+
+def _jackknife_by_loop(scn, g, isi_u, mui_u, awgn, blocks=10):
+    """Delete-one-block jackknife that re-aggregates the kept draws of
+    every block from scratch."""
+    n = g.shape[0]
+    blocks = min(blocks, n)
+    rates = np.empty(blocks)
+    for i, drop in enumerate(np.array_split(np.arange(n), blocks)):
+        keep = np.ones(n, dtype=bool)
+        keep[drop] = False
+        bd = analysis._aggregate(scn, g[keep], isi_u[keep], mui_u[keep],
+                                 awgn[keep])
+        rates[i] = analysis.rate_from_breakdown(bd)[0]
+    return math.sqrt((blocks - 1) / blocks
+                     * np.sum((rates - rates.mean()) ** 2))
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "cmfp"),
+                                       ("downlink", "rzfp"),
+                                       ("uplink", "cmfe"),
+                                       ("uplink", "mmsee")])
+@pytest.mark.parametrize("trials", [20, 47])
+def test_jackknife_from_block_sums_matches_reaggregation(link, filt, trials):
+    scn = scenario(link=link, filt=filt, M=8, K=3, L=2, N=4, T=8, T_c=4,
+                   alpha=0.7, beta=0.1, rho_db=10.0)
+    stacks = mc_buckets(scn, trials)
+    got = analysis._jackknife_rate_stderr(scn, *stacks)
+    assert got == pytest.approx(_jackknife_by_loop(scn, *stacks),
+                                rel=1e-12, abs=0)
 
 
 def test_cmfp_rate_matches_closed_form_large_array():

@@ -369,6 +369,83 @@ def test_beta_search_shares_its_coarse_grid_across_a_cell(tmp_path,
     assert all(len(r) <= 12 for r in refinements)
 
 
+CELL_CFG = """
+link = {link}
+filters = {filters}
+corr.model = exponential
+corr.alpha = 0.0,0.7
+geometry.m = 8
+dims.k = 3
+dims.l = 2
+dims.n = 4
+dims.t = 8
+dims.t_c = 4
+trials = 30
+beta.trials = 10
+beta.value = 0.05
+grid.rho_db = 0,10,20
+seed = 5
+"""
+
+
+@pytest.mark.parametrize("link,filters", [("downlink", "cmfp,zfp,rzfp"),
+                                          ("uplink", "cmfe,zfe,mmsee")])
+@pytest.mark.parametrize("mode", ["grid_opt", "fixed"])
+def test_sweep_cell_draws_each_trial_once(tmp_path, monkeypatch, link,
+                                          filters, mode):
+    """A cell draws each of its trials once for all the link's filters,
+    and its rows are byte for byte those of one single-filter sweep per
+    filter, concatenated."""
+    path = cfg_file(tmp_path, CELL_CFG.format(link=link, filters=filters))
+    overrides = [f"beta.mode={mode}", f"output={tmp_path / 'all.csv'}"]
+    calls = []
+    draw = analysis.draw_channel
+    monkeypatch.setattr(analysis, "draw_channel",
+                        lambda *args: calls.append(args) or draw(*args))
+    cfg = load_config(path, overrides=overrides)
+    rows = run_sweep(cfg, workers=1)
+    assert len(calls) == len(cfg.corr_params) * cfg.trials
+    monkeypatch.setattr(analysis, "draw_channel", draw)
+
+    single, body = [], []
+    for filt in cfg.filters:
+        out = tmp_path / f"{filt}.csv"
+        single += run_sweep(load_config(path, overrides=overrides + [
+            f"filters={filt}", f"output={out}"]), workers=2)
+        body += out.read_text().splitlines()[1:]
+    assert rows == single
+    assert (tmp_path / "all.csv").read_text().splitlines() == [
+        CSV_HEADER, *body]
+
+
+def test_grid_opt_cell_evaluates_beta_zero_once_on_search_draws(
+        tmp_path, monkeypatch):
+    """The beta search's stacks at beta = 0 serve the reporting pass: on
+    the search's factored draws, each slot is evaluated at beta = 0 once
+    per cell, although the zero-forcing rows and the ridge filter's
+    better-of comparison both use it."""
+    path = cfg_file(tmp_path, CELL_CFG.format(link="downlink",
+                                              filters="cmfp,zfp,rzfp"))
+    cfg = load_config(path, overrides=[f"output={tmp_path / 'out.csv'}"])
+    evaluated = []
+    ridge = analysis.DrawFactors._ridge_buckets
+
+    def counted(self, beta, a, b, filt):
+        if beta == 0.0 and self.first == 0:
+            evaluated.append((self, a, b))
+        return ridge(self, beta, a, b, filt)
+
+    monkeypatch.setattr(analysis.DrawFactors, "_ridge_buckets", counted)
+    run_sweep(cfg, workers=1)
+    cells = list(dict.fromkeys(f for f, _, _ in evaluated))
+    assert len(cells) == len(cfg.corr_params)
+    for factors in cells:
+        assert factors.n == cfg.beta_trials
+        slots = sorted(i for f, a, b in evaluated if f is factors
+                       for i in range(a, b))
+        assert slots == list(range(cfg.beta_trials))
+
+
 def test_search_leaves_scipy_optimize_unimported():
     """The search imports no optimizer: importing scipy.optimize takes
     about half as long again as importing the package itself."""
