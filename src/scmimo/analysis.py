@@ -563,7 +563,7 @@ def _user_buckets(scenario, mean_g, mean_g2, isi, mui, awgn):
             0.0)
     else:
         desired_k = rho * mean_g2
-        if_k = np.zeros(np.shape(mean_g2))
+        if_k = np.zeros_like(desired_k)
     return desired_k, if_k, rho * isi, rho * mui, awgn
 
 

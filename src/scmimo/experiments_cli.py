@@ -355,7 +355,7 @@ def _sweep_group(cfg, param):
     search = next((f for f in cfg.filters if f in BETA_FILTERS),
                   None) if cfg.beta_mode == "grid_opt" else None
     requests = [(f, beta) for f, beta in fixed.items() if f != search]
-    factors = None
+    factors, betas = None, [None] * len(cfg.rho_grid)
     if search:
         factors = analysis.factor_draws(at(search, cfg.rho_grid[0], 0.0),
                                         cfg.beta_trials, filters=cfg.filters)
@@ -366,21 +366,17 @@ def _sweep_group(cfg, param):
         requests += [(search, b) for b in sorted(set(betas) | {0.0})]
     stacks = dict(zip(requests, analysis.mc_buckets_at(
         scn0, cfg.trials, requests, factors)))
-    rows = []
-    for filt in cfg.filters:
-        if filt != search:
-            rows.append([_result_row(buckets_to_result(
-                at(filt, rho_db, fixed[filt]), cfg.trials,
-                *stacks[filt, fixed[filt]])) for rho_db in cfg.rho_grid])
-            continue
-        rows.append([])
-        for rho_db, beta in zip(cfg.rho_grid, betas):
-            results = [buckets_to_result(at(filt, rho_db, b), cfg.trials,
-                                         *stacks[filt, b])
-                       for b in dict.fromkeys((beta, 0.0))]
-            rows[-1].append(_result_row(max(results,
-                                            key=lambda r: r.rate_bpcu)))
-    return rows
+
+    def row(filt, rho_db, beta_star):
+        candidates = (beta_star, 0.0) if filt == search else (fixed[filt],)
+        results = [buckets_to_result(at(filt, rho_db, b), cfg.trials,
+                                     *stacks[filt, b])
+                   for b in dict.fromkeys(candidates)]
+        return _result_row(max(results, key=lambda r: r.rate_bpcu))
+
+    return [[row(filt, rho_db, beta)
+             for rho_db, beta in zip(cfg.rho_grid, betas)]
+            for filt in cfg.filters]
 
 
 def _result_row(result):
