@@ -15,12 +15,13 @@ The received-signal power at user k splits into five buckets:
 the actual transmit/receive operations — one reference implementation
 that serves all six filters. `sum_rate_mc` evaluates the same quantities
 in the tap domain and averages over draws: each draw is factored once
-(`DrawFactors`) from its tap products Hhat_l^H Hhat_l', and the circular
-cascade taps c[d] come from one cached placement matrix per (N, L, T)
-(`_tap_placement`: an N-point inverse DFT that puts each tap product at
-its delay mod T), applied to those products directly (matched filters) or
-to per-bin products rescaled from a Gram eigendecomposition by
-1/(lambda + beta) (ridge-family banks). Gains and interference energies
+(`DrawFactors`) from its tap products Hhat_l^H Hhat_l', for every filter
+of its link at once (`mc_buckets_at`), and the circular cascade taps c[d]
+come from one cached placement matrix per (N, L, T) (`_tap_placement`:
+an N-point inverse DFT that puts each tap product at its delay mod T),
+applied to those products directly (matched filters) or to per-bin
+products rescaled from a Gram eigendecomposition by 1/(lambda + beta)
+(ridge-family banks). Gains and interference energies
 are then c[0] and the summed squared taps (Parseval), matching the probes
 to rounding; a beta search re-evaluates the cached factors instead of
 rebuilding banks.
