@@ -35,9 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import draw_channel, trial_rng
-from .dl_precoding import (check_gram_conditioning, cmfp_transmit,
-                           downlink_receive, precoded_transmit, rzfp_bank,
-                           zfp_bank)
+from .dl_precoding import (RCOND_MIN, check_gram_conditioning,
+                           cmfp_transmit, downlink_receive,
+                           precoded_transmit, rzfp_bank, zfp_bank)
 from .ul_equalization import (apply_equalizer_bank, cmfe_apply,
                               make_uplink_frame, mmsee_bank, uplink_receive,
                               zfe_bank)
@@ -377,7 +377,12 @@ class DrawFactors:
     def _check_conditioning(self, filt, lo, hi):
         """Raise LinAlgError, naming filt, seed, trial and bin, if a Gram
         matrix of slots lo .. hi - 1 is too ill-conditioned to invert."""
-        for i in range(lo, hi):
+        lam = self.lam[lo:hi]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = lam[..., 0] / lam[..., -1] >= RCOND_MIN     # (n, N)
+        bad = np.flatnonzero(~ok.all(axis=1))
+        if bad.size:
+            i = lo + int(bad[0])
             check_gram_conditioning(self.lam[i], where=self._where(i, filt))
 
     def buckets(self, beta, lo=0, hi=None):

@@ -18,7 +18,6 @@ which is what channel generation actually consumes.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
 
 # Eigenvalues may dip slightly negative from rounding; anything below
 # -EIG_CLAMP_REL * lambda_max is treated as a genuinely invalid matrix.
@@ -164,6 +163,9 @@ def bessel_correlation(geometry, eta, mu=0.0):
     produce a genuinely indefinite matrix, which raises rather than being
     silently repaired.
     """
+    # imported here: scipy.special doubles the package's import time and RSS
+    from scipy.special import ive
+
     if eta < 0 or not np.isfinite(eta):
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
     if geometry.kind == "ula":

@@ -96,8 +96,29 @@ def _parse_kv_file(path):
     return kv
 
 
-def _floats(text):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _number(key, text, kind):
+    """kind(text) (int or float), naming the config key on failure."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{key}: expected {kind.__name__}, "
+                         f"got {text!r}") from None
+
+
+def _floats(key, text):
+    return [_number(key, tok, float) for tok in text.split(",")
+            if tok.strip()]
+
+
+def _distinct(key, values):
+    """values, after checking that no entry repeats: a repeated filter,
+    correlation parameter or power would only write duplicate rows."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{key}: repeated entry {value!r}")
+        seen.add(value)
+    return values
 
 
 def load_config(path, overrides=()):
@@ -118,10 +139,17 @@ def load_config(path, overrides=()):
             raise ValueError(f"{key}: missing required config key")
         return kv[key]
 
+    def number(key, kind, default=None):
+        """The key's value (its default when absent, if it has one) as an
+        int or float."""
+        return _number(key, need(key) if default is None
+                       else kv.get(key, default), kind)
+
     link = need("link")
     if link not in ("downlink", "uplink"):
         raise ValueError(f"link: expected downlink or uplink, got {link!r}")
-    filters = [f.strip().lower() for f in need("filters").split(",")]
+    filters = _distinct("filters", [f.strip().lower()
+                                    for f in need("filters").split(",")])
     expected = analysis.DL_FILTERS if link == "downlink" \
         else analysis.UL_FILTERS
     for f in filters:
@@ -131,41 +159,48 @@ def load_config(path, overrides=()):
 
     corr_model = need("corr.model")
     if corr_model == "exponential":
-        params = _floats(need("corr.alpha"))
+        params = _distinct("corr.alpha",
+                           _floats("corr.alpha", need("corr.alpha")))
     elif corr_model == "bessel":
         params = []
         for pair in need("corr.pairs").split(";"):
-            eta_mu = _floats(pair)
+            eta_mu = _floats("corr.pairs", pair)
             if len(eta_mu) != 2:
                 raise ValueError(f"corr.pairs: expected 'eta,mu' pairs "
                                  f"separated by ';', got {pair!r}")
             params.append((eta_mu[0], eta_mu[1]))
+        _distinct("corr.pairs", params)
     elif corr_model == "identity":
         params = [None]
     else:
         raise ValueError(f"corr.model: unknown model {corr_model!r}")
 
-    seed = int(kv.get("seed", os.environ.get("SCMIMO_SEED", DEFAULT_SEED)))
-    M = int(need("geometry.m"))
+    if "seed" in kv or "SCMIMO_SEED" not in os.environ:
+        seed = number("seed", int, str(DEFAULT_SEED))
+    else:
+        seed = _number("SCMIMO_SEED", os.environ["SCMIMO_SEED"], int)
+    M = number("geometry.m", int)
+    M_x = number("geometry.m_x", int, str(M))
+    spacing = number("geometry.spacing", float, "0.5")
     try:
-        geometry = ArrayGeometry(kv.get("geometry.kind", "ula"), M,
-                                 int(kv.get("geometry.m_x", M)),
-                                 float(kv.get("geometry.spacing", "0.5")))
+        geometry = ArrayGeometry(kv.get("geometry.kind", "ula"), M, M_x,
+                                 spacing)
     except ValueError as err:
         raise ValueError(f"geometry: {err}") from None
     cfg = ScenarioConfig(
         link=link, filters=filters, corr_model=corr_model,
         corr_params=params, geometry=geometry,
-        K=int(need("dims.k")), L=int(need("dims.l")),
-        N=int(need("dims.n")), T=int(need("dims.t")),
-        T_c=int(need("dims.t_c")),
-        rho_grid=_floats(kv.get("grid.rho_db",
-                                ",".join(map(str, RHO_GRID_DEFAULT)))),
-        trials=int(kv.get("trials", "500")),
+        K=number("dims.k", int), L=number("dims.l", int),
+        N=number("dims.n", int), T=number("dims.t", int),
+        T_c=number("dims.t_c", int),
+        rho_grid=_distinct("grid.rho_db", _floats(
+            "grid.rho_db",
+            kv.get("grid.rho_db", ",".join(map(str, RHO_GRID_DEFAULT))))),
+        trials=number("trials", int, "500"),
         seed=seed,
         beta_mode=kv.get("beta.mode", "grid_opt"),
-        beta_value=float(kv.get("beta.value", "0")),
-        beta_trials=int(kv.get("beta.trials", "100")),
+        beta_value=number("beta.value", float, "0"),
+        beta_trials=number("beta.trials", int, "100"),
         output=kv.get("output", "sweep.csv"))
 
     if not cfg.rho_grid:

@@ -124,6 +124,45 @@ def test_load_config_rejects_duplicate_key(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("overrides,match", [
+    (["filters=zfp,zfp"], r"^filters: repeated entry 'zfp'$"),
+    (["filters=cmfp,ZFP,zfp"], r"^filters: repeated entry 'zfp'$"),
+    (["corr.alpha=0.5,0.9,0.50"], r"^corr\.alpha: repeated entry 0\.5$"),
+    (["corr.model=bessel", "corr.pairs=20,0;40,1;20,0.0"],
+     r"^corr\.pairs: repeated entry \(20\.0, 0\.0\)$"),
+    (["grid.rho_db=0,10,0"], r"^grid\.rho_db: repeated entry 0\.0$")],
+    ids=["filter", "filter-case", "alpha", "eta-mu", "power"])
+def test_load_config_rejects_repeated_entries(tmp_path, overrides, match):
+    """A repeated filter, correlation parameter or power would write the
+    same rows twice; like a repeated key, it is rejected by name."""
+    with pytest.raises(ValueError, match=match):
+        load_config(cfg_file(tmp_path, BASE_CFG), overrides=overrides)
+
+
+@pytest.mark.parametrize("override,seed_env,match", [
+    ("trials=abc", None, r"^trials: expected int, got 'abc'$"),
+    ("dims.k=2.5", None, r"^dims\.k: expected int, got '2\.5'$"),
+    ("grid.rho_db=1,a", None, r"^grid\.rho_db: expected float, got 'a'$"),
+    ("corr.alpha=0.5,z", None, r"^corr\.alpha: expected float, got 'z'$"),
+    ("geometry.m_x=four", None, r"^geometry\.m_x: expected int"),
+    ("beta.value=1e", None, r"^beta\.value: expected float"),
+    ("seed=abc", "7", r"^seed: expected int, got 'abc'$"),
+    (None, "abc", r"^SCMIMO_SEED: expected int, got 'abc'$")],
+    ids=["trials", "dims.k", "grid.rho_db", "corr.alpha", "geometry.m_x",
+         "beta.value", "seed", "SCMIMO_SEED"])
+def test_load_config_names_the_key_of_a_bad_number(tmp_path, monkeypatch,
+                                                  override, seed_env, match):
+    """A number that does not parse is reported with its key, or with
+    SCMIMO_SEED when the seed came from the environment."""
+    if seed_env is None:
+        monkeypatch.delenv("SCMIMO_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SCMIMO_SEED", seed_env)
+    path = cfg_file(tmp_path, BASE_CFG.replace("seed = 99", ""))
+    with pytest.raises(ValueError, match=match):
+        load_config(path, overrides=[override] if override else [])
+
+
 def test_load_config_rejects_row_length_on_ula(tmp_path):
     with pytest.raises(ValueError, match="ULA requires M_x == M"):
         load_config(cfg_file(tmp_path, BASE_CFG + "geometry.m_x = 3\n"))
@@ -446,10 +485,27 @@ def test_grid_opt_cell_evaluates_beta_zero_once_on_search_draws(
         assert slots == list(range(cfg.beta_trials))
 
 
+def _run_fresh(code, *args):
+    """Run `code` in a fresh interpreter that imports this checkout's
+    scmimo; return its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        analysis.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code),
+                           *args],
+                          capture_output=True, text=True, timeout=120,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_search_leaves_scipy_optimize_unimported():
-    """The search imports no optimizer: importing scipy.optimize takes
-    about half as long again as importing the package itself."""
-    code = textwrap.dedent("""
+    """An exponential-model sweep, β search included, loads no SciPy at
+    all: the search has its own minimizer, and only the Bessel model
+    imports scipy.special, which alone doubles the package's import time
+    and memory."""
+    code = """
         import sys, tempfile, os
         import scmimo
         from scmimo.experiments_cli import load_config, run_sweep
@@ -459,18 +515,37 @@ def test_search_leaves_scipy_optimize_unimported():
                 fh.write(sys.argv[1])
             cfg = load_config(path, [f"output={tmp}/out.csv"])
             run_sweep(cfg, workers=1)
-        print("scipy.optimize" in sys.modules)
-    """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(
-        analysis.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", code,
-         SHORTFALL_CFG.format(link="uplink", filt="mmsee")],
-        capture_output=True, text=True, timeout=120, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """
+    assert _run_fresh(code, SHORTFALL_CFG.format(
+        link="uplink", filt="mmsee")) == "[]"
+
+
+def test_bessel_sweep_imports_scipy_at_its_cells():
+    """A Bessel sweep loads scipy.special at its first cells. Run first
+    with two pool threads that build their correlations together, it
+    still writes the same bytes as a one-worker sweep."""
+    code = """
+        import sys, tempfile, os
+        from scmimo.experiments_cli import load_config, run_sweep
+        sys.setswitchinterval(1e-6)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write(sys.argv[1])
+            out = []
+            for workers in (2, 1):
+                cfg = load_config(path, [f"output={tmp}/{workers}.csv"])
+                run_sweep(cfg, workers=workers)
+                with open(cfg.output, "rb") as fh:
+                    out.append(fh.read())
+        print("scipy.special" in sys.modules, out[0] == out[1])
+    """
+    text = SHORTFALL_CFG.format(link="downlink", filt="cmfp,zfp").replace(
+        "corr.model = exponential\ncorr.alpha = 0.0,0.5,0.9",
+        "corr.model = bessel\ncorr.pairs = 0,0 ; 5,0.5")
+    assert "corr.pairs" in text
+    assert _run_fresh(code, text) == "True True"
 
 
 @pytest.mark.parametrize("filt", ["rzfp", "cmfp"])
