@@ -161,6 +161,8 @@ def load_config(path, overrides=()):
     if corr_model == "exponential":
         params = _distinct("corr.alpha",
                            _floats("corr.alpha", need("corr.alpha")))
+        if not params:
+            raise ValueError("corr.alpha: correlation list must be non-empty")
     elif corr_model == "bessel":
         params = []
         for pair in need("corr.pairs").split(";"):
@@ -360,8 +362,11 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
 
 
 def _sweep_group(cfg, param):
-    """All power-grid rows at one correlation parameter: one list of rows
-    per configured filter, in config order.
+    """Every result the cell at one correlation parameter compared: per
+    configured filter (config order) and power point, a list of
+    SumRateResults. A searched ridge filter lists beta*'s own result
+    first, then beta = 0's when beta* != 0; every other filter lists its
+    one result at its fixed beta.
 
     The cell draws and factors each of its `trials` channels once for all
     the link's filters (`analysis.mc_buckets_at`, CHUNK draws at a time),
@@ -374,9 +379,9 @@ def _sweep_group(cfg, param):
     cell and only the refinement runs per power point). The reporting
     pass reuses those factored draws and the stacks the search kept, and
     evaluates every beta* and beta = 0, whose stacks the zero-forcing
-    rows share. A ridge row reports beta* unless beta = 0 rates strictly
-    higher on the reporting draws, so it never falls below the
-    unregularized filter on its own draws.
+    rows share. A sweep row (`run_sweep`) keeps the better result, beta*
+    unless beta = 0 rates strictly higher on the reporting draws, so it
+    never falls below the unregularized filter on its own draws.
     """
     scn0 = _scenario(cfg, cfg.filters[0], param, cfg.rho_grid[0])
 
@@ -402,14 +407,13 @@ def _sweep_group(cfg, param):
     stacks = dict(zip(requests, analysis.mc_buckets_at(
         scn0, cfg.trials, requests, factors)))
 
-    def row(filt, rho_db, beta_star):
+    def results(filt, rho_db, beta_star):
         candidates = (beta_star, 0.0) if filt == search else (fixed[filt],)
-        results = [buckets_to_result(at(filt, rho_db, b), cfg.trials,
-                                     *stacks[filt, b])
-                   for b in dict.fromkeys(candidates)]
-        return _result_row(max(results, key=lambda r: r.rate_bpcu))
+        return [buckets_to_result(at(filt, rho_db, b), cfg.trials,
+                                  *stacks[filt, b])
+                for b in dict.fromkeys(candidates)]
 
-    return [[row(filt, rho_db, beta)
+    return [[results(filt, rho_db, beta)
              for rho_db, beta in zip(cfg.rho_grid, betas)]
             for filt in cfg.filters]
 
@@ -440,9 +444,10 @@ def run_sweep(cfg, workers=None):
     """Evaluate the config's full (filter x parameter x power) grid.
 
     Each correlation parameter is one cell (`_sweep_group`) that serves
-    every filter; cells run on a thread pool. Rows are buffered and
-    written to cfg.output in deterministic filter-major config order
-    regardless of completion order. Returns the row dicts.
+    every filter; cells run on a thread pool. A row reports the best
+    result its cell compared at that point. Rows are buffered and written
+    to cfg.output in deterministic filter-major config order regardless
+    of completion order. Returns the row dicts.
     """
     params = cfg.corr_params
     if workers is None:
@@ -453,8 +458,9 @@ def run_sweep(cfg, workers=None):
                 lambda param: _sweep_group(cfg, param), params))
     else:
         per_cell = [_sweep_group(cfg, param) for param in params]
-    rows = [row for i in range(len(cfg.filters)) for cell in per_cell
-            for row in cell[i]]
+    rows = [_result_row(max(results, key=lambda r: r.rate_bpcu))
+            for i in range(len(cfg.filters)) for cell in per_cell
+            for results in cell[i]]
     write_csv(rows, cfg.output)
     return rows
 
@@ -583,43 +589,19 @@ class _Report:
             f"tol={slack:<10.3g} {'PASS' if good else 'FAIL'}")
 
 
-def _quick_cfg(link, filters, M=64, K=10, L=4, N=20, T=100, T_c=20,
-               trials=500, seed=DEFAULT_SEED, alphas=(0.0,), kind="ula",
-               M_x=None):
+def _quick_cfg(link, filters, M=64, K=10, L=4, T=100, trials=500,
+               kind="ula", M_x=None):
     return ScenarioConfig(
         link=link, filters=list(filters), corr_model="exponential",
-        corr_params=list(alphas),
-        geometry=ArrayGeometry(kind, M, M_x or M, 0.5),
-        K=K, L=L, N=N, T=T, T_c=T_c,
-        rho_grid=list(RHO_GRID_DEFAULT), trials=trials, seed=seed)
-
-
-def _point(cfg, filt, param, rho_db, trials=None):
-    """SumRateResult of one filter at one power point over `trials` draws
-    (default cfg.trials). A ridge filter first searches beta on draws
-    0 .. beta.trials - 1, and the reported rate reuses those factored
-    draws; its beta is in meta["beta"]."""
-    trials = trials or cfg.trials
-    scn = _scenario(cfg, filt, param, rho_db)
-    if filt not in BETA_FILTERS:
-        return sum_rate_mc(scn, trials)
-    factors = analysis.factor_draws(scn, cfg.beta_trials)
-    beta = optimize_beta(scn, 10.0 ** (rho_db / 10.0),
-                         trials=cfg.beta_trials, factors=factors)
-    scn = dataclasses.replace(scn, beta=beta)
-    stacks = analysis.mc_buckets_at(scn, trials, [(filt, beta)],
-                                    factors)[0]
-    return buckets_to_result(scn, trials, *stacks)
-
-
-def _rate_point(cfg, filt, param, rho_db, trials=None):
-    return _point(cfg, filt, param, rho_db, trials).rate_bpcu
+        corr_params=[0.0], geometry=ArrayGeometry(kind, M, M_x or M, 0.5),
+        K=K, L=L, N=20, T=T, T_c=20, rho_grid=list(RHO_GRID_DEFAULT),
+        trials=trials, seed=DEFAULT_SEED)
 
 
 def _validate_closed_forms(rep):
     M, K, L, T = 16, 4, 4, 64
     trials = 2000
-    cfg = _quick_cfg("downlink", ["cmfp"], M=M, K=K, L=L, N=20, T=T,
+    cfg = _quick_cfg("downlink", ["cmfp"], M=M, K=K, L=L, T=T,
                      trials=trials)
     pdp = exponential_pdp(K, L)
     rho = 1.0
@@ -638,7 +620,7 @@ def _validate_closed_forms(rep):
         rep.check(f"cmfp effective noise (alpha={alpha})",
                   trA2 * rho / M + 1.0, float(eff.mean()), 0.05)
 
-    ul_cfg = _quick_cfg("uplink", ["cmfe"], M=M, K=K, L=L, N=20, T=T,
+    ul_cfg = _quick_cfg("uplink", ["cmfe"], M=M, K=K, L=L, T=T,
                         trials=trials)
     for alpha in (0.0, 0.7):
         scn = _scenario(ul_cfg, "cmfe", alpha, 0.0)
@@ -660,8 +642,8 @@ def _validate_closed_forms(rep):
     rep.check("cooperative bound (M=64, K=10, rho=1)",
               coop_capacity(1.0, 64, 10), 14.4376, 1e-3)
 
-    big = _quick_cfg("downlink", ["cmfp"], trials=500)
-    mc = _rate_point(big, "cmfp", 0.0, 0.0, trials=500)
+    big = _quick_cfg("downlink", ["cmfp"])
+    mc = sum_rate_mc(_scenario(big, "cmfp", 0.0, 0.0), big.trials).rate_bpcu
     rep.check("cmfp Monte Carlo rate vs closed form (M=64)",
               cmfp_rate_closed(1.0, 64, 10, 64.0), mc, 0.03)
 
@@ -763,44 +745,47 @@ def _validate_zero_forcing(rep):
 
 
 def _validate_figures(rep):
-    dl = _quick_cfg("downlink", ["cmfp", "zfp", "rzfp"])
-    ul = _quick_cfg("uplink", ["cmfe", "zfe", "mmsee"])
+    def cell(cfg, alpha, rho_grid):
+        """{(filter, rho_db): rate} of one sweep cell, a ridge filter at
+        its own beta* (the sweep row, the better of beta* and 0, would
+        make "rzfp >= zfp" hold by construction)."""
+        cfg = dataclasses.replace(cfg, rho_grid=rho_grid)
+        return {(filt, rho_db): results[0].rate_bpcu
+                for filt, per_power in zip(cfg.filters,
+                                           _sweep_group(cfg, alpha))
+                for rho_db, results in zip(rho_grid, per_power)}
+
+    dl_cfg = _quick_cfg("downlink", ["cmfp", "zfp", "rzfp"])
+    ul_cfg = _quick_cfg("uplink", ["cmfe", "zfe", "mmsee"])
+    upa_cfg = _quick_cfg("downlink", ["cmfp"], kind="upa", M_x=8)
+    from_m5 = [g for g in RHO_GRID_DEFAULT if g >= -5.0]
+    dl = {0.0: cell(dl_cfg, 0.0, [-10.0]), 0.7: cell(dl_cfg, 0.7, from_m5),
+          0.9: cell(dl_cfg, 0.9, [20.0]), 0.99: cell(dl_cfg, 0.99, [20.0])}
+    ul = {alpha: cell(ul_cfg, alpha, [20.0])
+          for alpha in (0.0, 0.7, 0.9, 0.99)}
+    upa = {alpha: cell(upa_cfg, alpha, [20.0]) for alpha in (0.7, 0.9)}
 
     # uncorrelated downlink at low power: matched filter wins
-    cmfp0 = _rate_point(dl, "cmfp", 0.0, -10.0)
-    zfp0 = _rate_point(dl, "zfp", 0.0, -10.0)
-    rzfp0 = _rate_point(dl, "rzfp", 0.0, -10.0)
-    rep.check_order("downlink alpha=0, -10 dB: cmfp >= zfp",
-                    cmfp0, zfp0, strict=False)
-    rep.check_order("downlink alpha=0, -10 dB: cmfp >= rzfp",
-                    cmfp0, rzfp0, strict=False)
+    for filt in ("zfp", "rzfp"):
+        rep.check_order(f"downlink alpha=0, -10 dB: cmfp >= {filt}",
+                        dl[0.0]["cmfp", -10.0], dl[0.0][filt, -10.0],
+                        strict=False)
 
     # alpha=0.7: regularized zero-forcing overtakes from -5 dB up
-    scn = _scenario(dl, "cmfp", 0.7, 0.0)
-    stacks = mc_buckets(scn, dl.trials)
-    for rho_db in [g for g in dl.rho_grid if g >= -5.0]:
-        cm = buckets_to_result(
-            dataclasses.replace(
-                scn, dims=dataclasses.replace(scn.dims, rho_f_db=rho_db)),
-            dl.trials, *stacks).rate_bpcu
-        rz = _rate_point(dl, "rzfp", 0.7, rho_db)
+    for rho_db in from_m5:
         rep.check_order(f"downlink alpha=0.7, {rho_db:+.1f} dB: "
-                        f"rzfp > cmfp", rz, cm)
+                        f"rzfp > cmfp", dl[0.7]["rzfp", rho_db],
+                        dl[0.7]["cmfp", rho_db])
 
     # uplink at 20 dB: ridge equalizer beats matched filter at every alpha
-    for alpha in (0.0, 0.7, 0.9, 0.99):
-        cmfe = _rate_point(ul, "cmfe", alpha, 20.0)
-        mmsee = _rate_point(ul, "mmsee", alpha, 20.0)
+    for alpha, rates in ul.items():
         rep.check_order(f"uplink alpha={alpha}, 20 dB: mmsee > cmfe",
-                        mmsee, cmfe)
+                        rates["mmsee", 20.0], rates["cmfe", 20.0])
 
     # planar array degrades the matched-filter downlink at high power
-    upa_cfg = _quick_cfg("downlink", ["cmfp"], kind="upa", M_x=8)
-    for alpha in (0.7, 0.9):
-        r_ula = _rate_point(dl, "cmfp", alpha, 20.0)
-        r_upa = _rate_point(upa_cfg, "cmfp", alpha, 20.0)
+    for alpha, rates in upa.items():
         rep.check_order(f"cmfp 20 dB alpha={alpha}: ULA > UPA",
-                        r_ula, r_upa)
+                        dl[alpha]["cmfp", 20.0], rates["cmfp", 20.0])
 
     # 20 dB ordering chain and its growth with correlation. "Growth" is
     # multiplicative: at extreme correlation every filter's rate collapses,
@@ -808,9 +793,7 @@ def _validate_figures(rep):
     # the rate ratio keeps rising.
     ratio_zfp, ratio_rzfp = [], []
     for alpha in (0.7, 0.9, 0.99):
-        cm = _rate_point(dl, "cmfp", alpha, 20.0)
-        zf = _rate_point(dl, "zfp", alpha, 20.0)
-        rz = _rate_point(dl, "rzfp", alpha, 20.0)
+        cm, zf, rz = (dl[alpha][filt, 20.0] for filt in dl_cfg.filters)
         rep.check_order(f"20 dB alpha={alpha}: zfp > cmfp", zf, cm)
         rep.check_order(f"20 dB alpha={alpha}: rzfp >= zfp", rz, zf,
                         strict=False, slack=1e-9)
@@ -821,9 +804,8 @@ def _validate_figures(rep):
         rep.check_order(f"{name} rate ratio grows 0.9 -> 0.99", r[2], r[1])
 
     # regularization never hurts the uplink under an optimized ridge
-    zfe = _rate_point(ul, "zfe", 0.9, 20.0)
-    mmsee = _rate_point(ul, "mmsee", 0.9, 20.0)
-    rep.check_order("uplink alpha=0.9, 20 dB: mmsee >= zfe", mmsee, zfe,
+    rep.check_order("uplink alpha=0.9, 20 dB: mmsee >= zfe",
+                    ul[0.9]["mmsee", 20.0], ul[0.9]["zfe", 20.0],
                     strict=False, slack=1e-9)
 
 
@@ -904,7 +886,10 @@ def main(argv=None):
         filt = next((f for f in cfg.filters if f in BETA_FILTERS), None)
         if filt is None:
             parser.error("config has no ridge-regularized filter")
-        result = _point(cfg, filt, cfg.corr_params[0], args.rho_db)
+        # one filter at one power; beta is searched whatever beta.mode says
+        cfg = dataclasses.replace(cfg, filters=[filt],
+                                  rho_grid=[args.rho_db], beta_mode="grid_opt")
+        result = _sweep_group(cfg, cfg.corr_params[0])[0][0][0]
         beta, rate = result.meta["beta"], result.rate_bpcu
         print(f"beta* = {beta!r}  (sum rate {rate:.4f} bpcu at "
               f"{args.rho_db:+.1f} dB, filter {filt})")

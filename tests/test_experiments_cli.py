@@ -15,7 +15,7 @@ from scmimo.channel import (DEFAULT_SEED, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
 from scmimo.corr_models import exponential_correlation, identity_correlation, ula
 from scmimo.experiments_cli import (CSV_HEADER, _brent_min, _correlation,
-                                    _point, _scenario, emit_plot_script,
+                                    _scenario, _sweep_group, emit_plot_script,
                                     load_config, main, optimize_beta,
                                     read_csv, run_sweep, validate)
 
@@ -87,6 +87,7 @@ def test_load_config_bad_values(tmp_path):
             ("corr.model=gaussian", "corr.model"),
             ("trials=0", "trials"),
             ("grid.rho_db=", "non-empty"),
+            ("corr.alpha=", "^corr.alpha: "),
             ("beta.mode=newton", "beta.mode"),
             ("dl_framing=sliding", "dl_framing"),
             # numbers no sweep can use: rejected at load, not as nan rows
@@ -549,16 +550,24 @@ def test_bessel_sweep_imports_scipy_at_its_cells():
 
 
 @pytest.mark.parametrize("filt", ["rzfp", "cmfp"])
-def test_point_reuses_search_draws_bit_identically(tmp_path, filt):
-    """A searched point reports through the search's factored draws; its
-    rate is bit-identical to a fresh evaluation at the same beta."""
+def test_sweep_cell_reports_each_beta_bit_identically(tmp_path, filt):
+    """A cell lists beta*'s own result first at every power point, and
+    beta = 0's after it when they differ; each reuses the search's
+    factored draws and is bit-identical to a fresh evaluation at its
+    beta."""
     text = SHORTFALL_CFG.format(link="downlink", filt=filt)
     cfg = load_config(cfg_file(tmp_path, text))
-    result = _point(cfg, filt, 0.7, 10.0)
-    fresh = sum_rate_mc(_scenario(cfg, filt, 0.7, 10.0,
-                                  beta=result.meta["beta"]), cfg.trials)
-    assert result.rate_bpcu == fresh.rate_bpcu
-    assert (filt == "rzfp") == (result.meta["beta"] > 0)
+    [per_power] = _sweep_group(cfg, 0.7)
+    assert len(per_power) == len(cfg.rho_grid)
+    for rho_db, results in zip(cfg.rho_grid, per_power):
+        betas = [r.meta["beta"] for r in results]
+        assert betas == ([betas[0], 0.0] if filt == "rzfp" else [0.0])
+        assert (filt == "rzfp") == (betas[0] > 0)
+        for result in results:
+            fresh = sum_rate_mc(_scenario(cfg, filt, 0.7, rho_db,
+                                          beta=result.meta["beta"]),
+                                cfg.trials)
+            assert result.rate_bpcu == fresh.rate_bpcu
 
 
 # ---------------------------------------------------------------------------
@@ -710,6 +719,13 @@ def test_validate_zero_forcing_passes():
     assert all(line.endswith("PASS") for line in lines)
 
 
+def test_validate_closed_forms_passes():
+    ok, lines = validate("closed_forms")
+    assert ok
+    assert len(lines) == 16
+    assert all(line.endswith("PASS") for line in lines)
+
+
 def test_validate_tolerance_scale_forces_failure():
     ok, lines = validate("zero_forcing", _tolerance_scale=1e-30)
     assert not ok
@@ -752,7 +768,14 @@ def test_main_beta_subcommand(tmp_path, capsys):
     text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99", "corr.alpha = 0.7")
     path = cfg_file(tmp_path, text + "beta.trials = 3\n")
     assert main(["beta", "--config", path, "--rho-db", "0"]) == 0
-    assert "beta* =" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    # beta.mode = fixed in the config: the subcommand still searches, on
+    # draws 0 .. beta.trials - 1
+    cfg = load_config(path)
+    assert cfg.beta_mode == "fixed"
+    expected = optimize_beta(_scenario(cfg, "rzfp", 0.7, 0.0), 1.0,
+                             trials=cfg.beta_trials)
+    assert out.startswith(f"beta* = {expected!r}  ")
 
 
 @pytest.mark.parametrize("rho_db", ["nan", "inf", "-inf"])
