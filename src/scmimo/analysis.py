@@ -16,15 +16,17 @@ the actual transmit/receive operations — one reference implementation
 that serves all six filters. `sum_rate_mc` evaluates the same quantities
 in the tap domain and averages over draws: each draw is factored once
 (`DrawFactors`) from its tap products Hhat_l^H Hhat_l', for every filter
-of its link at once (`mc_buckets_at`), and the circular cascade taps c[d]
-come from one cached placement matrix per (N, L, T) (`_tap_placement`:
-an N-point inverse DFT that puts each tap product at its delay mod T),
-applied to those products directly (matched filters) or to per-bin
-products rescaled from a Gram eigendecomposition by 1/(lambda + beta)
-(ridge-family banks). Gains and interference energies
-are then c[0] and the summed squared taps (Parseval), matching the probes
-to rounding; a beta search re-evaluates the cached factors instead of
-rebuilding banks.
+of its link at once (`mc_buckets_at`). A matched filter's cascade taps
+are those products placed at their delays mod T (`_tap_placement`), and
+its gains and interference energies are c[0] and the summed squared
+taps. A ridge-family bank (zero forcing is its beta = 0 case) never
+places its N + L - 1 cascade taps: from a Gram eigendecomposition per
+bin, the cascade folded mod N has bin nu equal to
+U diag(lambda / (lambda + beta)) U^H, so Parseval gives its power from
+the N bins, and only the L - 1 low delays where the linear cascade
+aliases mod N, and the block of T folds it back, need explicit taps.
+Both match the probes to rounding; a beta search re-evaluates the cached
+factors instead of rebuilding banks.
 
 Rates are (1/2) log2(1 + SINR) per user, in bits per channel use.
 """
@@ -240,7 +242,9 @@ def _tap_placement(N, shifts, T):
     nu into bank tap m, which term j places at delay (m + shifts[j]) mod T;
     rows are the D distinct delays in increasing order, so delay 0 comes
     first when some term has shift 0 (every caller's does). With N = 1 it
-    is a 0/1 matrix placing the terms alone."""
+    is a 0/1 matrix placing the terms alone: the bucket core uses only
+    that form, for the matched cascade; ridge-family banks get their
+    buckets from the bins (`DrawFactors`)."""
     m = np.arange(N)
     delay = (m + np.array(shifts)[:, None]) % T
     idft = np.exp(2j * np.pi * np.outer(m, m) / N) / N     # [m, nu]
@@ -287,13 +291,19 @@ class DrawFactors:
       ZFE/MMSEE on the analysis bins Hhat_nu, both written V_nu): the
       eigenpairs G_nu = U Lambda U^H of every bin Gram matrix,
       G_nu = V_nu^H V_nu on the downlink and its transpose on the uplink,
-      and the tap products P_nu,l U with P_nu,l = Hhat_l^H B_nu (downlink)
-      or (Hhat_nu^H Hhat_l)^T (uplink). A ridge parameter beta then costs
-      a 1/(lambda + beta) rescale and one `_tap_placement` product per
-      channel tap, which takes the bins to the cascade taps (transposed on
-      the uplink); the downlink power normalization and the uplink AWGN
-      bucket follow from Lambda in closed form. Zero forcing is the ridge
-      family at beta = 0, after a conditioning check of each draw.
+      as lam and U, and Y, shape ((L - 1) K, N K) per draw, whose rows
+      (d, k) at columns (nu, j) hold (E[nu, d] / N) times
+      sum_{l <= d} conj(E[nu, l]) P_nu,l U_nu, with E[nu, l] =
+      e^{2j pi nu l / N} and P_nu,l = Hhat_l^H B_nu (downlink) or
+      (Hhat_nu^H Hhat_l)^T (uplink). A ridge parameter beta
+      then costs, per draw, one K x K product per bin for the folded
+      cascade U diag(lambda / (lambda + beta)) U^H, whose power follows by
+      Parseval, and one Y @ (diag(1 / (lambda + beta)) U^H, stacked over
+      the bins) product for the L - 1 low taps of the linear cascade,
+      whose aliases mod N (and mod T when T < N + L - 1) correct that
+      power and the gain; the downlink power normalization and the uplink
+      AWGN bucket follow from Lambda in closed form. Zero forcing is the
+      ridge family at beta = 0, after a conditioning check of each draw.
 
     Buckets do not depend on the power, so `_memo` keeps the stacks of the
     beta search's coarse grid, keyed by (beta, hi), for every power point
@@ -316,7 +326,7 @@ class DrawFactors:
         if self.ridge:
             self.lam = np.empty((n, N, K))
             self.U = np.empty((n, N, K, K), dtype=complex)
-            self.X = np.empty((n, N, L * K, K), dtype=complex)
+            self.Y = np.empty((n, (L - 1) * K, N * K), dtype=complex)
 
     def _where(self, i, filt):
         scn = self.scenario
@@ -359,20 +369,25 @@ class DrawFactors:
                 dst[lo:hi] = src
         if not self.ridge:
             return
-        # P[:, nu, l] = Hhat_l^H B_nu with B_nu = sum_l' E[nu, l'] Hhat_l'
-        # (downlink), or (Hhat_nu^H Hhat_l)^T with Hhat_nu = sum_l'
+        # P[:, nu, l] = Hhat_l^H B_nu / N with B_nu = sum_l' E[nu, l'] Hhat_l'
+        # (downlink), or (Hhat_nu^H Hhat_l)^T / N with Hhat_nu = sum_l'
         # conj(E[nu, l']) Hhat_l' (uplink): one (N x L) @ (L x L K^2)
         # product per draw
         E = _bin_kernel(N, L)
-        P = (E @ F.transpose((0, 3, 1, 2, 4) if self.downlink
-                             else (0, 1, 3, 4, 2)).reshape(n, L, -1)
+        P = ((E / N) @ F.transpose((0, 3, 1, 2, 4) if self.downlink
+                                   else (0, 1, 3, 4, 2)).reshape(n, L, -1)
              ).reshape(n, N, L, K * K)
-        # G_nu = sum_l conj(E[nu, l]) P[:, nu, l], one (1 x L) @ (L x K^2)
-        # product per draw and bin
-        gram = (np.conj(E)[:, None, :] @ P).reshape(n, N, K, K)
-        lam, U = np.linalg.eigh(gram)
-        np.matmul(P.reshape(n, N, L * K, K), U, out=self.X[lo:hi])
+        # in place, P[:, nu, d] <- sum_{l <= d} E[nu, d - l] P[:, nu, l] by
+        # Horner's rule in E[nu, 1]: the last sum is the Gram matrix G_nu
+        # (uplink: its transpose) times E[nu, L - 1] / N, and for d < L - 1
+        # Y's rows (d, k) at bin nu are P[:, nu, d] U_nu
+        for d in range(1, L):
+            P[:, :, d] += E[:, 1:2] * P[:, :, d - 1]
+        lam, U = np.linalg.eigh((P[:, :, -1] * (N * np.conj(E[:, -1:])))
+                                .reshape(n, N, K, K))
         self.lam[lo:hi], self.U[lo:hi] = lam, U
+        np.matmul(P[:, :, :-1].reshape(n, N, -1, K), U,
+                  out=self.Y[lo:hi].reshape(n, -1, N, K).transpose(0, 2, 1, 3))
 
     def _check_conditioning(self, filt, lo, hi):
         """Raise LinAlgError, naming filt, seed, trial and bin, if a Gram
@@ -412,10 +427,10 @@ class DrawFactors:
         return out
 
     def _ridge_buckets(self, beta, a, b, filt):
-        lam, U, X = self.lam[a:b], self.U[a:b], self.X[a:b]
+        lam, U, Y = self.lam[a:b], self.U[a:b], self.Y[a:b]
         n, N, K = lam.shape
-        dims = self.scenario.dims
-        L = dims.L
+        T = self.scenario.dims.T
+        low = Y.shape[1] // K               # the L - 1 taps that alias mod N
         shifted = lam + beta
         if not np.all(shifted > 0):
             i, nu = np.argwhere(~(shifted > 0))[0, :2]
@@ -423,18 +438,46 @@ class DrawFactors:
                 f"Gram eigenvalue + beta = {shifted[i, nu].min():.3e} <= 0 "
                 f"at bin {nu}{self._where(a + i, filt)}")
         s = 1.0 / shifted
-        p = lam * s * s                     # lambda / (lambda + beta)^2
-        # z[:, nu, l] = Hhat_l^H W_nu = (Hhat_l^H B_nu U) (diag(s) U^H), or
-        # on the uplink (Q_nu Hhat_l)^T = (Hhat_nu^H Hhat_l)^T U^* diag(s) U^T
-        z = (X @ (np.conj(np.swapaxes(U, -1, -2)) * s[..., None])
-             ).reshape(n, N, L, K * K)
-        A = _tap_placement(N, tuple(range(L)), dims.T)
-        # one (D x N) @ (N x K^2) product per channel tap and draw: a fused
-        # product crosses OpenBLAS's threading threshold and runs slower
-        c = A[:, 0] @ z[:, :, 0]
-        for l in range(1, L):
-            c += A[:, l] @ z[:, :, l]
-        c = c.reshape(n, -1, K, K)
+        ls = lam * s                        # lambda / (lambda + beta)
+        p = ls * s                          # lambda / (lambda + beta)^2
+        Uh = np.conj(np.swapaxes(U, -1, -2))
+        # bin nu of the cascade folded mod N is zeta_nu = G_nu (G_nu + beta)^-1
+        # (transposed on the uplink); its taps are
+        # chat[d] = (1/N) sum_nu E[nu, d] zeta_nu, and by Parseval its power
+        # is (1/N) sum_nu |zeta_nu|^2
+        zeta = (U * ls[:, :, None, :]) @ Uh
+        Ed = _bin_kernel(N, max(low, 1)).T / N
+        chat = (Ed @ zeta.reshape(n, N, K * K)).reshape(n, -1, K, K)
+        # the T-grid power is the folded power plus `cross`
+        cross = np.zeros((n, K, K))
+        gain = chat[:, 0]
+        if low:
+            # the linear cascade's taps c[d], d < L - 1, and the taps
+            # c[d + N] = chat[d] - c[d] that alias onto them: one
+            # ((L - 1) K x N K) @ (N K x K) product per draw
+            c = (Y @ (s[..., None] * Uh).reshape(n, N * K, K)).reshape(
+                n, low, K, K)
+            alias = chat[:, :low] - c
+            cross -= 2 * np.real(c * np.conj(alias)).sum(axis=1)
+            gain = c[:, 0]
+            # a block T < N + L - 1 folds c[d + T] = alias[d + T - N] back
+            # onto delay d < N + L - 1 - T
+            wrap = T - N
+            if wrap < low:
+                cross += 2 * np.real(c[:, :low - wrap]
+                                     * np.conj(alias[:, wrap:])).sum(axis=1)
+                gain = gain + alias[:, wrap]
+        g = np.diagonal(gain, axis1=-2, axis2=-1)
+        tot = (np.abs(zeta) ** 2).sum(axis=1) / N + cross         # (n, K, K)
+        own = np.diagonal(tot, axis1=-2, axis2=-1)
+        # isi = own - |g|^2, written as (1/N) sum_nu |zeta_nu[k, k] - g_k|^2
+        # + 2 Re(conj(g_k) (chat[0][k, k] - g_k)) + cross[k, k], so that no
+        # two terms of the size of |g|^2 cancel
+        isi = ((np.abs(np.diagonal(zeta, axis1=-2, axis2=-1) - g[:, None])
+                ** 2).sum(axis=1) / N
+               + 2 * np.real(np.conj(g) * (np.diagonal(
+                   chat[:, 0], axis1=-2, axis2=-1) - g))
+               + np.diagonal(cross, axis1=-2, axis2=-1))
         if self.downlink:
             # power normalization a = sqrt(N / sum_nu ||W_nu||_F^2)
             energy = p.sum(axis=(1, 2))
@@ -442,13 +485,16 @@ class DrawFactors:
                 i = np.argmin(energy)
                 raise ValueError(f"cannot normalize a zero-energy filter "
                                  f"bank{self._where(a + i, filt)}")
-            c *= np.sqrt(N / energy)[:, None, None, None]
+            scale = N / energy
+            g = g * np.sqrt(scale)[:, None]
+            isi = isi * scale[:, None]
+            mui = (tot.sum(axis=-1) - own) * scale[:, None]
             awgn = np.ones((n, K))
         else:
-            c = np.swapaxes(c, -1, -2)
+            mui = tot.sum(axis=-2) - own
             # mean squared equalizer row norm, (1/N) sum_nu ||row k of Q_nu||^2
             awgn = ((np.abs(U) ** 2) @ p[..., None])[..., 0].sum(axis=1) / N
-        return (*_cascade_buckets(c), awgn)
+        return g, np.maximum(isi, 0.0), np.maximum(mui, 0.0), awgn
 
 
 def _draw_buckets(scenario, ch):

@@ -452,6 +452,8 @@ def run_sweep(cfg, workers=None):
     params = cfg.corr_params
     if workers is None:
         workers = min(len(params), os.cpu_count() or 1)
+    elif workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers > 1 and len(params) > 1:
         with concurrent.futures.ThreadPoolExecutor(workers) as pool:
             per_cell = list(pool.map(
@@ -861,6 +863,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.command == "sweep":
+        if args.workers is not None and args.workers < 1:
+            parser.error(f"--workers: must be >= 1, got {args.workers}")
         cfg = load_config(args.config, args.override)
         rows = run_sweep(cfg, workers=args.workers)
         print(f"wrote {len(rows)} rows to {cfg.output}")
@@ -886,13 +890,21 @@ def main(argv=None):
         filt = next((f for f in cfg.filters if f in BETA_FILTERS), None)
         if filt is None:
             parser.error("config has no ridge-regularized filter")
-        # one filter at one power; beta is searched whatever beta.mode says
+        # one filter at one power, one line per correlation parameter; beta
+        # is searched whatever beta.mode says
         cfg = dataclasses.replace(cfg, filters=[filt],
                                   rho_grid=[args.rho_db], beta_mode="grid_opt")
-        result = _sweep_group(cfg, cfg.corr_params[0])[0][0][0]
-        beta, rate = result.meta["beta"], result.rate_bpcu
-        print(f"beta* = {beta!r}  (sum rate {rate:.4f} bpcu at "
-              f"{args.rho_db:+.1f} dB, filter {filt})")
+        for param in cfg.corr_params:
+            result = _sweep_group(cfg, param)[0][0][0]
+            beta, rate = result.meta["beta"], result.rate_bpcu
+            if cfg.corr_model == "exponential":
+                label = f", exponential alpha={param!r}"
+            elif cfg.corr_model == "bessel":
+                label = f", bessel eta={param[0]!r} mu={param[1]!r}"
+            else:
+                label = ""
+            print(f"beta* = {beta!r}  (sum rate {rate:.4f} bpcu at "
+                  f"{args.rho_db:+.1f} dB, filter {filt}{label})")
         return 0
     return 2
 

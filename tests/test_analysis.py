@@ -147,6 +147,94 @@ def test_core_matches_decompose_when_delays_fold(link, filt, beta, L, T):
         assert_allclose(awgn, want, rtol=1e-10)
 
 
+@pytest.mark.parametrize("L,T", [(1, 5), (1, 7), (2, 5), (2, 6), (2, 9)])
+@pytest.mark.parametrize("link,filt,beta", CORE_CASES)
+def test_core_matches_decompose_with_one_or_two_taps(link, filt, beta, L, T):
+    """With N = 5 and L = 1 a bank cascade has N taps and none of them
+    aliases mod N, so the gain is the circular cascade's delay-0 tap. With
+    L = 2 delay N aliases onto delay 0: T = 5 folds it back, T = 6 just
+    fits the 6 taps, T = 9 leaves zero taps. All match the probe
+    measurement to 1e-10."""
+    scn = scenario(link=link, filt=filt, M=8, K=3, L=L, N=5, T=T, T_c=5,
+                   alpha=0.7, beta=beta)
+    for t in range(2):
+        ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
+        bd = decompose(link, filt, ch, SignalBlocks(1.0, T, None), beta=beta)
+        g, isi_u, mui_u, awgn = _draw_buckets(scn, ch)
+        scale = np.max(np.abs(bd.gains))
+        for got, want, power in ((g, bd.gains, 1), (isi_u, bd.isi_k, 2),
+                                 (mui_u, bd.mui_k, 2)):
+            assert_allclose(got / scale ** power, want / scale ** power,
+                            rtol=0, atol=1e-10)
+        want = np.ones(3) if link == "downlink" \
+            else _exact_uplink_awgn(filt, ch, T, beta)
+        assert_allclose(awgn, want, rtol=1e-10)
+
+
+def _ridge_buckets_by_placement(link, Hhat, N, T, beta):
+    """(g, isi_u, mui_u, awgn) of one draw with taps Hhat, shape (L, M, K),
+    by the explicit bank: z[nu, l] is channel term l times bank bin nu
+    (downlink Hhat_l^H W_nu with W_nu = B_nu (B_nu^H B_nu + beta I)^-1;
+    uplink Q_nu Hhat_l with Q_nu = (Hhat_nu^H Hhat_nu + beta I)^-1
+    Hhat_nu^H), placed at every delay mod T by `_tap_placement`, and the
+    buckets summed from the placed taps."""
+    L, M, K = Hhat.shape
+    E = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(L)) / N)
+    z = np.empty((N, L, K, K), dtype=complex)
+    energy, awgn = 0.0, np.zeros(K)
+    for nu in range(N):
+        if link == "downlink":
+            B = np.tensordot(E[nu], Hhat, 1)
+            W = B @ np.linalg.inv(B.conj().T @ B + beta * np.eye(K))
+            z[nu] = np.conj(Hhat).transpose(0, 2, 1) @ W
+            energy += np.sum(np.abs(W) ** 2)
+        else:
+            V = np.tensordot(np.conj(E[nu]), Hhat, 1)
+            Q = np.linalg.inv(V.conj().T @ V + beta * np.eye(K)) @ V.conj().T
+            z[nu] = Q @ Hhat
+            awgn += np.sum(np.abs(Q) ** 2, axis=1) / N
+    c = np.einsum("djn,nj...->d...",
+                  analysis._tap_placement(N, tuple(range(L)), T), z)
+    if link == "downlink":
+        c *= np.sqrt(N / energy)
+        awgn = np.ones(K)
+    g = np.diagonal(c[0])
+    tot = (np.abs(c) ** 2).sum(axis=0)
+    own = np.diagonal(tot)
+    return g, own - np.abs(g) ** 2, tot.sum(axis=1) - own, awgn
+
+
+@pytest.mark.parametrize("T", [20, 21, 22, 23, 100])
+@pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
+                                       ("uplink", "mmsee")])
+def test_ridge_buckets_match_tap_placement_at_paper_size(link, filt, T):
+    """At N = 20, L = 4, K = 10, M = 16 the cascade's 23 taps fold onto
+    the block at T = 20, 21, 22, partly or fully, fit at T = 23 and leave
+    zero taps at T = 100. The buckets from the bins and the L - 1 aliased
+    taps match the explicitly placed cascade to 1e-12 of the draw's
+    largest gain (squared for the powers) at every beta, zero forcing's
+    beta = 0 included, and no interference bucket is negative."""
+    scn = scenario(link=link, filt=filt, M=16, K=10, L=4, N=20, T=T,
+                   T_c=20, alpha=0.7)
+    chans = [draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
+             for t in range(3)]
+    factors = analysis.DrawFactors(scn, len(chans))
+    factors.fill(0, chans)
+    for beta in (0.0, 1e-3, 1.0, 1e6):
+        got = factors._ridge_buckets(beta, 0, len(chans), filt)
+        assert np.all(got[1] >= 0.0) and np.all(got[2] >= 0.0)
+        for i, ch in enumerate(chans):
+            g, isi_u, mui_u, awgn = _ridge_buckets_by_placement(
+                link, ch.Hhat, 20, T, beta)
+            scale = np.max(np.abs(g))
+            for have, want, power in ((got[0][i], g, 1),
+                                      (got[1][i], isi_u, 2),
+                                      (got[2][i], mui_u, 2)):
+                assert_allclose(have / scale ** power, want / scale ** power,
+                                rtol=0, atol=1e-12)
+            assert_allclose(got[3][i], awgn, rtol=1e-12)
+
+
 def _placed_by_ifft_shift_add_fold(z, shifts, T):
     """The placement written out: an N-point IFFT over bins (axis 0), bank
     tap m of term j added at delay m + shifts[j], then every delay folded

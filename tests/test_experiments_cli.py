@@ -763,6 +763,28 @@ def test_main_sweep_and_plot_end_to_end(tmp_path, capsys):
     assert os.path.exists(script)
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_run_sweep_rejects_fewer_than_one_worker(tmp_path, workers):
+    out = tmp_path / "out.csv"
+    cfg = load_config(cfg_file(tmp_path, BASE_CFG), [f"output={out}"])
+    with pytest.raises(ValueError, match=rf"^workers must be >= 1, "
+                                         rf"got {workers}$"):
+        run_sweep(cfg, workers=workers)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_main_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg_file(tmp_path, BASE_CFG),
+              f"--override=output={out}", f"--workers={workers}"])
+    assert exc.value.code == 2
+    assert f"--workers: must be >= 1, got {workers}" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_beta_subcommand(tmp_path, capsys):
     text = BASE_CFG.replace("filters = cmfp,zfp,rzfp", "filters = rzfp")
     text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99", "corr.alpha = 0.7")
@@ -776,6 +798,33 @@ def test_main_beta_subcommand(tmp_path, capsys):
     expected = optimize_beta(_scenario(cfg, "rzfp", 0.7, 0.0), 1.0,
                              trials=cfg.beta_trials)
     assert out.startswith(f"beta* = {expected!r}  ")
+
+
+@pytest.mark.parametrize("corr,params,labels", [
+    ("corr.model = exponential\ncorr.alpha = 0.5,0.9", [0.5, 0.9],
+     [", exponential alpha=0.5", ", exponential alpha=0.9"]),
+    ("corr.model = bessel\ncorr.pairs = 0.2,0.0;0.4,0.25",
+     [(0.2, 0.0), (0.4, 0.25)],
+     [", bessel eta=0.2 mu=0.0", ", bessel eta=0.4 mu=0.25"]),
+    ("corr.model = identity", [None], [""])])
+def test_main_beta_prints_one_labelled_line_per_parameter(tmp_path, capsys,
+                                                          corr, params,
+                                                          labels):
+    """Each correlation parameter of the config gets its own search and
+    line, which names the parameter (identity has none to name)."""
+    text = BASE_CFG.replace("filters = cmfp,zfp,rzfp", "filters = rzfp")
+    text = text.replace("corr.model = exponential\n", "")
+    text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99", corr)
+    path = cfg_file(tmp_path, text + "beta.trials = 3\n")
+    assert main(["beta", "--config", path, "--rho-db", "5"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cfg = load_config(path)
+    assert cfg.corr_params == params and len(lines) == len(params)
+    for line, param, label in zip(lines, params, labels):
+        expected = optimize_beta(_scenario(cfg, "rzfp", param, 5.0),
+                                 10.0 ** 0.5, trials=cfg.beta_trials)
+        assert line.startswith(f"beta* = {expected!r}  (sum rate ")
+        assert line.endswith(f" bpcu at +5.0 dB, filter rzfp{label})")
 
 
 @pytest.mark.parametrize("rho_db", ["nan", "inf", "-inf"])
