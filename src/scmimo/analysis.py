@@ -291,7 +291,7 @@ class DrawFactors:
       ZFE/MMSEE on the analysis bins Hhat_nu, both written V_nu): the
       eigenpairs G_nu = U Lambda U^H of every bin Gram matrix,
       G_nu = V_nu^H V_nu on the downlink and its transpose on the uplink,
-      as lam and U, and Y, shape ((L - 1) K, N K) per draw, whose rows
+      as lam and Uh = U^H, and Y, shape ((L - 1) K, N K) per draw, whose rows
       (d, k) at columns (nu, j) hold (E[nu, d] / N) times
       sum_{l <= d} conj(E[nu, l]) P_nu,l U_nu, with E[nu, l] =
       e^{2j pi nu l / N} and P_nu,l = Hhat_l^H B_nu (downlink) or
@@ -325,7 +325,7 @@ class DrawFactors:
         self.ridge = any(f not in MATCHED for f in filters)
         if self.ridge:
             self.lam = np.empty((n, N, K))
-            self.U = np.empty((n, N, K, K), dtype=complex)
+            self.Uh = np.empty((n, N, K, K), dtype=complex)
             self.Y = np.empty((n, (L - 1) * K, N * K), dtype=complex)
 
     def _where(self, i, filt):
@@ -385,7 +385,8 @@ class DrawFactors:
             P[:, :, d] += E[:, 1:2] * P[:, :, d - 1]
         lam, U = np.linalg.eigh((P[:, :, -1] * (N * np.conj(E[:, -1:])))
                                 .reshape(n, N, K, K))
-        self.lam[lo:hi], self.U[lo:hi] = lam, U
+        self.lam[lo:hi] = lam
+        self.Uh[lo:hi] = np.conj(np.swapaxes(U, -1, -2))
         np.matmul(P[:, :, :-1].reshape(n, N, -1, K), U,
                   out=self.Y[lo:hi].reshape(n, -1, N, K).transpose(0, 2, 1, 3))
 
@@ -427,7 +428,7 @@ class DrawFactors:
         return out
 
     def _ridge_buckets(self, beta, a, b, filt):
-        lam, U, Y = self.lam[a:b], self.U[a:b], self.Y[a:b]
+        lam, Uh, Y = self.lam[a:b], self.Uh[a:b], self.Y[a:b]
         n, N, K = lam.shape
         T = self.scenario.dims.T
         low = Y.shape[1] // K               # the L - 1 taps that alias mod N
@@ -440,12 +441,11 @@ class DrawFactors:
         s = 1.0 / shifted
         ls = lam * s                        # lambda / (lambda + beta)
         p = ls * s                          # lambda / (lambda + beta)^2
-        Uh = np.conj(np.swapaxes(U, -1, -2))
         # bin nu of the cascade folded mod N is zeta_nu = G_nu (G_nu + beta)^-1
         # (transposed on the uplink); its taps are
         # chat[d] = (1/N) sum_nu E[nu, d] zeta_nu, and by Parseval its power
         # is (1/N) sum_nu |zeta_nu|^2
-        zeta = (U * ls[:, :, None, :]) @ Uh
+        zeta = np.conj(np.swapaxes(Uh, -1, -2)) @ (ls[..., None] * Uh)
         Ed = _bin_kernel(N, max(low, 1)).T / N
         chat = (Ed @ zeta.reshape(n, N, K * K)).reshape(n, -1, K, K)
         # the T-grid power is the folded power plus `cross`
@@ -468,7 +468,7 @@ class DrawFactors:
                                      * np.conj(alias[:, wrap:])).sum(axis=1)
                 gain = gain + alias[:, wrap]
         g = np.diagonal(gain, axis1=-2, axis2=-1)
-        tot = (np.abs(zeta) ** 2).sum(axis=1) / N + cross         # (n, K, K)
+        tot = (zeta.real ** 2 + zeta.imag ** 2).sum(axis=1) / N + cross
         own = np.diagonal(tot, axis1=-2, axis2=-1)
         # isi = own - |g|^2, written as (1/N) sum_nu |zeta_nu[k, k] - g_k|^2
         # + 2 Re(conj(g_k) (chat[0][k, k] - g_k)) + cross[k, k], so that no
@@ -493,7 +493,8 @@ class DrawFactors:
         else:
             mui = tot.sum(axis=-2) - own
             # mean squared equalizer row norm, (1/N) sum_nu ||row k of Q_nu||^2
-            awgn = ((np.abs(U) ** 2) @ p[..., None])[..., 0].sum(axis=1) / N
+            awgn = (p[..., None, :] @ np.abs(Uh) ** 2)[..., 0, :].sum(
+                axis=1) / N
         return g, np.maximum(isi, 0.0), np.maximum(mui, 0.0), awgn
 
 
