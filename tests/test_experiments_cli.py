@@ -1,6 +1,7 @@
 """Config parsing, sweeps, CSV/plot emission, beta search, CLI wiring."""
 
 import dataclasses
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from scmimo import analysis, experiments_cli as cli
+from scmimo import analysis, dl_precoding, experiments_cli as cli
 from scmimo.analysis import Scenario, _draw_buckets, sum_rate_mc
 from scmimo.channel import (DEFAULT_SEED, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
@@ -547,6 +548,111 @@ def test_bessel_sweep_imports_scipy_at_its_cells():
         "corr.model = bessel\ncorr.pairs = 0,0 ; 5,0.5")
     assert "corr.pairs" in text
     assert _run_fresh(code, text) == "True True"
+
+
+def test_import_leaves_pool_modules_unloaded():
+    """Loading the CLI module imports no process-pool machinery: only a
+    sweep that runs cells in worker processes pays the import of
+    multiprocessing."""
+    code = """
+        import sys
+        import scmimo.experiments_cli
+        print([m for m in ("multiprocessing", "concurrent.futures.process")
+               if m in sys.modules])
+    """
+    assert _run_fresh(code) == "[]"
+
+
+def test_pool_start_method_is_pinned():
+    """run_sweep picks its workers' start method itself, fork where the
+    platform has it, whatever the interpreter's default: with the default
+    set to spawn, a two-worker grid_opt sweep still forks its workers and
+    writes the same bytes as a one-worker sweep."""
+    code = """
+        import multiprocessing, sys, tempfile, os
+        from multiprocessing.process import BaseProcess
+        from scmimo.experiments_cli import load_config, run_sweep
+        multiprocessing.set_start_method("spawn", force=True)
+        methods, start = set(), BaseProcess.start
+
+        def recorded_start(self):
+            methods.add(self._start_method)
+            start(self)
+
+        BaseProcess.start = recorded_start
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write(sys.argv[1])
+            out = []
+            for workers in (2, 1):
+                cfg = load_config(path, [f"output={tmp}/{workers}.csv"])
+                run_sweep(cfg, workers=workers)
+                with open(cfg.output, "rb") as fh:
+                    out.append(fh.read())
+        print(sorted(methods), out[0] == out[1])
+    """
+    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+              else "spawn")
+    assert _run_fresh(code, SHORTFALL_CFG.format(
+        link="downlink", filt="rzfp")) == f"['{method}'] True"
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the checking cell reaches workers by fork")
+def test_pool_workers_run_blas_on_one_thread():
+    """Where NumPy links OpenBLAS, every pool worker runs its cells on one
+    BLAS thread: by default the pool runs one worker per CPU."""
+    code = """
+        import ctypes, os, sys, tempfile
+        import numpy as np
+        from scmimo import experiments_cli as cli
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        getters = [getattr(lib, name) for name in (
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads", "openblas_get_num_threads64_",
+            "openblas_get_num_threads") if hasattr(lib, name)]
+        cell = cli._sweep_group
+
+        def checked_cell(cfg, param):
+            if getters[0]() != 1:
+                raise RuntimeError(f"{getters[0]()} BLAS threads")
+            return cell(cfg, param)
+
+        cli._sweep_group = checked_cell
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write(sys.argv[1])
+            if getters:
+                cli.run_sweep(cli.load_config(path, [f"output={tmp}/o.csv"]),
+                              workers=2)
+        print("OpenBLAS" if getters else "another BLAS")
+    """
+    assert _run_fresh(code, SHORTFALL_CFG.format(
+        link="uplink", filt="zfe")) in ("OpenBLAS", "another BLAS")
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the patched threshold reaches workers by fork")
+def test_pool_passes_errors_through_and_leaves_no_workers(tmp_path,
+                                                          monkeypatch):
+    """A cell that fails in a worker process raises its own error, which
+    still names the filter, seed, trial and bin, from run_sweep; no worker
+    outlives run_sweep, whether it returns or raises."""
+    path = cfg_file(tmp_path, CELL_CFG.format(link="downlink",
+                                              filters="zfp"))
+    cfg = load_config(path, overrides=[f"output={tmp_path / 'out.csv'}"])
+    run_sweep(cfg, workers=2)
+    assert multiprocessing.active_children() == []
+    # a rank threshold no Gram matrix meets: every draw fails its check
+    monkeypatch.setattr(analysis, "RCOND_MIN", 1.0)
+    monkeypatch.setattr(dl_precoding, "RCOND_MIN", 1.0)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"\(exponential alpha=0, zfp, seed 5, "
+                             r"trial 0\): .*bin \d+"):
+        run_sweep(cfg, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("filt", ["rzfp", "cmfp"])
