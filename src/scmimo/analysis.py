@@ -19,14 +19,16 @@ in the tap domain and averages over draws: each draw is factored once
 of its link at once (`mc_buckets_at`). A matched filter's cascade taps
 are those products placed at their delays mod T (`_tap_placement`), and
 its gains and interference energies are c[0] and the summed squared
-taps. A ridge-family bank (zero forcing is its beta = 0 case) never
-places its N + L - 1 cascade taps: from a Gram eigendecomposition per
-bin, the cascade folded mod N has bin nu equal to
-U diag(lambda / (lambda + beta)) U^H, so Parseval gives its power from
-the N bins, and only the L - 1 low delays where the linear cascade
-aliases mod N, and the block of T folds it back, need explicit taps.
+taps. A bank filter never places its N + L - 1 cascade taps: the cascade
+folded mod N has bin nu equal to the identity for zero forcing, and to
+U diag(lambda / (lambda + beta)) U^H, from a Gram eigendecomposition per
+bin, for a ridge filter, so Parseval gives its power from the N bins, and
+only the L - 1 low delays where the linear cascade aliases mod N, and the
+block of T folds it back, need explicit taps: from the bin Gram inverses
+for zero forcing, from the eigenpairs at each beta for a ridge filter.
 Both match the probes to rounding; a beta search re-evaluates the cached
-factors instead of rebuilding banks.
+factors instead of rebuilding banks, and zero forcing needs no
+eigendecomposition.
 
 Rates are (1/2) log2(1 + SINR) per user, in bits per channel use.
 """
@@ -38,7 +40,7 @@ import numpy as np
 
 from .channel import draw_channel, trial_rng
 from .dl_precoding import (RCOND_MIN, check_gram_conditioning,
-                           cmfp_transmit, downlink_receive,
+                           cmfp_transmit, downlink_receive, gram_rcond,
                            precoded_transmit, rzfp_bank, zfp_bank)
 from .ul_equalization import (apply_equalizer_bank, cmfe_apply,
                               make_uplink_frame, mmsee_bank, uplink_receive,
@@ -282,47 +284,63 @@ class DrawFactors:
     Slot i holds trial first + i of the scenario's seed (first=None when
     the trial is unknown; it only labels errors). `filters` names the
     filters of the scenario's link that the slots serve (default: the
-    scenario's own); a slot keeps only what they need:
+    scenario's own); a slot keeps only what they need. Every bin product
+    is an N-point transform of the tap products Hhat_l^H Hhat_l'; with
+    V_nu the synthesis bins B_nu on the downlink (ZFP/RZFP) and the
+    analysis bins Hhat_nu on the uplink (ZFE/MMSEE), G_nu = V_nu^H V_nu is
+    the bin Gram matrix (uplink: its transpose), and P_nu,d =
+    sum_{l <= d} (E[nu, d] / N) conj(E[nu, l]) Hhat_l^H B_nu (downlink) or
+    (Hhat_nu^H Hhat_l)^T (uplink), with E[nu, l] = e^{2j pi nu l / N}.
 
-    * a matched filter: its buckets, which have no ridge parameter, from
-      the cascade taps sum_{l - l' = d mod T} Hhat_l^H Hhat_l' / sqrt(MK)
-      (uplink: l' - l), placed by `_tap_placement` with N = 1;
-    * a zero-forcing or ridge filter (ZFP/RZFP on the synthesis bins B_nu,
-      ZFE/MMSEE on the analysis bins Hhat_nu, both written V_nu): the
-      eigenpairs G_nu = U Lambda U^H of every bin Gram matrix,
-      G_nu = V_nu^H V_nu on the downlink and its transpose on the uplink,
-      as lam and Uh = U^H, and Y, shape ((L - 1) K, N K) per draw, whose rows
-      (d, k) at columns (nu, j) hold (E[nu, d] / N) times
-      sum_{l <= d} conj(E[nu, l]) P_nu,l U_nu, with E[nu, l] =
-      e^{2j pi nu l / N} and P_nu,l = Hhat_l^H B_nu (downlink) or
-      (Hhat_nu^H Hhat_l)^T (uplink). A ridge parameter beta
-      then costs, per draw, one K x K product per bin for the folded
+    * A matched filter: its buckets, which have no parameter, from the
+      cascade taps sum_{l - l' = d mod T} Hhat_l^H Hhat_l' / sqrt(MK)
+      (uplink: l' - l), placed by `_tap_placement` with N = 1.
+    * A zero-forcing filter: its buckets, which have no parameter either,
+      from one batched inverse G_nu^-1. Its cascade folded mod N is the
+      identity at every bin, so only the L - 1 low taps of the linear
+      cascade, c[d] = sum_nu P_nu,d G_nu^-1 (one (L - 1) K x N K product
+      per draw), are needed for the aliases mod N (and mod T when
+      T < N + L - 1); the downlink power normalization follows from
+      sum_nu tr G_nu^-1 and the uplink AWGN bucket from
+      (1/N) sum_nu diag G_nu^-1. Each bin keeps a reciprocal condition:
+      the lower bound 1 / (||G_nu||_F ||G_nu^-1||_F), or the exact
+      lambda_min / lambda_max (eigvalsh) where that bound is below
+      2 RCOND_MIN or the inverse is not finite, so that evaluating the
+      filter rejects exactly the draws the reference banks reject.
+    * A ridge filter: the eigenpairs G_nu = U Lambda U^H of every bin, as
+      lam and Uh = U^H, and Y, shape ((L - 1) K, N K) per draw, whose
+      rows (d, k) at columns (nu, j) hold P_nu,d U_nu. A ridge parameter
+      beta then costs, per draw, one K x K product per bin for the folded
       cascade U diag(lambda / (lambda + beta)) U^H, whose power follows by
       Parseval, and one Y @ (diag(1 / (lambda + beta)) U^H, stacked over
-      the bins) product for the L - 1 low taps of the linear cascade,
-      whose aliases mod N (and mod T when T < N + L - 1) correct that
-      power and the gain; the downlink power normalization and the uplink
-      AWGN bucket follow from Lambda in closed form. Zero forcing is the
-      ridge family at beta = 0, after a conditioning check of each draw.
+      the bins) product for the L - 1 low taps, whose aliases correct
+      that power and the gain as for zero forcing; the power
+      normalization and the uplink AWGN bucket follow from Lambda. Only
+      a ridge filter makes `fill` decompose the Gram matrices.
 
-    Buckets do not depend on the power, so `_memo` keeps the stacks of the
-    beta search's coarse grid, keyed by (beta, hi), for every power point
-    that searches on these draws, and for the reporting pass that follows;
-    it goes when the factors do.
+    Buckets do not depend on the power, so `_memo` keeps the ridge
+    filter's stacks of the beta search's coarse grid, keyed by (beta, hi),
+    for every power point that searches on these draws, and for the
+    reporting pass that follows; it goes when the factors do.
     """
 
     def __init__(self, scenario, n, first=None, filters=None):
         self.scenario, self.n, self.first = scenario, n, first
-        filters = (scenario.filt,) if filters is None else tuple(filters)
-        for filt in filters:
+        self.filters = (scenario.filt,) if filters is None \
+            else tuple(dict.fromkeys(filters))
+        for filt in self.filters:
             _check_combo(scenario.link, filt)
         self._memo = {}
         dims = scenario.dims
         K, L, N = dims.K, dims.L, dims.N
         self.downlink = scenario.link == "downlink"
-        self.stacks = _stacks(n, K) if any(
-            f in MATCHED for f in filters) else None
-        self.ridge = any(f not in MATCHED for f in filters)
+        # the parameterless filters' stacks, by filter
+        self.stacks = {f: _stacks(n, K) for f in self.filters
+                       if f in MATCHED + ZERO_FORCING}
+        if any(f in ZERO_FORCING for f in self.filters):
+            self.rcond = np.empty((n, N))
+        self.ridge = any(f not in MATCHED + ZERO_FORCING
+                         for f in self.filters)
         if self.ridge:
             self.lam = np.empty((n, N, K))
             self.Uh = np.empty((n, N, K, K), dtype=complex)
@@ -343,8 +361,8 @@ class DrawFactors:
     def fill(self, lo, chans):
         """Factor the channel draws `chans` (any iterable; only their taps
         are kept) into slots lo, lo + 1, ...: their tap products F once,
-        then from F the matched buckets and the ridge eigenpairs, each
-        only if a filter served needs it."""
+        then from F the matched buckets, the zero-forcing buckets and the
+        ridge eigenpairs, each only if a filter served needs it."""
         dims = self.scenario.dims
         M, K, L, N = dims.M, dims.K, dims.L, dims.N
         Hhat = np.stack([ch.Hhat for ch in chans])          # (n, L, M, K)
@@ -357,7 +375,9 @@ class DrawFactors:
         F = (np.conj(Hhat).transpose(0, 1, 3, 2)
              @ Hhat.transpose(0, 2, 1, 3).reshape(n, 1, M, L * K)
              ).reshape(n, L, K, L, K)
-        if self.stacks is not None:
+        matched, zf = (next((f for f in family if f in self.stacks), None)
+                       for family in (MATCHED, ZERO_FORCING))
+        if matched is not None:
             sign = 1 if self.downlink else -1
             A = _tap_placement(1, tuple(sign * (l - lp) for l in range(L)
                                         for lp in range(L)), dims.T)
@@ -365,9 +385,10 @@ class DrawFactors:
                 n, L * L, K * K)).reshape(n, -1, K, K) / np.sqrt(M * K)
             awgn = np.ones((n, K)) if self.downlink else np.real(
                 np.einsum("nlklk->nk", F)) / (M * K)
-            for dst, src in zip(self.stacks, (*_cascade_buckets(c), awgn)):
+            for dst, src in zip(self.stacks[matched],
+                                (*_cascade_buckets(c), awgn)):
                 dst[lo:hi] = src
-        if not self.ridge:
+        if zf is None and not self.ridge:
             return
         # P[:, nu, l] = Hhat_l^H B_nu / N with B_nu = sum_l' E[nu, l'] Hhat_l'
         # (downlink), or (Hhat_nu^H Hhat_l)^T / N with Hhat_nu = sum_l'
@@ -380,26 +401,31 @@ class DrawFactors:
         # in place, P[:, nu, d] <- sum_{l <= d} E[nu, d - l] P[:, nu, l] by
         # Horner's rule in E[nu, 1]: the last sum is the Gram matrix G_nu
         # (uplink: its transpose) times E[nu, L - 1] / N, and for d < L - 1
-        # Y's rows (d, k) at bin nu are P[:, nu, d] U_nu
+        # it is P_nu,d
         for d in range(1, L):
             P[:, :, d] += E[:, 1:2] * P[:, :, d - 1]
-        lam, U = np.linalg.eigh((P[:, :, -1] * (N * np.conj(E[:, -1:])))
-                                .reshape(n, N, K, K))
-        self.lam[lo:hi] = lam
-        self.Uh[lo:hi] = np.conj(np.swapaxes(U, -1, -2))
-        np.matmul(P[:, :, :-1].reshape(n, N, -1, K), U,
-                  out=self.Y[lo:hi].reshape(n, -1, N, K).transpose(0, 2, 1, 3))
+        G = (P[:, :, -1] * (N * np.conj(E[:, -1:]))).reshape(n, N, K, K)
+        low = P[:, :, :-1].reshape(n, N, -1, K)             # rows (d, k)
+        if zf is not None:
+            Ginv, self.rcond[lo:hi] = _gram_inverse(G)
+            for dst, src in zip(self.stacks[zf],
+                                self._zero_forcing_buckets(low, Ginv)):
+                dst[lo:hi] = src
+        if self.ridge:
+            lam, U = np.linalg.eigh(G)
+            self.lam[lo:hi] = lam
+            self.Uh[lo:hi] = np.conj(np.swapaxes(U, -1, -2))
+            np.matmul(low, U, out=self.Y[lo:hi].reshape(
+                n, -1, N, K).transpose(0, 2, 1, 3))
 
     def _check_conditioning(self, filt, lo, hi):
         """Raise LinAlgError, naming filt, seed, trial and bin, if a Gram
         matrix of slots lo .. hi - 1 is too ill-conditioned to invert."""
-        lam = self.lam[lo:hi]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ok = lam[..., 0] / lam[..., -1] >= RCOND_MIN     # (n, N)
+        ok = self.rcond[lo:hi] >= RCOND_MIN                 # (n, N)
         bad = np.flatnonzero(~ok.all(axis=1))
         if bad.size:
             i = lo + int(bad[0])
-            check_gram_conditioning(self.lam[i], where=self._where(i, filt))
+            check_gram_conditioning(self.rcond[i], where=self._where(i, filt))
 
     def buckets(self, beta, lo=0, hi=None):
         """(g, isi_u, mui_u, awgn) stacks of slots lo .. hi - 1 for the
@@ -410,15 +436,18 @@ class DrawFactors:
     def _filter_buckets(self, filt, beta, lo=0, hi=None):
         """`buckets` for any filter the slots serve."""
         hi = self.n if hi is None else hi
+        if filt not in self.filters:
+            raise ValueError(f"filter {filt!r} is not served by these "
+                             f"factored draws (they serve "
+                             f"{', '.join(self.filters)})")
         if not 0 <= lo <= hi <= self.n:
             raise IndexError(f"slots [{lo}, {hi}) outside the {self.n} "
                              f"factored draws")
-        if filt in MATCHED:
-            return tuple(s[lo:hi] for s in self.stacks)
         if filt in ZERO_FORCING:
             self._check_conditioning(filt, lo, hi)
-            beta = 0.0
-        elif beta < 0:
+        if filt in self.stacks:
+            return tuple(s[lo:hi] for s in self.stacks[filt])
+        if beta < 0:
             raise ValueError(f"beta must be >= 0, got {beta}")
         out = _stacks(hi - lo, self.scenario.dims.K)
         for a in range(lo, hi, CHUNK):
@@ -427,10 +456,32 @@ class DrawFactors:
                 dst[a - lo:b - lo] = src
         return out
 
+    def _zero_forcing_buckets(self, low, Ginv):
+        """(g, isi_u, mui_u, awgn) of the zero-forcing filter from the bin
+        inverses Ginv (n, N, K, K) and `low` (n, N, (L - 1) K, K), whose
+        rows (d, k) at bin nu hold P_nu,d."""
+        n, N, K = Ginv.shape[:3]
+        # the linear cascade's taps c[d] = sum_nu P_nu,d G_nu^-1, d < L - 1:
+        # one ((L - 1) K x N K) @ (N K x K) product per draw
+        c = (low.transpose(0, 2, 1, 3).reshape(n, -1, N * K)
+             @ Ginv.reshape(n, N * K, K)).reshape(n, -1, K, K)
+        # every bin of the cascade folded mod N is zeta_nu = I, so
+        # chat[d] = delta_d I and the folded power is I
+        chat = np.zeros((n, max(c.shape[1], 1), K, K), dtype=complex)
+        chat[:, 0] = np.eye(K)
+        inv_diag = np.real(np.diagonal(Ginv, axis1=-2, axis2=-1))
+        # errors wait for the conditioning check when the filter is
+        # evaluated, so a singular draw's non-finite values pass quietly
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return self._fold_buckets(
+                chat, c if c.shape[1] else None, np.ones((n, 1, K)),
+                np.broadcast_to(np.eye(K), (n, K, K)),
+                inv_diag.sum(axis=(1, 2)) if self.downlink
+                else inv_diag.sum(axis=1) / N)
+
     def _ridge_buckets(self, beta, a, b, filt):
         lam, Uh, Y = self.lam[a:b], self.Uh[a:b], self.Y[a:b]
         n, N, K = lam.shape
-        T = self.scenario.dims.T
         low = Y.shape[1] // K               # the L - 1 taps that alias mod N
         shifted = lam + beta
         if not np.all(shifted > 0):
@@ -448,15 +499,39 @@ class DrawFactors:
         zeta = np.conj(np.swapaxes(Uh, -1, -2)) @ (ls[..., None] * Uh)
         Ed = _bin_kernel(N, max(low, 1)).T / N
         chat = (Ed @ zeta.reshape(n, N, K * K)).reshape(n, -1, K, K)
+        # the linear cascade's taps c[d], d < L - 1: one
+        # ((L - 1) K x N K) @ (N K x K) product per draw
+        c = (Y @ (s[..., None] * Uh).reshape(n, N * K, K)).reshape(
+            n, low, K, K) if low else None
+        if self.downlink:
+            # the bank's energy sum_nu ||W_nu / a||_F^2
+            power = p.sum(axis=(1, 2))
+            if not np.all(power > 0):
+                i = np.argmin(power)
+                raise ValueError(f"cannot normalize a zero-energy filter "
+                                 f"bank{self._where(a + i, filt)}")
+        else:
+            # mean squared equalizer row norm, (1/N) sum_nu ||row k of Q_nu||^2
+            power = (p[..., None, :] @ np.abs(Uh) ** 2)[..., 0, :].sum(
+                axis=1) / N
+        return self._fold_buckets(
+            chat, c, np.diagonal(zeta, axis1=-2, axis2=-1),
+            (zeta.real ** 2 + zeta.imag ** 2).sum(axis=1) / N, power)
+
+    def _fold_buckets(self, chat, c, zeta_diag, folded, power):
+        """(g, isi_u, mui_u, awgn) of a bank cascade from its folded taps
+        chat (n, max(L - 1, 1), K, K), its low linear taps c (n, L - 1,
+        K, K; None when L = 1), the diagonals zeta_diag (n, bins, K) of its
+        folded bins, its folded power `folded` (n, K, K), and `power`: the
+        bank's energy on the downlink, its AWGN bucket on the uplink."""
+        N, T = self.scenario.dims.N, self.scenario.dims.T
+        n, K = folded.shape[:2]
         # the T-grid power is the folded power plus `cross`
         cross = np.zeros((n, K, K))
         gain = chat[:, 0]
-        if low:
-            # the linear cascade's taps c[d], d < L - 1, and the taps
-            # c[d + N] = chat[d] - c[d] that alias onto them: one
-            # ((L - 1) K x N K) @ (N K x K) product per draw
-            c = (Y @ (s[..., None] * Uh).reshape(n, N * K, K)).reshape(
-                n, low, K, K)
+        if c is not None:
+            # the taps c[d + N] = chat[d] - c[d] alias onto the low taps
+            low = c.shape[1]
             alias = chat[:, :low] - c
             cross -= 2 * np.real(c * np.conj(alias)).sum(axis=1)
             gain = c[:, 0]
@@ -468,34 +543,54 @@ class DrawFactors:
                                      * np.conj(alias[:, wrap:])).sum(axis=1)
                 gain = gain + alias[:, wrap]
         g = np.diagonal(gain, axis1=-2, axis2=-1)
-        tot = (zeta.real ** 2 + zeta.imag ** 2).sum(axis=1) / N + cross
+        tot = folded + cross
         own = np.diagonal(tot, axis1=-2, axis2=-1)
         # isi = own - |g|^2, written as (1/N) sum_nu |zeta_nu[k, k] - g_k|^2
         # + 2 Re(conj(g_k) (chat[0][k, k] - g_k)) + cross[k, k], so that no
         # two terms of the size of |g|^2 cancel
-        isi = ((np.abs(np.diagonal(zeta, axis1=-2, axis2=-1) - g[:, None])
-                ** 2).sum(axis=1) / N
+        isi = ((np.abs(zeta_diag - g[:, None]) ** 2).sum(axis=1)
+               / zeta_diag.shape[1]
                + 2 * np.real(np.conj(g) * (np.diagonal(
                    chat[:, 0], axis1=-2, axis2=-1) - g))
                + np.diagonal(cross, axis1=-2, axis2=-1))
         if self.downlink:
-            # power normalization a = sqrt(N / sum_nu ||W_nu||_F^2)
-            energy = p.sum(axis=(1, 2))
-            if not np.all(energy > 0):
-                i = np.argmin(energy)
-                raise ValueError(f"cannot normalize a zero-energy filter "
-                                 f"bank{self._where(a + i, filt)}")
-            scale = N / energy
+            # power normalization a = sqrt(N / energy)
+            scale = N / power
             g = g * np.sqrt(scale)[:, None]
             isi = isi * scale[:, None]
             mui = (tot.sum(axis=-1) - own) * scale[:, None]
             awgn = np.ones((n, K))
         else:
             mui = tot.sum(axis=-2) - own
-            # mean squared equalizer row norm, (1/N) sum_nu ||row k of Q_nu||^2
-            awgn = (p[..., None, :] @ np.abs(Uh) ** 2)[..., 0, :].sum(
-                axis=1) / N
+            awgn = power
         return g, np.maximum(isi, 0.0), np.maximum(mui, 0.0), awgn
+
+
+def _gram_inverse(G):
+    """(G^-1, rcond) of a stack of bin Gram matrices G, shape (n, N, K, K):
+    one batched inverse, and per bin a reciprocal condition that is the
+    lower bound 1 / (||G||_F ||G^-1||_F) of lambda_min / lambda_max where
+    that bound is at least 2 RCOND_MIN, and the exact eigvalsh ratio
+    elsewhere. A draw whose inverse fails is inverted alone; one that is
+    singular keeps NaN, which its exact ratio rejects."""
+    try:
+        Ginv = np.linalg.inv(G)
+    except np.linalg.LinAlgError:
+        Ginv = np.full_like(G, np.nan)
+        for i, Gi in enumerate(G):
+            try:
+                Ginv[i] = np.linalg.inv(Gi)
+            except np.linalg.LinAlgError:
+                pass
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        rcond = 1.0 / np.sqrt((G.real ** 2 + G.imag ** 2).sum(axis=(-2, -1))
+                              * (Ginv.real ** 2 + Ginv.imag ** 2).sum(
+                                  axis=(-2, -1)))
+    # the bound's own rounding must not accept a bin the exact test rejects
+    loose = ~(rcond >= 2 * RCOND_MIN)
+    if loose.any():
+        rcond[loose] = gram_rcond(G[loose])
+    return Ginv, rcond
 
 
 def _draw_buckets(scenario, ch):
@@ -528,24 +623,20 @@ def mc_buckets_at(scenario, trials, requests, factors=None):
     """Bucket stacks of draws 0 .. trials - 1 for each (filter, beta) pair
     in `requests`, one (g, isi_u, mui_u, awgn) tuple per pair; the filters
     are any of the scenario's link, and beta is ignored by the matched and
-    zero-forcing ones.
+    zero-forcing ones, whose stacks have no parameter.
 
     Every chunk of draws is drawn and factored once for all the requested
     filters and evaluated for each of them; requests that name the same
-    stacks (a zero-forcing filter and the ridge filter at beta = 0) share
-    one evaluation, on which the zero-forcing check runs. The leading
-    draws already held in `factors` (from factor_draws on the same
-    scenario up to filter, power and beta, serving every requested filter)
-    are reused instead of drawn again, and so are the stacks of those
-    draws that a beta search kept in `factors._memo`.
+    stacks (a parameterless filter twice, or the ridge filter twice at one
+    beta) share one evaluation. The leading draws already held in
+    `factors` (from factor_draws on the same scenario up to filter, power
+    and beta, serving every requested filter, else ValueError) are reused
+    instead of drawn again, and so are the ridge stacks of those draws
+    that a beta search kept in `factors._memo`.
     """
-    filters = tuple(dict.fromkeys(f for f, _ in requests))
-    keys = ["matched" if f in MATCHED else 0.0 if f in ZERO_FORCING else b
-            for f, b in requests]
-    evaluate = {}                   # stack key -> filter that evaluates it
-    for (filt, _), key in zip(requests, keys):
-        if key not in evaluate or filt in ZERO_FORCING:
-            evaluate[key] = filt
+    keys = [f if f in MATCHED + ZERO_FORCING else b for f, b in requests]
+    evaluate = {key: f for key, (f, _) in zip(keys, requests)}
+    filters = tuple(dict.fromkeys(evaluate.values()))
     out = {key: _stacks(trials, scenario.dims.K) for key in evaluate}
     cached, kept = 0, {}
     if factors is not None:
@@ -565,12 +656,9 @@ def mc_buckets_at(scenario, trials, requests, factors=None):
                                   filters=filters), 0
         for key, filt in evaluate.items():
             if hi <= cached and key in kept:
-                if filt in ZERO_FORCING:
-                    src._check_conditioning(filt, a, a + hi - lo)
                 continue
-            beta = 0.0 if key == "matched" else key
             for dst, part in zip(out[key], src._filter_buckets(
-                    filt, beta, a, a + hi - lo)):
+                    filt, 0.0 if key == filt else key, a, a + hi - lo)):
                 dst[lo:hi] = part
     return [out[key] for key in keys]
 

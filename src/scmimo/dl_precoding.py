@@ -71,16 +71,22 @@ def _apply_bank(bank, block):
     return bank.norm * out
 
 
-def check_gram_conditioning(eigs, where=""):
+def gram_rcond(gram):
+    """Reciprocal condition lambda_min / lambda_max of each Hermitian
+    matrix of a stack (..., K, K), from its eigenvalues (eigvalsh)."""
+    eigs = np.linalg.eigvalsh(gram)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return eigs[..., 0] / eigs[..., -1]
+
+
+def check_gram_conditioning(rcond, where=""):
     """Raise LinAlgError naming the worst bin when a bin Gram matrix is
     rank-deficient, i.e. its reciprocal condition is below RCOND_MIN.
 
-    eigs holds each bin's Gram eigenvalues in ascending order, shape
-    (N, K), as np.linalg.eigh and eigvalsh return them; `where` is
-    appended to the draw's description in the message.
+    rcond holds each bin's reciprocal condition, shape (N,), as
+    gram_rcond gives it; `where` is appended to the draw's description
+    in the message.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rcond = eigs[:, 0] / eigs[:, -1]
     bad = int(np.argmin(rcond))
     if not rcond[bad] >= RCOND_MIN:
         raise np.linalg.LinAlgError(
@@ -97,7 +103,7 @@ def ridge_inverse(V, beta, check_conditioning):
     """
     gram = np.conj(np.swapaxes(V, -1, -2)) @ V      # (N, K, K)
     if check_conditioning:
-        check_gram_conditioning(np.linalg.eigvalsh(gram))
+        check_gram_conditioning(gram_rcond(gram))
     return np.linalg.inv(gram + beta * np.eye(gram.shape[-1]))
 
 

@@ -321,6 +321,8 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
         raise ValueError(f"filter {scenario.filt!r} has no ridge parameter")
     if not (math.isfinite(rho_f) and rho_f > 0):
         raise ValueError(f"rho_f: power must be finite and > 0, got {rho_f}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     dims = scenario.dims
     rho_db = 10.0 * math.log10(rho_f)
     base = dataclasses.replace(
@@ -371,17 +373,18 @@ def _sweep_group(cfg, param):
     The cell draws and factors each of its `trials` channels once for all
     the link's filters (`analysis.mc_buckets_at`, CHUNK draws at a time),
     and evaluates every row's buckets in that one pass: a matched filter
-    from the tap products, a zero-forcing filter as the ridge family at
-    beta = 0 after its conditioning check, and a ridge filter at its beta.
-    With a beta search, the cell first factors draws 0 .. beta.trials - 1,
-    serving every filter, and searches beta at every power point on them
-    (`optimize_beta`; the coarse grid is evaluated once for the whole
-    cell and only the refinement runs per power point). The reporting
-    pass reuses those factored draws and the stacks the search kept, and
-    evaluates every beta* and beta = 0, whose stacks the zero-forcing
-    rows share. A sweep row (`run_sweep`) keeps the better result, beta*
-    unless beta = 0 rates strictly higher on the reporting draws, so it
-    never falls below the unregularized filter on its own draws.
+    from the tap products, a zero-forcing filter from the bin Gram
+    inverses after its conditioning check, and a ridge filter from the bin
+    eigendecompositions at its beta; a cell without a ridge filter
+    decomposes nothing. With a beta search, the cell first factors draws
+    0 .. beta.trials - 1, serving every filter, and searches beta at every
+    power point on them (`optimize_beta`; the coarse grid is evaluated
+    once for the whole cell and only the refinement runs per power point).
+    The reporting pass reuses those factored draws and the ridge stacks
+    the search kept, and evaluates every beta* and beta = 0. A sweep row
+    (`run_sweep`) keeps the better result, beta* unless beta = 0 rates
+    strictly higher on the reporting draws, so it never falls below the
+    unregularized filter on its own draws.
     """
     scn0 = _scenario(cfg, cfg.filters[0], param, cfg.rho_grid[0])
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from scmimo import analysis
+from scmimo import analysis, dl_precoding
 from scmimo.analysis import (NoiseBreakdown, Scenario, SignalBlocks,
                              _draw_buckets, appendix_moment,
                              buckets_to_result, cmfe_rate_closed,
@@ -357,6 +357,146 @@ def test_matched_only_cell_skips_the_eigendecomposition(monkeypatch, link,
     assert all(np.all(np.isfinite(s)) for s in stacks)
     row = buckets_to_result(_rank_one_scenario(link, filt), 5, *stacks)
     assert np.isfinite(row.rate_bpcu)
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "zfp"),
+                                       ("uplink", "zfe")])
+def test_zero_forcing_only_cell_skips_the_eigendecomposition(monkeypatch,
+                                                             link, filt):
+    """Zero-forcing buckets come from one batched inverse per chunk: on a
+    well-conditioned channel no Gram matrix is decomposed, and the stacks
+    match the probe measurement to 1e-10 draw by draw."""
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("np.linalg.eigh called for zero forcing")
+
+    scn = scenario(link=link, filt=filt, M=8, K=3, L=3, N=5, T=6, T_c=5,
+                   alpha=0.7)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    stacks, = mc_buckets_at(scn, 5, [(filt, 0.0)])
+    monkeypatch.undo()
+    for t in range(5):
+        ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
+        bd = decompose(link, filt, ch, SignalBlocks(1.0, 6, None))
+        g, isi_u, mui_u, awgn = (s[t] for s in stacks)
+        scale = np.max(np.abs(bd.gains))
+        for got, want, power in ((g, bd.gains, 1), (isi_u, bd.isi_k, 2),
+                                 (mui_u, bd.mui_k, 2)):
+            assert_allclose(got / scale ** power, want / scale ** power,
+                            rtol=0, atol=1e-10)
+        want = np.ones(3) if link == "downlink" \
+            else _exact_uplink_awgn(filt, ch, 6, 0.0)
+        assert_allclose(awgn, want, rtol=1e-10)
+
+
+def _bin_grams(link, Hhat, N):
+    """Every bin's Gram matrix V_nu^H V_nu of one draw, shape (N, K, K):
+    the synthesis bins on the downlink, the analysis bins on the uplink."""
+    L = Hhat.shape[0]
+    E = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(L)) / N)
+    V = np.tensordot(E if link == "downlink" else np.conj(E), Hhat, 1)
+    return np.conj(V).transpose(0, 2, 1) @ V
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "zfp"),
+                                       ("uplink", "zfe")])
+def test_zero_forcing_conditioning_threshold_is_exact(monkeypatch, link,
+                                                      filt):
+    """The zero-forcing check compares each bin's exact reciprocal
+    condition lambda_min / lambda_max with RCOND_MIN: a threshold just
+    below the worst bin of the worst draw accepts every draw, although
+    the norm bound 1 / (||G||_F ||G^-1||_F) of that bin is below it, and
+    a threshold just above rejects that draw, naming its trial and bin."""
+    scn = scenario(link=link, filt=filt, M=8, K=3, L=3, N=5, T=7, T_c=5,
+                   alpha=0.7)
+    grams = np.array([_bin_grams(link, draw_channel(
+        scn.dims, scn.pdp, scn.corr, trial_rng(51, t)).Hhat, 5)
+        for t in range(4)])                                 # (4, N, K, K)
+    eigs = np.linalg.eigvalsh(grams)
+    rcond = eigs[..., 0] / eigs[..., -1]
+    t, nu = np.unravel_index(np.argmin(rcond), rcond.shape)
+    bound = 1.0 / (np.linalg.norm(grams[t, nu])
+                   * np.linalg.norm(np.linalg.inv(grams[t, nu])))
+    want = mc_buckets(scn, 4)
+
+    below = rcond[t, nu] * (1 - 1e-9)
+    assert bound < below
+    monkeypatch.setattr(analysis, "RCOND_MIN", below)
+    monkeypatch.setattr(dl_precoding, "RCOND_MIN", below)
+    for got, ref in zip(mc_buckets(scn, 4), want):
+        assert np.array_equal(got, ref)
+
+    above = rcond[t, nu] * (1 + 1e-9)
+    monkeypatch.setattr(analysis, "RCOND_MIN", above)
+    monkeypatch.setattr(dl_precoding, "RCOND_MIN", above)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"\({filt}, seed 51, trial {t}\): Gram matrix "
+                             rf"at bin {nu} has reciprocal condition"):
+        mc_buckets(scn, 4)
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "zfp"),
+                                       ("uplink", "zfe")])
+def test_singular_draw_spoils_no_other_draw_of_its_chunk(link, filt):
+    """A user with no channel makes a Gram matrix exactly singular, so the
+    chunk's batched inverse fails. The draws around it keep the buckets
+    they have on their own, and the singular draw is rejected, by trial
+    and bin, only when the filter is evaluated on a range holding it."""
+    scn = scenario(link=link, filt=filt, M=8, K=3, L=3, N=5, T=7, T_c=5,
+                   alpha=0.7)
+    chans = [draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
+             for t in range(3)]
+    Hhat = chans[1].Hhat.copy()
+    Hhat[:, :, 2] = 0.0
+    chans[1] = dataclasses.replace(chans[1], Hhat=Hhat)
+    factors = analysis.DrawFactors(scn, 3, first=0)
+    factors.fill(0, chans)
+    for i in (0, 2):
+        for got, want in zip(factors.buckets(0.0, i, i + 1),
+                             _draw_buckets(scn, chans[i])):
+            assert np.array_equal(got[0], want)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"\({filt}, seed 51, trial 1\): Gram matrix "
+                             rf"at bin \d+ has reciprocal condition"):
+        factors.buckets(0.0)
+
+
+@pytest.mark.parametrize("link,ridge,other", [
+    ("downlink", "rzfp", "cmfp"), ("downlink", "rzfp", "zfp"),
+    ("uplink", "mmsee", "cmfe"), ("uplink", "mmsee", "zfe")])
+def test_mc_buckets_at_rejects_factors_that_do_not_serve_a_filter(
+        link, ridge, other):
+    """Factors built for the ridge filter alone hold neither the matched
+    nor the zero-forcing stacks: a request for those names the filter and
+    the filters the factors serve."""
+    scn = scenario(link=link, filt=ridge, alpha=0.7)
+    factors = factor_draws(scn, 4)
+    with pytest.raises(ValueError,
+                       match=rf"'{other}' is not served .*serve {ridge}\)"):
+        mc_buckets_at(scn, 4, [(ridge, 0.1), (other, 0.0)], factors)
+
+
+@pytest.mark.parametrize("T", [20, 21, 23, 100])
+@pytest.mark.parametrize("link,filt", [("downlink", "zfp"),
+                                       ("uplink", "zfe")])
+def test_zero_forcing_buckets_match_tap_placement_at_paper_size(link, filt,
+                                                                T):
+    """At N = 20, L = 4, K = 10, M = 16 the zero-forcing buckets from the
+    bin inverses and the L - 1 low taps match the explicitly placed
+    cascade of the bank at beta = 0 to 1e-12 of the draw's largest gain
+    (squared for the powers), whether the cascade folds onto the block
+    (T = 20, 21), just fits (T = 23) or leaves zero taps (T = 100)."""
+    scn = scenario(link=link, filt=filt, M=16, K=10, L=4, N=20, T=T,
+                   T_c=20, alpha=0.7)
+    g, isi_u, mui_u, awgn = mc_buckets(scn, 3)
+    for t in range(3):
+        ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
+        want = _ridge_buckets_by_placement(link, ch.Hhat, 20, T, 0.0)
+        scale = np.max(np.abs(want[0]))
+        for have, ref, power in ((g[t], want[0], 1), (isi_u[t], want[1], 2),
+                                 (mui_u[t], want[2], 2)):
+            assert_allclose(have / scale ** power, ref / scale ** power,
+                            rtol=0, atol=1e-12)
+        assert_allclose(awgn[t], want[3], rtol=1e-12)
 
 
 @pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),

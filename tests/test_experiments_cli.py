@@ -320,6 +320,15 @@ def test_optimize_beta_rejects_bad_power(rho_f):
         optimize_beta(small_beta_scenario(filt="mmsee"), rho_f, trials=2)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_optimize_beta_rejects_fewer_than_one_trial(trials):
+    """No draws give no rate to compare, as for sum_rate_mc."""
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        optimize_beta(small_beta_scenario(filt="mmsee"), 1.0, trials=trials)
+    with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+        sum_rate_mc(small_beta_scenario(filt="mmsee"), trials)
+
+
 @pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
                                        ("uplink", "mmsee")])
 @pytest.mark.parametrize("rho_db", [0.0, 10.0, 30.0])
@@ -463,8 +472,9 @@ def test_grid_opt_cell_evaluates_beta_zero_once_on_search_draws(
         tmp_path, monkeypatch):
     """The beta search's stacks at beta = 0 serve the reporting pass: on
     the search's factored draws, each slot is evaluated at beta = 0 once
-    per cell, although the zero-forcing rows and the ridge filter's
-    better-of comparison both use it."""
+    per cell, although the coarse grid and the ridge filter's better-of
+    comparison both use it (the zero-forcing rows come from the bin
+    inverses, not from this path)."""
     path = cfg_file(tmp_path, CELL_CFG.format(link="downlink",
                                               filters="cmfp,zfp,rzfp"))
     cfg = load_config(path, overrides=[f"output={tmp_path / 'out.csv'}"])
