@@ -245,8 +245,8 @@ def _tap_placement(N, shifts, T):
     rows are the D distinct delays in increasing order, so delay 0 comes
     first when some term has shift 0 (every caller's does). With N = 1 it
     is a 0/1 matrix placing the terms alone: the bucket core uses only
-    that form, for the matched cascade; ridge-family banks get their
-    buckets from the bins (`DrawFactors`)."""
+    that form, for the matched cascade; zero-forcing and ridge banks get
+    their buckets from the bins (`DrawFactors`)."""
     m = np.arange(N)
     delay = (m + np.array(shifts)[:, None]) % T
     idft = np.exp(2j * np.pi * np.outer(m, m) / N) / N     # [m, nu]
@@ -327,7 +327,7 @@ class DrawFactors:
     def __init__(self, scenario, n, first=None, filters=None):
         self.scenario, self.n, self.first = scenario, n, first
         self.filters = (scenario.filt,) if filters is None \
-            else tuple(dict.fromkeys(filters))
+            else tuple(filters)
         for filt in self.filters:
             _check_combo(scenario.link, filt)
         self._memo = {}
