@@ -39,9 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import draw_channel, trial_rng
-from .dl_precoding import (RCOND_MIN, check_gram_conditioning,
-                           cmfp_transmit, downlink_receive, gram_rcond,
-                           precoded_transmit, rzfp_bank, zfp_bank)
+from . import dl_precoding
+from .dl_precoding import (check_gram_conditioning, cmfp_transmit,
+                           downlink_receive, gram_rcond, precoded_transmit,
+                           rzfp_bank, zfp_bank)
 from .ul_equalization import (apply_equalizer_bank, cmfe_apply,
                               make_uplink_frame, mmsee_bank, uplink_receive,
                               zfe_bank)
@@ -421,7 +422,7 @@ class DrawFactors:
     def _check_conditioning(self, filt, lo, hi):
         """Raise LinAlgError, naming filt, seed, trial and bin, if a Gram
         matrix of slots lo .. hi - 1 is too ill-conditioned to invert."""
-        ok = self.rcond[lo:hi] >= RCOND_MIN                 # (n, N)
+        ok = self.rcond[lo:hi] >= dl_precoding.RCOND_MIN  # (n, N)
         bad = np.flatnonzero(~ok.all(axis=1))
         if bad.size:
             i = lo + int(bad[0])
@@ -587,7 +588,7 @@ def _gram_inverse(G):
                               * (Ginv.real ** 2 + Ginv.imag ** 2).sum(
                                   axis=(-2, -1)))
     # the bound's own rounding must not accept a bin the exact test rejects
-    loose = ~(rcond >= 2 * RCOND_MIN)
+    loose = ~(rcond >= 2 * dl_precoding.RCOND_MIN)
     if loose.any():
         rcond[loose] = gram_rcond(G[loose])
     return Ginv, rcond

@@ -420,17 +420,29 @@ def test_zero_forcing_conditioning_threshold_is_exact(monkeypatch, link,
 
     below = rcond[t, nu] * (1 - 1e-9)
     assert bound < below
-    monkeypatch.setattr(analysis, "RCOND_MIN", below)
     monkeypatch.setattr(dl_precoding, "RCOND_MIN", below)
     for got, ref in zip(mc_buckets(scn, 4), want):
         assert np.array_equal(got, ref)
 
     above = rcond[t, nu] * (1 + 1e-9)
-    monkeypatch.setattr(analysis, "RCOND_MIN", above)
     monkeypatch.setattr(dl_precoding, "RCOND_MIN", above)
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"\({filt}, seed 51, trial {t}\): Gram matrix "
                              rf"at bin {nu} has reciprocal condition"):
+        mc_buckets(scn, 4)
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "zfp"),
+                                       ("uplink", "zfe")])
+def test_zero_forcing_reads_the_one_rank_threshold(monkeypatch, link, filt):
+    """The bucket core flags and rejects a draw against the threshold
+    dl_precoding.RCOND_MIN as it reads it at run time: a threshold no
+    Gram matrix meets, set there alone, rejects the first draw by bin."""
+    scn = scenario(link=link, filt=filt, alpha=0.7)
+    monkeypatch.setattr(dl_precoding, "RCOND_MIN", 1.0)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"\({filt}, seed 51, trial 0\): Gram matrix "
+                             rf"at bin \d+ has reciprocal condition"):
         mc_buckets(scn, 4)
 
 

@@ -1,8 +1,12 @@
 """Config parsing, sweeps, CSV/plot emission, beta search, CLI wiring."""
 
+import ctypes
 import dataclasses
+import json
+import mmap
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -643,6 +647,89 @@ def test_pool_workers_run_blas_on_one_thread():
         link="uplink", filt="zfe")) in ("OpenBLAS", "another BLAS")
 
 
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc"
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="workers keep their heap through glibc's mallopt, and the "
+           "churning cell reaches them by fork")
+def test_pool_workers_keep_their_heap_between_chunks():
+    """A pool worker's heap stays mapped when a cell frees its arrays:
+    a cell that allocates twenty 512 KB arrays and frees them all, round
+    after round, faults their pages in at most in its first round (with
+    the default thresholds, glibc returns the heap top to the kernel
+    after each round, and each later round faults every page again)."""
+    code = """
+        import json, resource, sys, tempfile, os
+        import numpy as np
+        from scmimo import experiments_cli as cli
+        cell = cli._sweep_group
+
+        def churning_cell(cfg, param):
+            growth = []
+            for _ in range(8):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                arrays = [np.ones(1 << 16) for _ in range(20)]
+                del arrays
+                growth.append(resource.getrusage(
+                    resource.RUSAGE_SELF).ru_minflt - before)
+            with open(f"{os.path.dirname(cfg.output)}/{param}.json",
+                      "w") as fh:
+                json.dump(growth, fh)
+            return cell(cfg, param)
+
+        cli._sweep_group = churning_cell
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write(sys.argv[1])
+            cfg = cli.load_config(path, [f"output={tmp}/o.csv"])
+            cli.run_sweep(cfg, workers=2)
+            growth = []
+            for param in cfg.corr_params:
+                with open(f"{tmp}/{param}.json") as fh:
+                    growth.append(json.load(fh))
+        print(json.dumps(growth))
+    """
+    growth = json.loads(_run_fresh(code, SHORTFALL_CFG.format(
+        link="downlink", filt="cmfp,zfp")))
+    pages = 20 * (1 << 16) * 8 // mmap.PAGESIZE
+    assert len(growth) == 3
+    for rounds in growth:
+        assert max(rounds[1:]) < pages // 20, rounds
+
+
+def test_serial_sweep_leaves_its_process_alone(tmp_path, monkeypatch):
+    """A one-worker sweep runs its cells in the caller's process and never
+    runs the pool-worker initializer there."""
+    def refused():
+        raise AssertionError("pool-worker initializer in the caller")
+
+    monkeypatch.setattr(cli, "_init_worker", refused)
+    path = cfg_file(tmp_path, SHORTFALL_CFG.format(link="uplink",
+                                                   filt="cmfe,zfe"))
+    cfg = load_config(path, overrides=[f"output={tmp_path / 'o.csv'}"])
+    assert len(run_sweep(cfg, workers=1)) == 2 * 3 * 5
+
+
+@pytest.mark.parametrize("library", ["missing", "bare"])
+def test_worker_initializer_is_quiet_without_its_libraries(monkeypatch,
+                                                            library):
+    """Where no library can be loaded, or one has neither mallopt nor an
+    OpenBLAS thread setter, the pool-worker initializer does nothing and
+    raises nothing."""
+    loaded = []
+
+    def cdll(path):
+        loaded.append(path)
+        if library == "missing":
+            raise OSError(f"cannot load {path}")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._init_worker() is None
+    assert len(loaded) == 2
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the patched threshold reaches workers by fork")
 def test_pool_passes_errors_through_and_leaves_no_workers(tmp_path,
@@ -656,7 +743,6 @@ def test_pool_passes_errors_through_and_leaves_no_workers(tmp_path,
     run_sweep(cfg, workers=2)
     assert multiprocessing.active_children() == []
     # a rank threshold no Gram matrix meets: every draw fails its check
-    monkeypatch.setattr(analysis, "RCOND_MIN", 1.0)
     monkeypatch.setattr(dl_precoding, "RCOND_MIN", 1.0)
     with pytest.raises(np.linalg.LinAlgError,
                        match=r"\(exponential alpha=0, zfp, seed 5, "
