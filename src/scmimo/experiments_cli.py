@@ -491,8 +491,10 @@ def _init_worker():
     libc = load(None)
     # the parameter numbers are glibc's own: no other libc is passed them
     if hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt"):
-        libc.mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
-        libc.mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
+        mallopt = libc.mallopt
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, _WORKER_MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
 
 
 def run_sweep(cfg, workers=None):
