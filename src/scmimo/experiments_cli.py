@@ -466,8 +466,8 @@ def _init_worker():
     (about 1 MB in `analysis.DrawFactors.fill`), so the heap top went back
     to the kernel after every 8-draw chunk and the next chunk faulted it
     in again: on the fig1 CMFP/ZFP and fig3 CMFE/ZFE sweeps at two
-    workers, the workers took 376 k minor page faults and 0.75 s of
-    system time, against 22 k and 0.10 s with the heap kept. Under any
+    workers, the workers took 381 k minor page faults and 0.78 s of
+    system time, against 23 k and 0.10 s with the heap kept. Under any
     other C library this part does nothing.
     """
     import ctypes
