@@ -5,45 +5,16 @@ frequency-domain filter banks: downlink precoding (conjugate matched
 filter, zero-forcing, regularized zero-forcing) and uplink equalization
 (matched filter, zero-forcing, ridge/MMSE), plus the Monte Carlo rate
 analysis and closed-form baselines used to cross-check them.
+
+The package root exports the names of the README quick start; everything
+else is imported from its submodule.
 """
 
-from .analysis import (NoiseBreakdown, Scenario, SignalBlocks,
-                       SumRateResult, appendix_moment, buckets_to_result,
-                       cmfe_rate_closed, cmfp_rate_closed, coop_capacity,
-                       decompose, mc_buckets, sum_rate_mc)
-from .channel import (ChannelRealization, PowerDelayProfile, SimulationDims,
-                      draw_channel, exponential_pdp, taps_to_freq, trial_rng)
-from .corr_models import (ArrayGeometry, CorrelationMatrix,
-                          bessel_correlation, distance_matrix,
-                          exponential_correlation, hermitian_sqrt,
-                          identity_correlation, ula, upa)
-from .dl_precoding import (FrequencyFilterBank, cmfp_transmit,
-                           downlink_receive, normalize_bank,
-                           precoded_transmit, rzfp_bank, synthesis_bins,
-                           zfp_bank)
-from .experiments_cli import (ScenarioConfig, emit_plot_script, load_config,
-                              optimize_beta, run_sweep, validate)
-from .ul_equalization import (UplinkFrame, apply_equalizer_bank, cmfe_apply,
-                              make_uplink_frame, mmsee_bank, uplink_receive,
-                              zfe_bank)
+from .analysis import Scenario, sum_rate_mc
+from .channel import SimulationDims, exponential_pdp
+from .corr_models import exponential_correlation, ula
 
-__all__ = [
-    "ArrayGeometry", "CorrelationMatrix", "ula", "upa",
-    "distance_matrix", "hermitian_sqrt",
-    "identity_correlation", "exponential_correlation", "bessel_correlation",
-    "SimulationDims", "PowerDelayProfile", "ChannelRealization",
-    "exponential_pdp", "draw_channel", "taps_to_freq", "trial_rng",
-    "FrequencyFilterBank", "synthesis_bins", "zfp_bank", "rzfp_bank",
-    "normalize_bank", "precoded_transmit", "cmfp_transmit",
-    "downlink_receive",
-    "UplinkFrame", "make_uplink_frame", "uplink_receive", "cmfe_apply",
-    "zfe_bank", "mmsee_bank", "apply_equalizer_bank",
-    "NoiseBreakdown", "SumRateResult", "Scenario", "SignalBlocks",
-    "decompose", "mc_buckets", "buckets_to_result", "sum_rate_mc",
-    "cmfp_rate_closed", "coop_capacity", "cmfe_rate_closed",
-    "appendix_moment",
-    "ScenarioConfig", "load_config", "optimize_beta", "run_sweep",
-    "emit_plot_script", "validate",
-]
+__all__ = ["Scenario", "SimulationDims", "exponential_correlation",
+           "exponential_pdp", "sum_rate_mc", "ula"]
 
 __version__ = "0.1.0"

@@ -179,14 +179,14 @@ def _cmfp_reference_gains(dims, pdp):
     return np.sqrt(dims.M / dims.K) * pdp.d.sum(axis=1)
 
 
-def decompose(link, filt, ch, blocks, reference_gains=None, beta=0.0):
+def decompose(link, filt, ch, blocks, beta=0.0):
     """Probe-based power decomposition through the actual signal path.
 
     Sends one unit impulse per user (zero noise) at symbol 0 to measure
     the full circular cascade tap response, then a noise-only block for
-    the AWGN bucket. reference_gains=None selects the analytic CMFP mean
-    gain on the downlink and the realized per-draw gain everywhere else
-    (which makes the uplink IF bucket exactly zero).
+    the AWGN bucket. The reference gain is the analytic mean gain for
+    downlink CMFP and the realized per-draw gain for every other filter
+    (which makes their IF bucket exactly zero).
     """
     dims = ch.dims
     K, T = dims.K, blocks.T
@@ -201,9 +201,8 @@ def decompose(link, filt, ch, blocks, reference_gains=None, beta=0.0):
         C[:, :, q] = run(s, zero_noise).T
 
     g = np.diagonal(C[0]).copy()
-    if reference_gains is None and link == "downlink" and filt == "cmfp":
-        reference_gains = _cmfp_reference_gains(dims, ch.pdp)
-    gbar = g if reference_gains is None else np.asarray(reference_gains)
+    gbar = _cmfp_reference_gains(dims, ch.pdp) \
+        if link == "downlink" and filt == "cmfp" else g
 
     tot = (np.abs(C) ** 2).sum(axis=0)          # (K, K) over all delays
     isi_k = rho * (np.diagonal(tot) - np.abs(g) ** 2)
@@ -642,9 +641,8 @@ def mc_buckets_at(scenario, trials, requests, factors=None):
     cached, kept = 0, {}
     if factors is not None:
         cached = min(factors.n, trials)
-        memo = getattr(factors, "_memo", {})
-        kept = {key: memo[key, factors.n] for key in evaluate
-                if (key, factors.n) in memo}
+        kept = {key: factors._memo[key, factors.n] for key in evaluate
+                if (key, factors.n) in factors._memo}
     for key, stacks in kept.items():
         for dst, src in zip(out[key], stacks):
             dst[:cached] = src[:cached]

@@ -20,7 +20,7 @@ class SimulationDims:
     """Static scenario dimensions.
 
     M antennas, K users, L channel taps, N filter-bank bins (N > L),
-    T-symbol blocks (T >= N), cyclic prefix T_c > L, and a seed in
+    T-symbol blocks (T >= N), cyclic prefix L < T_c <= T, and a seed in
     [0, 2**64), the key range of the per-trial Philox streams.
     """
 
@@ -42,6 +42,10 @@ class SimulationDims:
                              f"N={self.N}")
         if self.T_c <= self.L:
             raise ValueError(f"need T_c > L, got T_c={self.T_c}, L={self.L}")
+        if self.T_c > self.T:
+            raise ValueError(f"need T_c <= T (the cyclic prefix copies "
+                             f"the block's tail), got T_c={self.T_c}, "
+                             f"T={self.T}")
         if self.K > self.M:
             raise ValueError(f"need K <= M, got K={self.K}, M={self.M}")
         if not 0 <= self.seed < 2 ** 64:

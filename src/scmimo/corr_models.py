@@ -83,12 +83,12 @@ def distance_matrix(geometry):
         np.subtract.outer(r, r), np.subtract.outer(c, c))
 
 
-def hermitian_sqrt(A, tol=EIG_CLAMP_REL):
+def hermitian_sqrt(A):
     """Hermitian square root via eigendecomposition, V diag(sqrt(w)) V^H.
 
-    Eigenvalues in [-tol * max(w), 0) are clamped to zero; anything more
-    negative raises, since that signals an invalid matrix rather than
-    rounding noise.
+    Eigenvalues in [-EIG_CLAMP_REL * max(max(w), 1), 0) are clamped to zero;
+    anything more negative raises, since that signals an invalid matrix
+    rather than rounding noise.
     """
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -96,7 +96,7 @@ def hermitian_sqrt(A, tol=EIG_CLAMP_REL):
     if not np.allclose(A, A.conj().T, rtol=0, atol=1e-12):
         raise ValueError("matrix is not Hermitian")
     w, V = np.linalg.eigh(A)
-    floor = -tol * max(w[-1], 1.0)
+    floor = -EIG_CLAMP_REL * max(w[-1], 1.0)
     if w[0] < floor:
         raise ValueError(
             f"matrix is not PSD: min eigenvalue {w[0]:.3e} "

@@ -33,7 +33,7 @@ from .analysis import (Scenario, buckets_to_result, cmfe_rate_closed,
                        cmfp_rate_closed, coop_capacity, mc_buckets,
                        sum_rate_mc)
 from .channel import (DEFAULT_SEED, SimulationDims, draw_channel,
-                      exponential_pdp, trial_rng)
+                      exponential_pdp, taps_to_freq, trial_rng)
 from .corr_models import (ArrayGeometry, bessel_correlation,
                           exponential_correlation, identity_correlation, ula)
 
@@ -331,18 +331,17 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
         factors = analysis.factor_draws(scenario, trials)
     memo = getattr(factors, "_memo", {})
 
-    def rate(beta, stacks):
-        scn = dataclasses.replace(base, beta=beta)
+    def rate(stacks):
         return analysis.rate_from_breakdown(
-            analysis._aggregate(scn, *stacks))[0]
+            analysis._aggregate(base, *stacks))[0]
 
     def rate_at(beta):
-        return rate(beta, factors.buckets(beta, 0, trials))
+        return rate(factors.buckets(beta, 0, trials))
 
     def grid_rate(beta):
         if (beta, trials) not in memo:
             memo[beta, trials] = factors.buckets(beta, 0, trials)
-        return rate(beta, memo[beta, trials])
+        return rate(memo[beta, trials])
 
     grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
     rates = [grid_rate(b) for b in grid]
@@ -778,7 +777,7 @@ def _validate_zero_forcing(rep):
                           rho_f_db=0.0, seed=DEFAULT_SEED)
     corr = exponential_correlation(ula(M, 0.5), 0.7)
     pdp = exponential_pdp(K, L)
-    from .dl_precoding import zfp_bank
+    from .dl_precoding import synthesis_bins, zfp_bank
     from .ul_equalization import zfe_bank
 
     worst_dl = worst_ul = 0.0
@@ -786,17 +785,14 @@ def _validate_zero_forcing(rep):
     for t in range(5):
         ch = draw_channel(dims, pdp, corr, trial_rng(dims.seed, t))
         wb = zfp_bank(ch)
-        nu_grid = np.arange(N)
-        kernel = np.exp(2j * np.pi
-                        * np.outer(nu_grid, np.arange(L)) / N)
-        B = np.einsum("vl,lmk->vmk", kernel, ch.Hhat)
+        B = synthesis_bins(ch.Hhat, N)
         for nu in range(N):
             prod = np.conj(B[nu].T) @ (wb.norm * wb.freq[nu])
             a = np.trace(prod).real / K
             worst_dl = max(worst_dl,
                            float(np.max(np.abs(prod - a * np.eye(K)))) / a)
         qb = zfe_bank(ch)
-        Hnu = np.einsum("vl,lmk->vmk", np.conj(kernel), ch.Hhat)
+        Hnu = taps_to_freq(ch.Hhat, N)
         for nu in range(N):
             prod = qb.freq[nu] @ Hnu[nu]
             worst_ul = max(worst_ul,

@@ -269,3 +269,12 @@ def test_dims_reject_block_shorter_than_bank():
     with pytest.raises(ValueError, match="T >= N"):
         small_dims(N=8, T=4)
     assert small_dims(N=8, T=8).T == 8
+
+
+def test_dims_reject_prefix_longer_than_block():
+    """The cyclic prefix copies the block's last T_c symbols, so T_c > T is
+    rejected up front, as the uplink framing rejects it, rather than let
+    the bucket core rate a frame that the signal path cannot build."""
+    with pytest.raises(ValueError, match="T_c <= T"):
+        SimulationDims(M=8, K=2, L=2, N=4, T=4, T_c=6)
+    assert small_dims(T=4, T_c=4).T_c == 4

@@ -1,5 +1,6 @@
 """Config parsing, sweeps, CSV/plot emission, beta search, CLI wiring."""
 
+import ast
 import ctypes
 import dataclasses
 import json
@@ -7,6 +8,7 @@ import mmap
 import multiprocessing
 import os
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -14,6 +16,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import scmimo
 from scmimo import analysis, dl_precoding, experiments_cli as cli
 from scmimo.analysis import Scenario, _draw_buckets, sum_rate_mc
 from scmimo.channel import (DEFAULT_SEED, SimulationDims, draw_channel,
@@ -539,7 +542,7 @@ def test_search_leaves_scipy_optimize_unimported():
 
 def test_bessel_sweep_imports_scipy_at_its_cells():
     """A Bessel sweep loads scipy.special at its first cells. Run first
-    with two pool threads that build their correlations together, it
+    with two pool processes that build their correlations together, it
     still writes the same bytes as a one-worker sweep."""
     code = """
         import sys, tempfile, os
@@ -575,6 +578,33 @@ def test_import_leaves_pool_modules_unloaded():
                if m in sys.modules])
     """
     assert _run_fresh(code) == "[]"
+
+
+def test_readme_quick_start_runs_on_the_package_root(capsys):
+    """The README's quick start runs as written, and the package root
+    exports exactly the names it imports."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        block, = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    names = {alias.name for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.ImportFrom) and node.module == "scmimo"
+             for alias in node.names}
+    assert sorted(scmimo.__all__) == sorted(names)
+    assert all(callable(getattr(scmimo, name)) for name in names)
+    exec(block, {})
+    assert capsys.readouterr().out.startswith("sum rate ")
+
+
+def test_import_leaves_cli_unloaded():
+    """Importing the package loads the library modules only: the sweep
+    and command-line module is imported from its submodule when used."""
+    code = """
+        import sys
+        import scmimo
+        print("scmimo.experiments_cli" in sys.modules)
+    """
+    assert _run_fresh(code) == "False"
 
 
 def test_pool_start_method_is_pinned():
