@@ -42,7 +42,7 @@ from .channel import draw_channel, trial_rng
 from . import dl_precoding
 from .dl_precoding import (check_gram_conditioning, cmfp_transmit,
                            downlink_receive, gram_rcond, precoded_transmit,
-                           rzfp_bank, zfp_bank)
+                           ridge_beta, rzfp_bank, zfp_bank)
 from .ul_equalization import (apply_equalizer_bank, cmfe_apply,
                               make_uplink_frame, mmsee_bank, uplink_receive,
                               zfe_bank)
@@ -318,10 +318,12 @@ class DrawFactors:
       normalization and the uplink AWGN bucket follow from Lambda. Only
       a ridge filter makes `fill` decompose the Gram matrices.
 
-    Buckets do not depend on the power, so `_memo` keeps the ridge
-    filter's stacks of the beta search's coarse grid, keyed by (beta, hi),
-    for every power point that searches on these draws, and for the
-    reporting pass that follows; it goes when the factors do.
+    Buckets do not depend on the power, so `buckets` keeps the ridge
+    filter's stacks at every beta it evaluates over all the slots, and a
+    later read of any range at that beta slices them. A sweep cell's beta
+    search keeps at most 14 + 12 x (power points) of them (the grid, and
+    no refinement of the eight figure configs takes more than 12), each
+    beta.trials x K x 40 B, until the cell ends. Fill every slot first.
     """
 
     def __init__(self, scenario, n, first=None, filters=None):
@@ -330,11 +332,11 @@ class DrawFactors:
             else tuple(filters)
         for filt in self.filters:
             _check_combo(scenario.link, filt)
-        self._memo = {}
         dims = scenario.dims
         K, L, N = dims.K, dims.L, dims.N
         self.downlink = scenario.link == "downlink"
-        # the parameterless filters' stacks, by filter
+        # the parameterless filters' stacks, by filter, and the ridge
+        # filter's kept ones, by beta
         self.stacks = {f: _stacks(n, K) for f in self.filters
                        if f in MATCHED + ZERO_FORCING}
         if any(f in ZERO_FORCING for f in self.filters):
@@ -427,14 +429,10 @@ class DrawFactors:
             i = lo + int(bad[0])
             check_gram_conditioning(self.rcond[i], where=self._where(i, filt))
 
-    def buckets(self, beta, lo=0, hi=None):
-        """(g, isi_u, mui_u, awgn) stacks of slots lo .. hi - 1 for the
-        scenario's filter at ridge parameter beta (ignored by the matched
-        and zero-forcing filters)."""
-        return self._filter_buckets(self.scenario.filt, beta, lo, hi)
-
-    def _filter_buckets(self, filt, beta, lo=0, hi=None):
-        """`buckets` for any filter the slots serve."""
+    def buckets(self, filt, beta, lo=0, hi=None):
+        """(g, isi_u, mui_u, awgn) stacks of slots lo .. hi - 1 for any
+        filter the slots serve, at ridge parameter beta (ignored by the
+        matched and zero-forcing filters)."""
         hi = self.n if hi is None else hi
         if filt not in self.filters:
             raise ValueError(f"filter {filt!r} is not served by these "
@@ -445,15 +443,16 @@ class DrawFactors:
                              f"factored draws")
         if filt in ZERO_FORCING:
             self._check_conditioning(filt, lo, hi)
-        if filt in self.stacks:
-            return tuple(s[lo:hi] for s in self.stacks[filt])
-        if beta < 0:
-            raise ValueError(f"beta must be >= 0, got {beta}")
+        key = filt if filt in self.stacks else ridge_beta(beta)
+        if key in self.stacks:
+            return tuple(s[lo:hi] for s in self.stacks[key])
         out = _stacks(hi - lo, self.scenario.dims.K)
-        for a in range(lo, hi, CHUNK):
+        for a in range(lo, hi, CHUNK):      # key is the ridge filter's beta
             b = min(a + CHUNK, hi)
-            for dst, src in zip(out, self._ridge_buckets(beta, a, b, filt)):
+            for dst, src in zip(out, self._ridge_buckets(key, a, b, filt)):
                 dst[a - lo:b - lo] = src
+        if (lo, hi) == (0, self.n):
+            self.stacks[key] = out
         return out
 
     def _zero_forcing_buckets(self, low, Ginv):
@@ -603,7 +602,7 @@ def _draw_buckets(scenario, ch):
     """
     factors = DrawFactors(scenario, 1)
     factors.fill(0, [ch])
-    return tuple(s[0] for s in factors.buckets(scenario.beta))
+    return tuple(s[0] for s in factors.buckets(scenario.filt, scenario.beta))
 
 
 def factor_draws(scenario, trials, first=0, filters=None):
@@ -625,40 +624,32 @@ def mc_buckets_at(scenario, trials, requests, factors=None):
     are any of the scenario's link, and beta is ignored by the matched and
     zero-forcing ones, whose stacks have no parameter.
 
-    Every chunk of draws is drawn and factored once for all the requested
-    filters and evaluated for each of them; requests that name the same
-    stacks (a parameterless filter twice, or the ridge filter twice at one
-    beta) share one evaluation. The leading draws already held in
-    `factors` (from factor_draws on the same scenario up to filter, power
-    and beta, serving every requested filter, else ValueError) are reused
-    instead of drawn again, and so are the ridge stacks of those draws
-    that a beta search kept in `factors._memo`.
+    Requests that name the same stacks (a parameterless filter twice, or
+    the ridge filter twice at one beta) share one evaluation. The leading
+    draws already held in `factors` (from factor_draws on the same
+    scenario up to filter, power and beta, serving every requested
+    filter, else ValueError) are read through `factors.buckets`, which
+    returns the ridge stacks it keeps; every later chunk of draws is drawn
+    and factored once for all the requested filters.
     """
     keys = [f if f in MATCHED + ZERO_FORCING else b for f, b in requests]
-    evaluate = {key: f for key, (f, _) in zip(keys, requests)}
-    filters = tuple(dict.fromkeys(evaluate.values()))
+    evaluate = dict(zip(keys, requests))
+    filters = tuple(dict.fromkeys(f for f, _ in evaluate.values()))
     out = {key: _stacks(trials, scenario.dims.K) for key in evaluate}
-    cached, kept = 0, {}
-    if factors is not None:
-        cached = min(factors.n, trials)
-        kept = {key: factors._memo[key, factors.n] for key in evaluate
-                if (key, factors.n) in factors._memo}
-    for key, stacks in kept.items():
-        for dst, src in zip(out[key], stacks):
-            dst[:cached] = src[:cached]
-    bounds = [*range(0, cached, CHUNK), *range(cached, trials, CHUNK), trials]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi <= cached:
-            src, a = factors, lo
-        else:
-            src, a = factor_draws(scenario, hi - lo, first=lo,
-                                  filters=filters), 0
-        for key, filt in evaluate.items():
-            if hi <= cached and key in kept:
-                continue
-            for dst, part in zip(out[key], src._filter_buckets(
-                    filt, 0.0 if key == filt else key, a, a + hi - lo)):
+
+    def read(src, lo, hi):
+        for key, (filt, beta) in evaluate.items():
+            for dst, part in zip(out[key], src.buckets(filt, beta, 0,
+                                                       hi - lo)):
                 dst[lo:hi] = part
+
+    cached = 0 if factors is None else min(factors.n, trials)
+    if cached:
+        read(factors, 0, cached)
+    for lo in range(cached, trials, CHUNK):
+        hi = min(lo + CHUNK, trials)
+        read(factor_draws(scenario, hi - lo, first=lo, filters=filters),
+             lo, hi)
     return [out[key] for key in keys]
 
 

@@ -94,23 +94,31 @@ def check_gram_conditioning(rcond, where=""):
             f"has reciprocal condition {rcond[bad]:.3e} < {RCOND_MIN:g}")
 
 
-def ridge_inverse(V, beta, check_conditioning):
+def ridge_beta(beta):
+    """beta as a float, once checked to be finite and >= 0."""
+    if not (np.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    return float(beta)
+
+
+def ridge_inverse(V, beta, where=None):
     """Per-bin ridge inverse (V_nu^H V_nu + beta I)^{-1} of an (N, M, K)
-    bin stack, after the rank check when check_conditioning is set.
+    bin stack; ValueError unless `ridge_beta` accepts beta. When `where`
+    is given, the rank check runs first and its error names the draw by
+    it.
 
     The precoders design on V = B (W_nu = B_nu R_nu), the equalizers on
     V = Hhat_nu (Q_nu = R_nu Hhat_nu^H).
     """
     gram = np.conj(np.swapaxes(V, -1, -2)) @ V      # (N, K, K)
-    if check_conditioning:
-        check_gram_conditioning(gram_rcond(gram))
-    return np.linalg.inv(gram + beta * np.eye(gram.shape[-1]))
+    if where is not None:
+        check_gram_conditioning(gram_rcond(gram), where)
+    return np.linalg.inv(gram + ridge_beta(beta) * np.eye(gram.shape[-1]))
 
 
-def _ridge_bank(ch, beta, check_conditioning):
+def _ridge_bank(ch, beta, where=None):
     B = synthesis_bins(ch.Hhat, ch.dims.N)          # (N, M, K)
-    bank = FrequencyFilterBank.from_freq(
-        B @ ridge_inverse(B, beta, check_conditioning))
+    bank = FrequencyFilterBank.from_freq(B @ ridge_inverse(B, beta, where))
     bank.norm = normalize_bank(bank)
     return bank
 
@@ -118,10 +126,10 @@ def _ridge_bank(ch, beta, check_conditioning):
 def zfp_bank(ch):
     """Zero-forcing precoder bank, W_nu = a B_nu (B_nu^H B_nu)^{-1}.
 
-    Raises (naming the offending bin) when a bin's Gram matrix has
-    reciprocal condition below 1e-12.
+    Raises, naming the filter, the seed and the offending bin, when a
+    bin's Gram matrix has reciprocal condition below RCOND_MIN.
     """
-    return _ridge_bank(ch, 0.0, check_conditioning=True)
+    return _ridge_bank(ch, 0.0, where=f" (zfp, seed {ch.dims.seed})")
 
 
 def rzfp_bank(ch, beta):
@@ -130,9 +138,7 @@ def rzfp_bank(ch, beta):
     beta = 0 recovers the ZFP directions; large beta tilts every bin
     toward the matched-filter direction B_nu.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    return _ridge_bank(ch, float(beta), check_conditioning=False)
+    return _ridge_bank(ch, beta)
 
 
 def normalize_bank(bank):

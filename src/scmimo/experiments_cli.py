@@ -312,10 +312,10 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
 
     The draws are factored once (analysis.DrawFactors), so each candidate
     costs only a rescale of the cached per-bin eigendecompositions.
-    `factors` supplies that cache for draws 0 .. trials - 1 of the
-    scenario (from analysis.factor_draws); by default it is built here.
-    Buckets do not depend on rho_f, so the coarse grid's stacks are kept
-    on `factors` and every later search on it reuses them.
+    `factors` supplies them for draws 0 .. trials - 1 of the scenario
+    (from analysis.factor_draws); by default they are built here. They
+    keep the stacks of every beta evaluated, so a later search or a
+    reporting pass on them evaluates none of those again.
     """
     if scenario.filt not in BETA_FILTERS:
         raise ValueError(f"filter {scenario.filt!r} has no ridge parameter")
@@ -329,22 +329,13 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
         scenario, dims=dataclasses.replace(dims, rho_f_db=rho_db))
     if factors is None:
         factors = analysis.factor_draws(scenario, trials)
-    memo = getattr(factors, "_memo", {})
 
-    def rate(stacks):
-        return analysis.rate_from_breakdown(
-            analysis._aggregate(base, *stacks))[0]
-
-    def rate_at(beta):
-        return rate(factors.buckets(beta, 0, trials))
-
-    def grid_rate(beta):
-        if (beta, trials) not in memo:
-            memo[beta, trials] = factors.buckets(beta, 0, trials)
-        return rate(memo[beta, trials])
+    def rate(beta):
+        return analysis.rate_from_breakdown(analysis._aggregate(
+            base, *factors.buckets(scenario.filt, beta, 0, trials)))[0]
 
     grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
-    rates = [grid_rate(b) for b in grid]
+    rates = [rate(b) for b in grid]
     best = max(range(len(grid)), key=lambda i: (rates[i], -i))
     if best == 0:
         return 0.0
@@ -352,7 +343,7 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
     # the bracket ends are distinct grid points, both positive
     lo = grid[max(best - 1, 1)]
     hi = grid[min(best + 1, len(grid) - 1)]
-    x, loss = _brent_min(lambda t: -rate_at(math.exp(t)), math.log(lo),
+    x, loss = _brent_min(lambda t: -rate(math.exp(t)), math.log(lo),
                          math.log(hi), math.log(1.01) / 4.0)
     # never return a refined point that lost to the coarse winner
     return math.exp(x) if -loss >= rates[best] else grid[best]
@@ -377,10 +368,10 @@ def _sweep_group(cfg, param):
     eigendecompositions at its beta; a cell without a ridge filter
     decomposes nothing. With a beta search, the cell first factors draws
     0 .. beta.trials - 1, serving every filter, and searches beta at every
-    power point on them (`optimize_beta`; the coarse grid is evaluated
-    once for the whole cell and only the refinement runs per power point).
-    The reporting pass reuses those factored draws and the ridge stacks
-    the search kept, and evaluates every beta* and beta = 0. A sweep row
+    power point on them (`optimize_beta`). The factors keep the stacks
+    of every beta evaluated, so the coarse grid is evaluated once per
+    cell, and the reporting pass evaluates every beta* and beta = 0 only
+    on the later draws. A sweep row
     (`run_sweep`) keeps the better result, beta* unless beta = 0 rates
     strictly higher on the reporting draws, so it never falls below the
     unregularized filter on its own draws.

@@ -83,10 +83,10 @@ def cmfe_apply(ch, r):
     return y / np.sqrt(M * K)
 
 
-def _ridge_bank_ul(ch, beta, check_conditioning):
+def _ridge_bank_ul(ch, beta, where=None):
     Hnu = taps_to_freq(ch.Hhat, ch.dims.N)              # (N, M, K)
     return FrequencyFilterBank.from_freq(
-        ridge_inverse(Hnu, beta, check_conditioning)
+        ridge_inverse(Hnu, beta, where)
         @ np.conj(np.swapaxes(Hnu, -1, -2)))
 
 
@@ -94,17 +94,15 @@ def zfe_bank(ch):
     """Zero-forcing equalizer bank, Q_nu = (G_nu G_nu^H)^{-1} G_nu.
 
     Per-bin Q_nu Hhat_nu = I_K; under CP framing the measured ISI and MUI
-    vanish when the block grid aligns with the design bins. Raises (naming
-    the bin) on a rank-deficient Gram matrix.
+    vanish when the block grid aligns with the design bins. Raises, naming
+    the filter, the seed and the bin, on a rank-deficient Gram matrix.
     """
-    return _ridge_bank_ul(ch, 0.0, check_conditioning=True)
+    return _ridge_bank_ul(ch, 0.0, where=f" (zfe, seed {ch.dims.seed})")
 
 
 def mmsee_bank(ch, beta):
     """Ridge-regularized equalizer bank, Q_nu = (G_nu G_nu^H + beta I)^{-1} G_nu."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    return _ridge_bank_ul(ch, float(beta), check_conditioning=False)
+    return _ridge_bank_ul(ch, beta)
 
 
 def apply_equalizer_bank(bank, r):

@@ -278,7 +278,9 @@ def test_tap_placement_equals_ifft_shift_add_fold(N, L, T):
 def test_buckets_bit_identical_across_chunk_sizes(monkeypatch, link, filt):
     """Chunking changes how many draws are factored and evaluated
     together, never a bit of any draw's buckets; neither does reusing
-    factored draws in a multi-beta pass."""
+    factored draws in a multi-beta pass, whether they cover part of the
+    draws or more than all of them, nor reading the ridge stacks they
+    keep, as a prefix, or at a beta requested twice."""
     scn = scenario(link=link, filt=filt, M=8, K=3, L=3, N=5, T=7, T_c=5,
                    alpha=0.7, beta=0.3)
     ref = mc_buckets(scn, 23)
@@ -286,13 +288,17 @@ def test_buckets_bit_identical_across_chunk_sizes(monkeypatch, link, filt):
         monkeypatch.setattr(analysis, "CHUNK", chunk)
         for got, want in zip(mc_buckets(scn, 23), ref):
             assert np.array_equal(got, want)
-        stacks = mc_buckets_at(scn, 23, [(filt, 0.0), (filt, 0.3)],
-                               factor_draws(scn, 10))
-        for got, want in zip(stacks[1], ref):
-            assert np.array_equal(got, want)
         zero = mc_buckets(dataclasses.replace(scn, beta=0.0), 23)
-        for got, want in zip(stacks[0], zero):
-            assert np.array_equal(got, want)
+        for n in (10, 30):
+            factors = factor_draws(scn, n)
+            factors.buckets(filt, 0.3)          # kept over all n slots
+            stacks = mc_buckets_at(scn, 23, [(filt, 0.0), (filt, 0.3),
+                                             (filt, 0.3)], factors)
+            for got, again, want in zip(stacks[1], stacks[2], ref):
+                assert np.array_equal(got, want)
+                assert np.array_equal(again, want)
+            for got, want in zip(stacks[0], zero):
+                assert np.array_equal(got, want)
 
 
 def _rank_one_scenario(link, filt, beta=0.0, seed=3):
@@ -314,6 +320,11 @@ def test_rank_deficient_draw_names_filter_seed_trial_and_bin(link, filt):
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"{filt}, seed 3, trial 0\): .*bin \d+"):
         mc_buckets(scn, 5)
+    # the reference banks know no trial, and name the filter and seed
+    ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(3, 0))
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=rf"\({filt}, seed 3\): Gram matrix at bin \d+"):
+        decompose(link, filt, ch, SignalBlocks(1.0, 8, None))
     # the all-ones correlation is the exponential model at alpha = 1
     labelled = dataclasses.replace(scn, corr_model="exponential",
                                    corr_param=1.0)
@@ -463,13 +474,13 @@ def test_singular_draw_spoils_no_other_draw_of_its_chunk(link, filt):
     factors = analysis.DrawFactors(scn, 3, first=0)
     factors.fill(0, chans)
     for i in (0, 2):
-        for got, want in zip(factors.buckets(0.0, i, i + 1),
+        for got, want in zip(factors.buckets(filt, 0.0, i, i + 1),
                              _draw_buckets(scn, chans[i])):
             assert np.array_equal(got[0], want)
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"\({filt}, seed 51, trial 1\): Gram matrix "
                              rf"at bin \d+ has reciprocal condition"):
-        factors.buckets(0.0)
+        factors.buckets(filt, 0.0)
 
 
 @pytest.mark.parametrize("link,ridge,other", [
@@ -529,6 +540,23 @@ def test_ridge_rejects_nonpositive_shifted_eigenvalue(link, filt):
     for beta in (1e-3, 1.0):
         buckets = _draw_buckets(dataclasses.replace(scn, beta=beta), silent)
         assert all(np.all(np.isfinite(b)) for b in buckets)
+
+
+@pytest.mark.parametrize("path", ["decompose", "sum_rate_mc"])
+@pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+@pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
+                                       ("uplink", "mmsee")])
+def test_ridge_rejects_non_finite_beta(link, filt, beta, path):
+    """The reference banks and the bucket core reject a beta that is not
+    finite with one message, instead of NaN buckets or a NaN rate."""
+    scn = scenario(link=link, filt=filt, alpha=0.7, beta=beta)
+    with pytest.raises(ValueError,
+                       match=rf"^beta must be finite and >= 0, got {beta}$"):
+        if path == "decompose":
+            ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, 0))
+            decompose(link, filt, ch, SignalBlocks(1.0, 16, None), beta=beta)
+        else:
+            sum_rate_mc(scn, 3)
 
 
 def test_total_power_equals_bucket_sum():

@@ -300,8 +300,8 @@ class _PerDrawSearch:
                                    trial_rng(scn.dims.seed, t))
                       for t in range(trials)]
 
-    def buckets(self, beta, lo, hi):
-        scn = dataclasses.replace(self.scn, beta=beta)
+    def buckets(self, filt, beta, lo, hi):
+        scn = dataclasses.replace(self.scn, filt=filt, beta=beta)
         return tuple(np.array(b) for b in zip(
             *(_draw_buckets(scn, ch) for ch in self.chans[lo:hi])))
 
@@ -355,7 +355,7 @@ def test_optimize_beta_refinement_matches_dense_scan(link, filt, rho_db):
     def rate(beta):
         at = dataclasses.replace(scn, beta=beta)
         return analysis.rate_from_breakdown(analysis._aggregate(
-            at, *factors.buckets(beta, 0, 25)))[0]
+            at, *factors.buckets(filt, beta, 0, 25)))[0]
 
     grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
     rates = [rate(b) for b in grid]
@@ -393,35 +393,44 @@ def test_brent_min_reaches_tolerance(f, a, b, x_min):
 def test_beta_search_shares_its_coarse_grid_across_a_cell(tmp_path,
                                                           monkeypatch):
     """One grid_opt cell with three power points evaluates each coarse
-    grid beta once, and each refinement takes at most 12 evaluations."""
+    grid beta once on the search's draws, each refinement takes at most
+    12 evaluations, and the reporting pass evaluates no beta on those
+    draws again."""
     path = cfg_file(tmp_path, SHORTFALL_CFG.format(
         link="downlink", filt="rzfp"))
     cfg = load_config(path, overrides=[
         "corr.alpha=0.7", "grid.rho_db=0,10,20",
         f"output={tmp_path / 'out.csv'}"])
     log = []
-    buckets = analysis.DrawFactors.buckets
+    ridge = analysis.DrawFactors._ridge_buckets
     search = optimize_beta
 
-    def counted_buckets(self, beta, lo=0, hi=None):
-        if (lo, hi) == (0, cfg.beta_trials):
-            log[-1].append(beta)
-        return buckets(self, beta, lo, hi)
+    def counted_ridge(self, beta, a, b, filt):
+        if (self.first, self.n) == (0, cfg.beta_trials):
+            log[-1].append((a, beta))
+        return ridge(self, beta, a, b, filt)
 
     def counted_search(*args, **kwargs):
         log.append([])
-        return search(*args, **kwargs)
+        try:
+            return search(*args, **kwargs)
+        finally:
+            log.append([])          # the chunks run until the next search
 
-    monkeypatch.setattr(analysis.DrawFactors, "buckets", counted_buckets)
+    monkeypatch.setattr(analysis.DrawFactors, "_ridge_buckets",
+                        counted_ridge)
     monkeypatch.setattr(cli, "optimize_beta", counted_search)
     run_sweep(cfg, workers=1)
+    # one evaluation on the search's draws is one chunk call at slot 0
+    searches = [[beta for a, beta in calls if a == 0] for calls in log[::2]]
+    assert log[1::2] == [[], [], []]
     grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
-    assert len(log) == 3
-    assert log[0][:len(grid)] == grid
-    evals = [beta for betas in log for beta in betas]
+    assert len(searches) == 3
+    assert searches[0][:len(grid)] == grid
+    evals = [beta for betas in searches for beta in betas]
     for beta in grid:
         assert evals.count(beta) == 1
-    refinements = [log[0][len(grid):], *log[1:]]
+    refinements = [searches[0][len(grid):], *searches[1:]]
     assert any(refinements)
     assert all(len(r) <= 12 for r in refinements)
 
