@@ -412,10 +412,9 @@ def test_beta_search_shares_its_coarse_grid_across_a_cell(tmp_path,
 
     def counted_search(*args, **kwargs):
         log.append([])
-        try:
-            return search(*args, **kwargs)
-        finally:
-            log.append([])          # the chunks run until the next search
+        beta = search(*args, **kwargs)
+        log.append([])              # the chunks run until the next search
+        return beta
 
     monkeypatch.setattr(analysis.DrawFactors, "_ridge_buckets",
                         counted_ridge)
@@ -423,9 +422,9 @@ def test_beta_search_shares_its_coarse_grid_across_a_cell(tmp_path,
     run_sweep(cfg, workers=1)
     # one evaluation on the search's draws is one chunk call at slot 0
     searches = [[beta for a, beta in calls if a == 0] for calls in log[::2]]
+    assert len(searches) == 3
     assert log[1::2] == [[], [], []]
     grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
-    assert len(searches) == 3
     assert searches[0][:len(grid)] == grid
     evals = [beta for betas in searches for beta in betas]
     for beta in grid:
