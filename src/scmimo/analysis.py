@@ -302,11 +302,13 @@ class DrawFactors:
       per draw), are needed for the aliases mod N (and mod T when
       T < N + L - 1); the downlink power normalization follows from
       sum_nu tr G_nu^-1 and the uplink AWGN bucket from
-      (1/N) sum_nu diag G_nu^-1. Each bin keeps a reciprocal condition:
-      the lower bound 1 / (||G_nu||_F ||G_nu^-1||_F), or the exact
-      lambda_min / lambda_max (eigvalsh) where that bound is below
-      2 RCOND_MIN or the inverse is not finite, so that evaluating the
-      filter rejects exactly the draws the reference banks reject.
+      (1/N) sum_nu diag G_nu^-1. `fill` rejects a draw, naming the
+      filter, seed, trial and bin, as soon as one of its bins has a
+      reciprocal condition below RCOND_MIN: the lower bound
+      1 / (||G_nu||_F ||G_nu^-1||_F), or the exact lambda_min /
+      lambda_max (eigvalsh) where that bound is below 2 RCOND_MIN or the
+      inverse failed, so it rejects exactly the draws the reference
+      banks reject.
     * A ridge filter: the eigenpairs G_nu = U Lambda U^H of every bin, as
       lam and Uh = U^H, and Y, shape ((L - 1) K, N K) per draw, whose
       rows (d, k) at columns (nu, j) hold P_nu,d U_nu. A ridge parameter
@@ -318,12 +320,13 @@ class DrawFactors:
       normalization and the uplink AWGN bucket follow from Lambda. Only
       a ridge filter makes `fill` decompose the Gram matrices.
 
-    Buckets do not depend on the power, so `buckets` keeps the ridge
-    filter's stacks at every beta it evaluates over all the slots, and a
-    later read of any range at that beta slices them. A sweep cell's beta
-    search keeps at most 14 + 12 x (power points) of them (the grid, and
-    no refinement of the eight figure configs takes more than 12), each
-    beta.trials x K x 40 B, until the cell ends. Fill every slot first.
+    Buckets do not depend on the power, so `buckets` evaluates the ridge
+    filter at a new beta over all the slots and keeps its stacks, and
+    every read, of all the slots or of a prefix, slices the kept ones. A
+    sweep cell's beta search keeps at most 14 + 12 x (power points) of
+    them (the grid, and no refinement of the eight figure configs takes
+    more than 12), each beta.trials x K x 40 B, until the cell ends. Fill
+    every slot first.
     """
 
     def __init__(self, scenario, n, first=None, filters=None):
@@ -339,8 +342,6 @@ class DrawFactors:
         # filter's kept ones, by beta
         self.stacks = {f: _stacks(n, K) for f in self.filters
                        if f in MATCHED + ZERO_FORCING}
-        if any(f in ZERO_FORCING for f in self.filters):
-            self.rcond = np.empty((n, N))
         self.ridge = any(f not in MATCHED + ZERO_FORCING
                          for f in self.filters)
         if self.ridge:
@@ -409,7 +410,12 @@ class DrawFactors:
         G = (P[:, :, -1] * (N * np.conj(E[:, -1:]))).reshape(n, N, K, K)
         low = P[:, :, :-1].reshape(n, N, -1, K)             # rows (d, k)
         if zf is not None:
-            Ginv, self.rcond[lo:hi] = _gram_inverse(G)
+            Ginv, rcond = _gram_inverse(G)
+            bad = np.flatnonzero(
+                ~(rcond >= dl_precoding.RCOND_MIN).all(axis=1))
+            if bad.size:
+                check_gram_conditioning(rcond[bad[0]], where=self._where(
+                    lo + int(bad[0]), zf))
             for dst, src in zip(self.stacks[zf],
                                 self._zero_forcing_buckets(low, Ginv)):
                 dst[lo:hi] = src
@@ -420,40 +426,30 @@ class DrawFactors:
             np.matmul(low, U, out=self.Y[lo:hi].reshape(
                 n, -1, N, K).transpose(0, 2, 1, 3))
 
-    def _check_conditioning(self, filt, lo, hi):
-        """Raise LinAlgError, naming filt, seed, trial and bin, if a Gram
-        matrix of slots lo .. hi - 1 is too ill-conditioned to invert."""
-        ok = self.rcond[lo:hi] >= dl_precoding.RCOND_MIN  # (n, N)
-        bad = np.flatnonzero(~ok.all(axis=1))
-        if bad.size:
-            i = lo + int(bad[0])
-            check_gram_conditioning(self.rcond[i], where=self._where(i, filt))
-
-    def buckets(self, filt, beta, lo=0, hi=None):
-        """(g, isi_u, mui_u, awgn) stacks of slots lo .. hi - 1 for any
-        filter the slots serve, at ridge parameter beta (ignored by the
-        matched and zero-forcing filters)."""
-        hi = self.n if hi is None else hi
+    def buckets(self, filt, beta, n=None):
+        """(g, isi_u, mui_u, awgn) stacks of slots 0 .. n - 1 (default:
+        all) for any filter the slots serve, at ridge parameter beta
+        (ignored by the matched and zero-forcing filters). A new beta is
+        evaluated over every slot, CHUNK at a time, and kept once all of
+        them succeed."""
+        n = self.n if n is None else n
         if filt not in self.filters:
             raise ValueError(f"filter {filt!r} is not served by these "
                              f"factored draws (they serve "
                              f"{', '.join(self.filters)})")
-        if not 0 <= lo <= hi <= self.n:
-            raise IndexError(f"slots [{lo}, {hi}) outside the {self.n} "
+        if not 0 <= n <= self.n:
+            raise IndexError(f"{n} slots requested of the {self.n} "
                              f"factored draws")
-        if filt in ZERO_FORCING:
-            self._check_conditioning(filt, lo, hi)
         key = filt if filt in self.stacks else ridge_beta(beta)
-        if key in self.stacks:
-            return tuple(s[lo:hi] for s in self.stacks[key])
-        out = _stacks(hi - lo, self.scenario.dims.K)
-        for a in range(lo, hi, CHUNK):      # key is the ridge filter's beta
-            b = min(a + CHUNK, hi)
-            for dst, src in zip(out, self._ridge_buckets(key, a, b, filt)):
-                dst[a - lo:b - lo] = src
-        if (lo, hi) == (0, self.n):
+        if key not in self.stacks:          # key is the ridge filter's beta
+            out = _stacks(self.n, self.scenario.dims.K)
+            for a in range(0, self.n, CHUNK):
+                b = min(a + CHUNK, self.n)
+                for dst, src in zip(out, self._ridge_buckets(key, a, b,
+                                                             filt)):
+                    dst[a:b] = src
             self.stacks[key] = out
-        return out
+        return tuple(s[:n] for s in self.stacks[key])
 
     def _zero_forcing_buckets(self, low, Ginv):
         """(g, isi_u, mui_u, awgn) of the zero-forcing filter from the bin
@@ -469,14 +465,11 @@ class DrawFactors:
         chat = np.zeros((n, max(c.shape[1], 1), K, K), dtype=complex)
         chat[:, 0] = np.eye(K)
         inv_diag = np.real(np.diagonal(Ginv, axis1=-2, axis2=-1))
-        # errors wait for the conditioning check when the filter is
-        # evaluated, so a singular draw's non-finite values pass quietly
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return self._fold_buckets(
-                chat, c if c.shape[1] else None, np.ones((n, 1, K)),
-                np.broadcast_to(np.eye(K), (n, K, K)),
-                inv_diag.sum(axis=(1, 2)) if self.downlink
-                else inv_diag.sum(axis=1) / N)
+        return self._fold_buckets(
+            chat, c if c.shape[1] else None, np.ones((n, 1, K)),
+            np.broadcast_to(np.eye(K), (n, K, K)),
+            inv_diag.sum(axis=(1, 2)) if self.downlink
+            else inv_diag.sum(axis=1) / N)
 
     def _ridge_buckets(self, beta, a, b, filt):
         lam, Uh, Y = self.lam[a:b], self.Uh[a:b], self.Y[a:b]
@@ -570,17 +563,16 @@ def _gram_inverse(G):
     one batched inverse, and per bin a reciprocal condition that is the
     lower bound 1 / (||G||_F ||G^-1||_F) of lambda_min / lambda_max where
     that bound is at least 2 RCOND_MIN, and the exact eigvalsh ratio
-    elsewhere. A draw whose inverse fails is inverted alone; one that is
-    singular keeps NaN, which its exact ratio rejects."""
+    elsewhere. When the inverse fails, G^-1 is None and every ratio is
+    exact, so the rank check names the singular draw; the error is raised
+    again if no bin is below RCOND_MIN."""
     try:
         Ginv = np.linalg.inv(G)
     except np.linalg.LinAlgError:
-        Ginv = np.full_like(G, np.nan)
-        for i, Gi in enumerate(G):
-            try:
-                Ginv[i] = np.linalg.inv(Gi)
-            except np.linalg.LinAlgError:
-                pass
+        rcond = gram_rcond(G)
+        if (rcond >= dl_precoding.RCOND_MIN).all():
+            raise
+        return None, rcond
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         rcond = 1.0 / np.sqrt((G.real ** 2 + G.imag ** 2).sum(axis=(-2, -1))
                               * (Ginv.real ** 2 + Ginv.imag ** 2).sum(
@@ -624,23 +616,20 @@ def mc_buckets_at(scenario, trials, requests, factors=None):
     are any of the scenario's link, and beta is ignored by the matched and
     zero-forcing ones, whose stacks have no parameter.
 
-    Requests that name the same stacks (a parameterless filter twice, or
-    the ridge filter twice at one beta) share one evaluation. The leading
-    draws already held in `factors` (from factor_draws on the same
-    scenario up to filter, power and beta, serving every requested
-    filter, else ValueError) are read through `factors.buckets`, which
-    returns the ridge stacks it keeps; every later chunk of draws is drawn
-    and factored once for all the requested filters.
+    The leading draws already held in `factors` (from factor_draws on the
+    same scenario up to filter, power and beta, serving every requested
+    filter, else ValueError) are read as a prefix through
+    `factors.buckets`; every later chunk of draws is drawn and factored
+    once for all the requested filters. Requests that name the same
+    stacks (a parameterless filter twice, or the ridge filter twice at one
+    beta) read the stacks the factors keep, so they share one evaluation.
     """
-    keys = [f if f in MATCHED + ZERO_FORCING else b for f, b in requests]
-    evaluate = dict(zip(keys, requests))
-    filters = tuple(dict.fromkeys(f for f, _ in evaluate.values()))
-    out = {key: _stacks(trials, scenario.dims.K) for key in evaluate}
+    filters = tuple(dict.fromkeys(f for f, _ in requests))
+    out = [_stacks(trials, scenario.dims.K) for _ in requests]
 
     def read(src, lo, hi):
-        for key, (filt, beta) in evaluate.items():
-            for dst, part in zip(out[key], src.buckets(filt, beta, 0,
-                                                       hi - lo)):
+        for stacks, (filt, beta) in zip(out, requests):
+            for dst, part in zip(stacks, src.buckets(filt, beta, hi - lo)):
                 dst[lo:hi] = part
 
     cached = 0 if factors is None else min(factors.n, trials)
@@ -650,7 +639,7 @@ def mc_buckets_at(scenario, trials, requests, factors=None):
         hi = min(lo + CHUNK, trials)
         read(factor_draws(scenario, hi - lo, first=lo, filters=filters),
              lo, hi)
-    return [out[key] for key in keys]
+    return out
 
 
 def mc_buckets(scenario, trials):
@@ -698,15 +687,19 @@ def _user_buckets(scenario, mean_g, mean_g2, isi, mui, awgn):
     return desired_k, if_k, rho * isi, rho * mui, awgn
 
 
-def _jackknife_rate_stderr(scenario, g, isi_u, mui_u, awgn, blocks=10):
+JACKKNIFE_BLOCKS = 10
+
+
+def _jackknife_rate_stderr(scenario, g, isi_u, mui_u, awgn):
     """Delete-one-block jackknife standard error of the sum rate.
 
-    The draws split into `blocks` contiguous blocks (np.array_split);
-    each block's sums are taken once, and every leave-one-block-out mean
-    is (total - block sum) / (draws outside the block).
+    The draws split into JACKKNIFE_BLOCKS contiguous blocks
+    (np.array_split); each block's sums are taken once, and every
+    leave-one-block-out mean is (total - block sum) / (draws outside the
+    block).
     """
     n = g.shape[0]
-    blocks = min(blocks, n)
+    blocks = min(JACKKNIFE_BLOCKS, n)
     starts = np.array([idx[0] for idx in np.array_split(np.arange(n),
                                                         blocks)])
     kept = (n - np.diff(starts, append=n))[:, None]

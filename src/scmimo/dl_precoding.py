@@ -79,7 +79,7 @@ def gram_rcond(gram):
         return eigs[..., 0] / eigs[..., -1]
 
 
-def check_gram_conditioning(rcond, where=""):
+def check_gram_conditioning(rcond, where):
     """Raise LinAlgError naming the worst bin when a bin Gram matrix is
     rank-deficient, i.e. its reciprocal condition is below RCOND_MIN.
 

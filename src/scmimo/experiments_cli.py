@@ -122,7 +122,12 @@ def _distinct(key, values):
 
 
 def load_config(path, overrides=()):
-    """Parse a flat key=value config file, then apply KEY=VALUE overrides."""
+    """Parse a flat key=value config file, then apply KEY=VALUE overrides.
+
+    Every value whose check needs no correlation matrix is checked here,
+    and an error names its key; the seed's range is checked when a sweep
+    builds its cells.
+    """
     kv = _parse_kv_file(path)
     for item in overrides:
         if "=" not in item:
@@ -163,6 +168,10 @@ def load_config(path, overrides=()):
                            _floats("corr.alpha", need("corr.alpha")))
         if not params:
             raise ValueError("corr.alpha: correlation list must be non-empty")
+        for alpha in params:
+            if not 0 <= alpha < 1:
+                raise ValueError(f"corr.alpha: must lie in [0, 1), "
+                                 f"got {alpha}")
     elif corr_model == "bessel":
         params = []
         for pair in need("corr.pairs").split(";"):
@@ -170,6 +179,12 @@ def load_config(path, overrides=()):
             if len(eta_mu) != 2:
                 raise ValueError(f"corr.pairs: expected 'eta,mu' pairs "
                                  f"separated by ';', got {pair!r}")
+            if not (math.isfinite(eta_mu[0]) and eta_mu[0] >= 0):
+                raise ValueError(f"corr.pairs: eta must be finite and >= 0, "
+                                 f"got {eta_mu[0]}")
+            if not math.isfinite(eta_mu[1]):
+                raise ValueError(f"corr.pairs: mu must be finite, "
+                                 f"got {eta_mu[1]}")
             params.append((eta_mu[0], eta_mu[1]))
         _distinct("corr.pairs", params)
     elif corr_model == "identity":
@@ -189,12 +204,15 @@ def load_config(path, overrides=()):
                                  spacing)
     except ValueError as err:
         raise ValueError(f"geometry: {err}") from None
+    dims = {name: number(f"dims.{name.lower()}", int)
+            for name in ("K", "L", "N", "T", "T_c")}
+    try:
+        SimulationDims(M=M, **dims)
+    except ValueError as err:
+        raise ValueError(f"dims: {err}") from None
     cfg = ScenarioConfig(
         link=link, filters=filters, corr_model=corr_model,
-        corr_params=params, geometry=geometry,
-        K=number("dims.k", int), L=number("dims.l", int),
-        N=number("dims.n", int), T=number("dims.t", int),
-        T_c=number("dims.t_c", int),
+        corr_params=params, geometry=geometry, **dims,
         rho_grid=_distinct("grid.rho_db", _floats(
             "grid.rho_db",
             kv.get("grid.rho_db", ",".join(map(str, RHO_GRID_DEFAULT))))),
@@ -233,7 +251,7 @@ def _correlation(cfg, param):
     return bessel_correlation(cfg.geometry, eta, mu)
 
 
-def _scenario(cfg, filt, param, rho_db, beta=0.0):
+def _scenario(cfg, filt, param, rho_db):
     dims = SimulationDims(M=cfg.M, K=cfg.K, L=cfg.L, N=cfg.N, T=cfg.T,
                           T_c=cfg.T_c, rho_f_db=rho_db, seed=cfg.seed)
     if cfg.corr_model == "bessel":
@@ -245,7 +263,7 @@ def _scenario(cfg, filt, param, rho_db, beta=0.0):
     return Scenario(link=cfg.link, filt=filt, dims=dims,
                     corr=_correlation(cfg, param),
                     pdp=exponential_pdp(cfg.K, cfg.L),
-                    beta=beta, corr_model=cfg.corr_model,
+                    corr_model=cfg.corr_model,
                     corr_param=corr_param, mu=mu)
 
 
@@ -332,7 +350,7 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
 
     def rate(beta):
         return analysis.rate_from_breakdown(analysis._aggregate(
-            base, *factors.buckets(scenario.filt, beta, 0, trials)))[0]
+            base, *factors.buckets(scenario.filt, beta, trials)))[0]
 
     grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
     rates = [rate(b) for b in grid]
@@ -593,7 +611,7 @@ print("wrote", OUT)
 '''
 
 
-def emit_plot_script(table, path, csv_path=None):
+def emit_plot_script(table, path, csv_path):
     """Write a standalone plotting script for a sweep table.
 
     The script references the CSV by a path relative to its own location,
@@ -603,9 +621,6 @@ def emit_plot_script(table, path, csv_path=None):
     """
     if not table:
         raise ValueError("cannot emit a plot script for an empty table")
-    if csv_path is None:
-        raise ValueError("csv_path is required (the script must know where "
-                         "its data lives)")
     out_dir = os.path.dirname(os.path.abspath(path)) or "."
     csv_rel = os.path.relpath(os.path.abspath(csv_path), out_dir)
     png_rel = os.path.splitext(os.path.basename(path))[0] + ".png"
@@ -624,13 +639,11 @@ def emit_plot_script(table, path, csv_path=None):
 
 
 class _Report:
-    def __init__(self, tol_scale=1.0):
+    def __init__(self):
         self.lines = []
         self.ok = True
-        self.tol_scale = tol_scale
 
     def check(self, name, expected, measured, tol, kind="rel"):
-        tol = tol * self.tol_scale
         if kind == "rel":
             err = abs(measured - expected) / abs(expected)
         else:
@@ -870,7 +883,7 @@ def _validate_figures(rep):
                     strict=False, slack=1e-9)
 
 
-def validate(suite, _tolerance_scale=1.0):
+def validate(suite):
     """Run one named validation suite; returns (all_passed, report_lines)."""
     suites = {
         "closed_forms": _validate_closed_forms,
@@ -881,7 +894,7 @@ def validate(suite, _tolerance_scale=1.0):
     if suite not in suites:
         raise ValueError(f"unknown suite {suite!r} "
                          f"(expected one of {sorted(suites)})")
-    rep = _Report(tol_scale=_tolerance_scale)
+    rep = _Report()
     suites[suite](rep)
     return rep.ok, rep.lines
 

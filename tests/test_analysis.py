@@ -344,8 +344,8 @@ def test_rank_deficient_draw_names_filter_seed_trial_and_bin(link, filt):
                                           ("uplink", ("cmfe", "zfe"))])
 def test_rank_deficient_cell_names_the_zero_forcing_filter(link, filters):
     """A cell that draws once for a matched and a zero-forcing filter runs
-    the zero-forcing check when it evaluates that filter, and the error
-    names it with the seed, trial and bin."""
+    the zero-forcing check when it factors the draws, and the error names
+    that filter with the seed, trial and bin."""
     matched, zf = filters
     scn = _rank_one_scenario(link, matched)
     with pytest.raises(np.linalg.LinAlgError,
@@ -459,11 +459,10 @@ def test_zero_forcing_reads_the_one_rank_threshold(monkeypatch, link, filt):
 
 @pytest.mark.parametrize("link,filt", [("downlink", "zfp"),
                                        ("uplink", "zfe")])
-def test_singular_draw_spoils_no_other_draw_of_its_chunk(link, filt):
+def test_singular_draw_is_rejected_when_factored(link, filt):
     """A user with no channel makes a Gram matrix exactly singular, so the
-    chunk's batched inverse fails. The draws around it keep the buckets
-    they have on their own, and the singular draw is rejected, by trial
-    and bin, only when the filter is evaluated on a range holding it."""
+    chunk's batched inverse fails. Factoring the chunk rejects the
+    singular draw by trial and bin, and keeps no buckets."""
     scn = scenario(link=link, filt=filt, M=8, K=3, L=3, N=5, T=7, T_c=5,
                    alpha=0.7)
     chans = [draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
@@ -472,15 +471,40 @@ def test_singular_draw_spoils_no_other_draw_of_its_chunk(link, filt):
     Hhat[:, :, 2] = 0.0
     chans[1] = dataclasses.replace(chans[1], Hhat=Hhat)
     factors = analysis.DrawFactors(scn, 3, first=0)
-    factors.fill(0, chans)
-    for i in (0, 2):
-        for got, want in zip(factors.buckets(filt, 0.0, i, i + 1),
-                             _draw_buckets(scn, chans[i])):
-            assert np.array_equal(got[0], want)
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"\({filt}, seed 51, trial 1\): Gram matrix "
                              rf"at bin \d+ has reciprocal condition"):
-        factors.buckets(filt, 0.0)
+        factors.fill(0, chans)
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
+                                       ("uplink", "mmsee")])
+def test_prefix_read_keeps_the_stacks_of_every_slot(monkeypatch, link, filt):
+    """A read of 23 of 30 factored slots at a new beta evaluates and keeps
+    all 30, so the full read that follows evaluates nothing, and both are
+    bit-identical to fresh draws."""
+    scn = scenario(link=link, filt=filt, M=8, K=3, L=3, N=5, T=7, T_c=5,
+                   alpha=0.7, beta=0.3)
+    factors = factor_draws(scn, 30)
+    evaluated = []
+    ridge = analysis.DrawFactors._ridge_buckets
+
+    def counted(self, beta, a, b, filt):
+        evaluated.append((a, b))
+        return ridge(self, beta, a, b, filt)
+
+    monkeypatch.setattr(analysis.DrawFactors, "_ridge_buckets", counted)
+    prefix = factors.buckets(filt, 0.3, 23)
+    assert sorted(i for a, b in evaluated for i in range(a, b)) \
+        == list(range(30))
+    assert all(s.shape[0] == 30 for s in factors.stacks[0.3])
+    del evaluated[:]
+    full = factors.buckets(filt, 0.3)
+    assert evaluated == []
+    monkeypatch.undo()
+    for got, whole, want in zip(prefix, full, mc_buckets(scn, 30)):
+        assert np.array_equal(got, want[:23])
+        assert np.array_equal(whole, want)
 
 
 @pytest.mark.parametrize("link,ridge,other", [
