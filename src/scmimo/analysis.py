@@ -49,6 +49,7 @@ from .ul_equalization import (apply_equalizer_bank, cmfe_apply,
 
 DL_FILTERS = ("cmfp", "zfp", "rzfp")
 UL_FILTERS = ("cmfe", "zfe", "mmsee")
+JACKKNIFE_BLOCKS = 10   # contiguous draw blocks of the rate's stderr
 
 
 @dataclass
@@ -302,13 +303,11 @@ class DrawFactors:
       per draw), are needed for the aliases mod N (and mod T when
       T < N + L - 1); the downlink power normalization follows from
       sum_nu tr G_nu^-1 and the uplink AWGN bucket from
-      (1/N) sum_nu diag G_nu^-1. `fill` rejects a draw, naming the
-      filter, seed, trial and bin, as soon as one of its bins has a
-      reciprocal condition below RCOND_MIN: the lower bound
-      1 / (||G_nu||_F ||G_nu^-1||_F), or the exact lambda_min /
-      lambda_max (eigvalsh) where that bound is below 2 RCOND_MIN or the
-      inverse failed, so it rejects exactly the draws the reference
-      banks reject.
+      (1/N) sum_nu diag G_nu^-1. `fill` rejects, by filter, seed, trial
+      and bin, a draw whose bin has a reciprocal condition below
+      RCOND_MIN: the bound 1 / (||G_nu||_F ||G_nu^-1||_F), or the exact
+      lambda_min / lambda_max (eigvalsh) where that bound is below
+      2 RCOND_MIN or the inverse failed, as the reference banks do.
     * A ridge filter: the eigenpairs G_nu = U Lambda U^H of every bin, as
       lam and Uh = U^H, and Y, shape ((L - 1) K, N K) per draw, whose
       rows (d, k) at columns (nu, j) hold P_nu,d U_nu. A ridge parameter
@@ -687,16 +686,12 @@ def _user_buckets(scenario, mean_g, mean_g2, isi, mui, awgn):
     return desired_k, if_k, rho * isi, rho * mui, awgn
 
 
-JACKKNIFE_BLOCKS = 10
-
-
 def _jackknife_rate_stderr(scenario, g, isi_u, mui_u, awgn):
     """Delete-one-block jackknife standard error of the sum rate.
 
-    The draws split into JACKKNIFE_BLOCKS contiguous blocks
-    (np.array_split); each block's sums are taken once, and every
-    leave-one-block-out mean is (total - block sum) / (draws outside the
-    block).
+    The draws split into JACKKNIFE_BLOCKS contiguous blocks (np.array_split);
+    each block's sums are taken once, and every leave-one-block-out mean
+    is (total - block sum) / (draws outside the block).
     """
     n = g.shape[0]
     blocks = min(JACKKNIFE_BLOCKS, n)

@@ -122,12 +122,9 @@ def _distinct(key, values):
 
 
 def load_config(path, overrides=()):
-    """Parse a flat key=value config file, then apply KEY=VALUE overrides.
-
-    Every value whose check needs no correlation matrix is checked here,
-    and an error names its key; the seed's range is checked when a sweep
-    builds its cells.
-    """
+    """Parse a flat key=value config file, then apply KEY=VALUE overrides;
+    reject, by key, each value whose check needs no correlation matrix,
+    except the seed's range, which the sweep's cells check."""
     kv = _parse_kv_file(path)
     for item in overrides:
         if "=" not in item:
@@ -179,12 +176,9 @@ def load_config(path, overrides=()):
             if len(eta_mu) != 2:
                 raise ValueError(f"corr.pairs: expected 'eta,mu' pairs "
                                  f"separated by ';', got {pair!r}")
-            if not (math.isfinite(eta_mu[0]) and eta_mu[0] >= 0):
-                raise ValueError(f"corr.pairs: eta must be finite and >= 0, "
-                                 f"got {eta_mu[0]}")
-            if not math.isfinite(eta_mu[1]):
-                raise ValueError(f"corr.pairs: mu must be finite, "
-                                 f"got {eta_mu[1]}")
+            if not (eta_mu[0] >= 0 and all(map(math.isfinite, eta_mu))):
+                raise ValueError(f"corr.pairs: need a finite eta >= 0 and a "
+                                 f"finite mu, got {pair!r}")
             params.append((eta_mu[0], eta_mu[1]))
         _distinct("corr.pairs", params)
     elif corr_model == "identity":

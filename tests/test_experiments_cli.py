@@ -119,10 +119,8 @@ def test_load_config_bad_values(tmp_path):
             ("corr.alpha=nan", "^corr.alpha: ")]:
         with pytest.raises(ValueError, match=match):
             load_config(base, overrides=[override])
-    for pairs, match in [("20,0;-1,0", "eta"), ("nan,0", "eta"),
-                         ("inf,0.5", "eta"), ("20,0;20,nan", "mu"),
-                         ("20,-inf", "mu")]:
-        with pytest.raises(ValueError, match=f"^corr.pairs: {match} must"):
+    for pairs in ("20,0;-1,0", "nan,0", "inf,0.5", "20,0;20,nan", "20,-inf"):
+        with pytest.raises(ValueError, match="^corr.pairs: need a finite"):
             load_config(base, overrides=["corr.model=bessel",
                                          f"corr.pairs={pairs}"])
 
