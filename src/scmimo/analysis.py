@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import draw_channel, trial_rng
+from .channel import draw_channel, rekey, trial_rng
 from . import dl_precoding
 from .dl_precoding import (check_gram_conditioning, cmfp_transmit,
                            downlink_receive, gram_rcond, precoded_transmit,
@@ -599,12 +599,17 @@ def _draw_buckets(scenario, ch):
 def factor_draws(scenario, trials, first=0, filters=None):
     """Draw trials first .. first + trials - 1 of the scenario's seed and
     factor them, CHUNK draws at a time, into one DrawFactors serving
-    `filters` (default: the scenario's filter)."""
+    `filters` (default: the scenario's filter).
+
+    One generator is built per call and re-keyed for each trial (rekey),
+    so trial t draws exactly what draw_channel on trial_rng(seed, t)
+    would."""
     dims = scenario.dims
     factors = DrawFactors(scenario, trials, first, filters)
+    rng = trial_rng(dims.seed, first)
     for lo in range(0, trials, CHUNK):
         factors.fill(lo, (draw_channel(dims, scenario.pdp, scenario.corr,
-                                       trial_rng(dims.seed, first + t))
+                                       rekey(rng, dims.seed, first + t))
                           for t in range(lo, min(lo + CHUNK, trials))))
     return factors
 

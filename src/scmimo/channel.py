@@ -8,6 +8,8 @@ every precoder/equalizer consumes; a bank builder that works per bin
 takes their N-point DFT across the tap index itself (taps_to_freq).
 """
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,8 +22,9 @@ class SimulationDims:
     """Static scenario dimensions.
 
     M antennas, K users, L channel taps, N filter-bank bins (N > L),
-    T-symbol blocks (T >= N), cyclic prefix L < T_c <= T, and a seed in
-    [0, 2**64), the key range of the per-trial Philox streams.
+    T-symbol blocks (T >= N), cyclic prefix L < T_c <= T, a finite power
+    rho_f_db, and an integer seed in [0, 2**64), the key range of the
+    per-trial Philox streams.
     """
 
     M: int
@@ -48,6 +51,14 @@ class SimulationDims:
                              f"T={self.T}")
         if self.K > self.M:
             raise ValueError(f"need K <= M, got K={self.K}, M={self.M}")
+        if not math.isfinite(self.rho_f_db):
+            raise ValueError(f"need a finite rho_f_db, got "
+                             f"rho_f_db={self.rho_f_db}")
+        try:
+            operator.index(self.seed)
+        except TypeError:
+            raise TypeError(f"seed must be an integer, got "
+                            f"seed={self.seed!r}") from None
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must lie in [0, 2**64), got "
                              f"seed={self.seed}")
@@ -108,24 +119,54 @@ class ChannelRealization:
     dims: SimulationDims = field(repr=False)
 
 
+def _philox_key(seed, trial):
+    """The (seed, trial) Philox key as uint64, so that seeds of 2**63 and
+    above keep every bit (a plain tuple would pass through float64);
+    operator.index rejects a non-integral seed or trial, which a uint64
+    cast would truncate."""
+    return np.array([operator.index(seed), operator.index(trial)],
+                    dtype=np.uint64)
+
+
 def trial_rng(seed, trial):
     """Counter-based per-trial stream: independent, reproducible, and
-    insensitive to execution order across parallel workers.
-
-    The key is built as uint64 so that seeds of 2**63 and above keep
-    every bit (a plain tuple would pass through float64).
+    insensitive to execution order across parallel workers. rekey turns
+    any generator made here into another trial's stream at less cost.
     """
-    key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, trial)))
+
+
+def rekey(rng, seed, trial):
+    """Reset the Philox generator `rng` (from trial_rng) in place to the
+    start of trial_rng(seed, trial)'s stream, and return it.
+
+    The key, the zeroed counter, the emptied output buffer and the cleared
+    half-used 32-bit word are the whole state of a fresh Philox, so every
+    draw after rekey equals the fresh generator's bit for bit, whatever
+    `rng` produced before. It skips the OS-entropy seed sequence that
+    building a Philox spends before its explicit key replaces it.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": _philox_key(seed, trial)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def draw_channel(dims, pdp, corr, rng_stream):
     """Draw one ChannelRealization from the given generator.
 
     Fast fading H_l[m, k] is i.i.d. CN(0, 1) (real/imag parts independent
-    N(0, 1/2)); the composite taps are Hhat_l = sqrt_A @ H_l @ D_l^{1/2}.
-    The fading block depends only on (L, M, K) and the stream — never on
-    the correlation model — so same-seed runs under different geometries
+    N(0, 1/2)): the stream's first L*M*K normals are Re H, the next L*M*K
+    Im H, each scaled by 1/sqrt(2). The composite taps are
+    Hhat_l = sqrt_A @ H_l @ D_l^{1/2}. A real sqrt_A multiplies the real
+    and imaginary parts of H in one real product, with half the flops of
+    the complex one and no complex copy of sqrt_A; that moves Hhat by
+    rounding only. A complex sqrt_A keeps the complex product. The fading
+    block depends only on (L, M, K) and the stream — never on the
+    correlation model — so same-seed runs under different geometries
     share their fading.
     """
     M, K, L = dims.M, dims.K, dims.L
@@ -134,11 +175,18 @@ def draw_channel(dims, pdp, corr, rng_stream):
     if corr.A.shape[0] != M:
         raise ValueError(f"correlation matrix is {corr.A.shape[0]}x..., "
                          f"expected {M}")
-    H = (rng_stream.standard_normal((L, M, K))
-         + 1j * rng_stream.standard_normal((L, M, K))) / np.sqrt(2)
+    z = rng_stream.standard_normal((2, L, M, K))
+    H = np.empty((L, M, K), dtype=complex)
+    # times 1/sqrt(2): the same rounding as the quotient (a + 1j b) / sqrt(2)
+    np.multiply(z[0], 1 / np.sqrt(2), out=H.real)
+    np.multiply(z[1], 1 / np.sqrt(2), out=H.imag)
     # (L, 1, K) broadcast of sqrt(d_l[k]) over antennas
     amp = np.sqrt(pdp.d.T)[:, None, :]
-    Hhat = (corr.sqrt_A @ H) * amp
+    if np.isrealobj(corr.sqrt_A):
+        # (L, M, 2K) float view, real and imaginary parts interleaved
+        Hhat = (corr.sqrt_A @ H.view(np.float64)).view(complex) * amp
+    else:
+        Hhat = (corr.sqrt_A @ H) * amp
     return ChannelRealization(H=H, Hhat=Hhat, pdp=pdp, dims=dims)
 
 

@@ -33,7 +33,7 @@ from .analysis import (Scenario, buckets_to_result, cmfe_rate_closed,
                        cmfp_rate_closed, coop_capacity, mc_buckets,
                        sum_rate_mc)
 from .channel import (DEFAULT_SEED, SimulationDims, draw_channel,
-                      exponential_pdp, taps_to_freq, trial_rng)
+                      exponential_pdp, rekey, taps_to_freq, trial_rng)
 from .corr_models import (ArrayGeometry, bessel_correlation,
                           exponential_correlation, identity_correlation, ula)
 
@@ -780,8 +780,9 @@ def _validate_zero_forcing(rep):
 
     worst_dl = worst_ul = 0.0
     worst_isi_dl = worst_isi_ul = 0.0
+    rng = trial_rng(dims.seed, 0)
     for t in range(5):
-        ch = draw_channel(dims, pdp, corr, trial_rng(dims.seed, t))
+        ch = draw_channel(dims, pdp, corr, rekey(rng, dims.seed, t))
         wb = zfp_bank(ch)
         B = synthesis_bins(ch.Hhat, N)
         for nu in range(N):

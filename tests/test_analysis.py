@@ -235,6 +235,29 @@ def test_ridge_buckets_match_tap_placement_at_paper_size(link, filt, T):
             assert_allclose(got[3][i], awgn, rtol=1e-12)
 
 
+@pytest.mark.parametrize("link,filters", [
+    ("downlink", ("cmfp", "zfp", "rzfp")),
+    ("uplink", ("cmfe", "zfe", "mmsee"))])
+def test_factor_draws_rekeyed_stream_matches_fresh_generators(link, filters):
+    """factor_draws re-keys one generator per trial; from a first trial
+    past 0 and with a partial last chunk, its stacks equal those of draws
+    made on a fresh trial_rng per trial, bit for bit."""
+    scn = scenario(link=link, filt=filters[0], M=16, K=4, L=3, N=8, T=16,
+                   T_c=8, alpha=0.7)
+    first, n = 5, analysis.CHUNK + 3
+    got = factor_draws(scn, n, first=first, filters=filters)
+    want = analysis.DrawFactors(scn, n, first, filters)
+    for lo in range(0, n, analysis.CHUNK):
+        want.fill(lo, [draw_channel(scn.dims, scn.pdp, scn.corr,
+                                    trial_rng(scn.dims.seed, first + t))
+                       for t in range(lo, min(lo + analysis.CHUNK, n))])
+    for filt in filters:
+        for beta in (0.0, 1e-2):
+            for a, b in zip(got.buckets(filt, beta),
+                            want.buckets(filt, beta)):
+                assert np.array_equal(a, b)
+
+
 def _placed_by_ifft_shift_add_fold(z, shifts, T):
     """The placement written out: an N-point IFFT over bins (axis 0), bank
     tap m of term j added at delay m + shifts[j], then every delay folded

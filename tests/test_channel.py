@@ -6,8 +6,9 @@ from numpy.testing import assert_allclose
 
 from scmimo.channel import (ChannelRealization, PowerDelayProfile,
                             SimulationDims, draw_channel, exponential_pdp,
-                            taps_to_freq, trial_rng)
-from scmimo.corr_models import exponential_correlation, identity_correlation, ula
+                            rekey, taps_to_freq, trial_rng)
+from scmimo.corr_models import (bessel_correlation, exponential_correlation,
+                                identity_correlation, ula)
 
 
 def small_dims(**kw):
@@ -87,6 +88,49 @@ def test_dims_accept_every_seed_in_range():
     assert not np.allclose(draws[1], draws[2])
 
 
+@pytest.mark.parametrize("rho_db", [float("nan"), float("inf"),
+                                    float("-inf")])
+def test_dims_reject_non_finite_power(rho_db):
+    """A non-finite power would rate NaN (nan, +inf) or 0 (-inf) without
+    an error."""
+    with pytest.raises(ValueError, match="finite rho_f_db"):
+        small_dims(rho_f_db=rho_db)
+
+
+def test_non_integer_seed_rejected_where_a_key_is_built():
+    """A uint64 key would truncate seed 1.5 to 1 and repeat seed 1's
+    draws; NumPy integers are integers."""
+    with pytest.raises(TypeError, match="seed=1.5"):
+        small_dims(seed=1.5)
+    for bad in ((1.5, 0), (1, 0.0), (np.float64(1.0), 0)):
+        with pytest.raises(TypeError):
+            trial_rng(*bad)
+        with pytest.raises(TypeError):
+            rekey(trial_rng(0, 0), *bad)
+    assert small_dims(seed=np.uint64(2 ** 64 - 1)).seed == 2 ** 64 - 1
+    assert np.array_equal(trial_rng(np.int64(7), np.int32(3)).random(4),
+                          trial_rng(7, 3).random(4))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+def test_rekey_reproduces_trial_rng(seed):
+    """A re-keyed generator continues exactly as a fresh trial_rng, also
+    after it has left 64-bit outputs in its buffer and half a 64-bit word
+    for the next 32-bit integer."""
+    rng = trial_rng(5, 9)
+    rng.integers(0, 2 ** 32, size=3, dtype=np.uint32)
+    rng.standard_normal(5)
+    for trial in (0, 1, 2 ** 64 - 1):
+        fresh = trial_rng(seed, trial)
+        again = rekey(rng, seed, trial)
+        assert again is rng
+        assert np.array_equal(
+            again.integers(0, 2 ** 32, size=3, dtype=np.uint32),
+            fresh.integers(0, 2 ** 32, size=3, dtype=np.uint32))
+        assert np.array_equal(again.standard_normal(9),
+                              fresh.standard_normal(9))
+
+
 def test_dims_power_conversion():
     assert small_dims(rho_f_db=0.0).rho_f == pytest.approx(1.0)
     assert small_dims(rho_f_db=10.0).rho_f == pytest.approx(10.0)
@@ -116,6 +160,37 @@ def test_draw_channel_deterministic():
     assert_allclose(a.Hhat, b.Hhat, atol=0)
     c = draw_channel(dims, pdp, corr, trial_rng(123, 6))
     assert not np.allclose(a.H, c.H)
+
+
+def test_draw_channel_fading_is_the_stream_bit_for_bit():
+    """H is the stream's first L*M*K normals plus 1j times the next
+    L*M*K, over sqrt(2), bit for bit (signed zeros included)."""
+    dims = small_dims()
+    for corr in (identity_correlation(8),
+                 exponential_correlation(ula(8, 0.5), 0.9),
+                 bessel_correlation(ula(8, 0.5), 3.0, 0.4)):
+        for t in range(4):
+            z = trial_rng(123, t).standard_normal((2, 2, 8, 3))
+            H = draw_channel(dims, exponential_pdp(3, 2), corr,
+                             trial_rng(123, t)).H
+            assert H.tobytes() == ((z[0] + 1j * z[1]) / np.sqrt(2)).tobytes()
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.4])
+def test_draw_channel_composite_taps_match_complex_product(mu):
+    """Hhat = sqrt_A @ H * sqrt(d) to 1e-14 of its largest entry, whether
+    sqrt_A is real (mu = 0, one real product) or complex."""
+    M, K, L = 16, 4, 3
+    dims = small_dims(M=M, K=K, L=L, N=8, T=16, T_c=8)
+    pdp = exponential_pdp(K, L)
+    corr = bessel_correlation(ula(M, 0.5), 3.0, mu)
+    assert np.isrealobj(corr.sqrt_A) == (mu == 0.0)
+    sqrt_A = corr.sqrt_A.astype(complex)
+    for t in range(8):
+        ch = draw_channel(dims, pdp, corr, trial_rng(17, t))
+        want = (sqrt_A @ ch.H) * np.sqrt(pdp.d.T)[:, None, :]
+        err = np.max(np.abs(ch.Hhat - want)) / np.max(np.abs(want))
+        assert err <= 1e-14
 
 
 def test_fading_shared_across_correlation_models():
