@@ -16,7 +16,8 @@ the actual transmit/receive operations — one reference implementation
 that serves all six filters. `sum_rate_mc` evaluates the same quantities
 in the tap domain and averages over draws: each draw is factored once
 (`DrawFactors`) from its tap products Hhat_l^H Hhat_l', for every filter
-of its link at once (`mc_buckets_at`). A matched filter's cascade taps
+of its link at once, and a group of correlations shares each draw's
+fading (`mc_buckets_group`). A matched filter's cascade taps
 are those products placed at their delays mod T (`_tap_placement`), and
 its gains and interference energies are c[0] and the summed squared
 taps. A bank filter never places its N + L - 1 cascade taps: the cascade
@@ -38,7 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import draw_channel, rekey, trial_rng
+from .channel import (composite_taps, draw_channel, draw_fading, rekey,
+                      trial_rng)
 from . import dl_precoding
 from .dl_precoding import (check_gram_conditioning, cmfp_transmit,
                            downlink_receive, gram_rcond, precoded_transmit,
@@ -324,8 +326,8 @@ class DrawFactors:
     every read, of all the slots or of a prefix, slices the kept ones. A
     sweep cell's beta search keeps at most 14 + 12 x (power points) of
     them (the grid, and no refinement of the eight figure configs takes
-    more than 12), each beta.trials x K x 40 B, until the cell ends. Fill
-    every slot first.
+    more than 12), each beta.trials x K x 40 B, until its rows' stacks on
+    those draws are read. Fill every slot first.
     """
 
     def __init__(self, scenario, n, first=None, filters=None):
@@ -360,14 +362,13 @@ class DrawFactors:
         trial = "" if self.first is None else f", trial {self.first + i}"
         return f" ({corr}{filt}, seed {scn.dims.seed}{trial})"
 
-    def fill(self, lo, chans):
-        """Factor the channel draws `chans` (any iterable; only their taps
-        are kept) into slots lo, lo + 1, ...: their tap products F once,
-        then from F the matched buckets, the zero-forcing buckets and the
-        ridge eigenpairs, each only if a filter served needs it."""
+    def fill(self, lo, Hhat):
+        """Factor the composite taps Hhat (n, L, M, K) of n channel draws
+        into slots lo, lo + 1, ...: their tap products F once, then from F
+        the matched buckets, the zero-forcing buckets and the ridge
+        eigenpairs, each only if a filter served needs it."""
         dims = self.scenario.dims
         M, K, L, N = dims.M, dims.K, dims.L, dims.N
-        Hhat = np.stack([ch.Hhat for ch in chans])          # (n, L, M, K)
         n = Hhat.shape[0]
         hi = lo + n
         # F[:, l, :, l', :] = Hhat_l^H Hhat_l', every bin product below
@@ -592,7 +593,7 @@ def _draw_buckets(scenario, ch):
     norm).
     """
     factors = DrawFactors(scenario, 1)
-    factors.fill(0, [ch])
+    factors.fill(0, ch.Hhat[None])
     return tuple(s[0] for s in factors.buckets(scenario.filt, scenario.beta))
 
 
@@ -608,42 +609,67 @@ def factor_draws(scenario, trials, first=0, filters=None):
     factors = DrawFactors(scenario, trials, first, filters)
     rng = trial_rng(dims.seed, first)
     for lo in range(0, trials, CHUNK):
-        factors.fill(lo, (draw_channel(dims, scenario.pdp, scenario.corr,
-                                       rekey(rng, dims.seed, first + t))
-                          for t in range(lo, min(lo + CHUNK, trials))))
+        factors.fill(lo, np.stack([
+            draw_channel(dims, scenario.pdp, scenario.corr,
+                         rekey(rng, dims.seed, first + t)).Hhat
+            for t in range(lo, min(lo + CHUNK, trials))]))
     return factors
+
+
+def _read(out, requests, factors, lo, hi):
+    """Copy the stacks of factors' slots 0 .. hi - lo - 1 for each
+    (filter, beta) request into draws lo .. hi - 1 of its stacks in out."""
+    for stacks, (filt, beta) in zip(out, requests):
+        for dst, part in zip(stacks, factors.buckets(filt, beta, hi - lo)):
+            dst[lo:hi] = part
+
+
+def mc_buckets_group(cells, trials):
+    """Bucket stacks of draws 0 .. trials - 1 for each (scenario, requests,
+    factors) cell of a group whose scenarios share their seed and
+    (M, K, L): one (g, isi_u, mui_u, awgn) tuple per (filter, beta)
+    request (beta is ignored by the matched and zero-forcing filters).
+
+    The cells are taken one at a time, and the draws a cell's factors hold
+    (from factor_draws, serving every requested filter; or None), the same
+    number in every cell, are read as a prefix then, so an iterator of
+    cells can make each cell's factors after the previous cell's are
+    released. Each later chunk of draws has its fading drawn once for the
+    group (draw_fading), then is composited and factored per scenario, so
+    a draw's stacks depend only on (seed, t) and its own scenario.
+    """
+    group, out, shared = [], [], set()
+    for scenario, requests, factors in cells:
+        dims = scenario.dims
+        cached = 0 if factors is None else min(factors.n, trials)
+        shared.add((cached, dims.seed, dims.M, dims.K, dims.L))
+        if len(shared) > 1:
+            raise ValueError("a group's cells must share their seed, their "
+                             "(M, K, L) and their number of factored draws")
+        stacks = [_stacks(trials, dims.K) for _ in requests]
+        if cached:
+            _read(stacks, requests, factors, 0, cached)
+        del factors     # before the next cell's factors are made
+        group.append((scenario, requests,
+                      tuple(dict.fromkeys(f for f, _ in requests))))
+        out.append(stacks)
+    rng = trial_rng(dims.seed, 0)
+    for lo in range(cached, trials, CHUNK):
+        hi = min(lo + CHUNK, trials)
+        H = np.stack([draw_fading(dims, rekey(rng, dims.seed, t))
+                      for t in range(lo, hi)])
+        for (scenario, requests, filters), stacks in zip(group, out):
+            factors = DrawFactors(scenario, hi - lo, lo, filters)
+            factors.fill(0, composite_taps(H, scenario.pdp, scenario.corr))
+            _read(stacks, requests, factors, lo, hi)
+    return out
 
 
 def mc_buckets_at(scenario, trials, requests, factors=None):
     """Bucket stacks of draws 0 .. trials - 1 for each (filter, beta) pair
-    in `requests`, one (g, isi_u, mui_u, awgn) tuple per pair; the filters
-    are any of the scenario's link, and beta is ignored by the matched and
-    zero-forcing ones, whose stacks have no parameter.
-
-    The leading draws already held in `factors` (from factor_draws on the
-    same scenario up to filter, power and beta, serving every requested
-    filter, else ValueError) are read as a prefix through
-    `factors.buckets`; every later chunk of draws is drawn and factored
-    once for all the requested filters. Requests that name the same
-    stacks (a parameterless filter twice, or the ridge filter twice at one
-    beta) read the stacks the factors keep, so they share one evaluation.
-    """
-    filters = tuple(dict.fromkeys(f for f, _ in requests))
-    out = [_stacks(trials, scenario.dims.K) for _ in requests]
-
-    def read(src, lo, hi):
-        for stacks, (filt, beta) in zip(out, requests):
-            for dst, part in zip(stacks, src.buckets(filt, beta, hi - lo)):
-                dst[lo:hi] = part
-
-    cached = 0 if factors is None else min(factors.n, trials)
-    if cached:
-        read(factors, 0, cached)
-    for lo in range(cached, trials, CHUNK):
-        hi = min(lo + CHUNK, trials)
-        read(factor_draws(scenario, hi - lo, first=lo, filters=filters),
-             lo, hi)
-    return out
+    in `requests`: mc_buckets_group of the one cell (scenario, requests,
+    factors)."""
+    return mc_buckets_group([(scenario, requests, factors)], trials)[0]
 
 
 def mc_buckets(scenario, trials):

@@ -155,39 +155,55 @@ def rekey(rng, seed, trial):
     return rng
 
 
-def draw_channel(dims, pdp, corr, rng_stream):
-    """Draw one ChannelRealization from the given generator.
+def draw_fading(dims, rng_stream):
+    """The (L, M, K) fast fading H of one draw from the given generator.
 
-    Fast fading H_l[m, k] is i.i.d. CN(0, 1) (real/imag parts independent
-    N(0, 1/2)): the stream's first L*M*K normals are Re H, the next L*M*K
-    Im H, each scaled by 1/sqrt(2). The composite taps are
-    Hhat_l = sqrt_A @ H_l @ D_l^{1/2}. A real sqrt_A multiplies the real
-    and imaginary parts of H in one real product, with half the flops of
-    the complex one and no complex copy of sqrt_A; that moves Hhat by
-    rounding only. A complex sqrt_A keeps the complex product. The fading
-    block depends only on (L, M, K) and the stream — never on the
-    correlation model — so same-seed runs under different geometries
-    share their fading.
+    H_l[m, k] is i.i.d. CN(0, 1) (real/imag parts independent N(0, 1/2)):
+    the stream's first L*M*K normals are Re H, the next L*M*K Im H, each
+    scaled by 1/sqrt(2). H depends only on (L, M, K) and the stream, never
+    on the correlation or the PDP, so a sweep draws trial t's fading once
+    and forms every correlation parameter's composite taps from it.
     """
-    M, K, L = dims.M, dims.K, dims.L
+    z = rng_stream.standard_normal((2, dims.L, dims.M, dims.K))
+    H = np.empty(z.shape[1:], dtype=complex)
+    # times 1/sqrt(2): the same rounding as the quotient (a + 1j b) / sqrt(2)
+    np.multiply(z[0], 1 / np.sqrt(2), out=H.real)
+    np.multiply(z[1], 1 / np.sqrt(2), out=H.imag)
+    return H
+
+
+def composite_taps(H, pdp, corr):
+    """The composite taps Hhat_l = sqrt_A @ H_l @ D_l^{1/2} of fading H,
+    shape (..., L, M, K): one draw or a stack of them, each draw's taps
+    the same bits either way.
+
+    A real sqrt_A multiplies the real and imaginary parts of H in one real
+    product per tap, with half the flops of the complex one and no complex
+    copy of sqrt_A; that moves Hhat by rounding only. A complex sqrt_A
+    keeps the complex product.
+    """
+    L, M, K = H.shape[-3:]
     if pdp.K != K or pdp.L != L:
         raise ValueError(f"PDP shaped {pdp.d.shape}, expected ({K}, {L})")
     if corr.A.shape[0] != M:
         raise ValueError(f"correlation matrix is {corr.A.shape[0]}x..., "
                          f"expected {M}")
-    z = rng_stream.standard_normal((2, L, M, K))
-    H = np.empty((L, M, K), dtype=complex)
-    # times 1/sqrt(2): the same rounding as the quotient (a + 1j b) / sqrt(2)
-    np.multiply(z[0], 1 / np.sqrt(2), out=H.real)
-    np.multiply(z[1], 1 / np.sqrt(2), out=H.imag)
     # (L, 1, K) broadcast of sqrt(d_l[k]) over antennas
     amp = np.sqrt(pdp.d.T)[:, None, :]
     if np.isrealobj(corr.sqrt_A):
-        # (L, M, 2K) float view, real and imaginary parts interleaved
-        Hhat = (corr.sqrt_A @ H.view(np.float64)).view(complex) * amp
-    else:
-        Hhat = (corr.sqrt_A @ H) * amp
-    return ChannelRealization(H=H, Hhat=Hhat, pdp=pdp, dims=dims)
+        # (..., L, M, 2K) float view, real and imaginary parts interleaved
+        return (corr.sqrt_A @ H.view(np.float64)).view(complex) * amp
+    return (corr.sqrt_A @ H) * amp
+
+
+def draw_channel(dims, pdp, corr, rng_stream):
+    """Draw one ChannelRealization from the given generator: its fading
+    (draw_fading), then its composite taps (composite_taps). Same-seed
+    runs under different correlations or geometries share their fading.
+    """
+    H = draw_fading(dims, rng_stream)
+    return ChannelRealization(H=H, Hhat=composite_taps(H, pdp, corr),
+                              pdp=pdp, dims=dims)
 
 
 def taps_to_freq(taps, N):

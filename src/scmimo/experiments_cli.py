@@ -185,6 +185,11 @@ def load_config(path, overrides=()):
         params = [None]
     else:
         raise ValueError(f"corr.model: unknown model {corr_model!r}")
+    for key, model in (("corr.alpha", "exponential"),
+                       ("corr.pairs", "bessel")):
+        if key in kv and corr_model != model:
+            raise ValueError(f"{key}: only the {model} model reads it, "
+                             f"but corr.model is {corr_model}")
 
     if "seed" in kv or "SCMIMO_SEED" not in os.environ:
         seed = number("seed", int, str(DEFAULT_SEED))
@@ -365,62 +370,63 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
 # sweeps
 
 
-def _sweep_group(cfg, param):
-    """Every result the cell at one correlation parameter compared: per
-    configured filter (config order) and power point, a list of
-    SumRateResults. A searched ridge filter lists beta*'s own result
-    first, then beta = 0's when beta* != 0; every other filter lists its
-    one result at its fixed beta.
+def _sweep_group(cfg, params):
+    """Every result a group of correlation parameters compared: per
+    parameter (`params` order), filter (config order) and power point, a
+    list of SumRateResults: a searched ridge filter's beta*, then beta =
+    0's when beta* != 0; any other filter's one result at its fixed beta.
 
-    The cell draws and factors each of its `trials` channels once for all
-    the link's filters (`analysis.mc_buckets_at`, CHUNK draws at a time),
-    and evaluates every row's buckets in that one pass: a matched filter
-    from the tap products, a zero-forcing filter from the bin Gram
-    inverses after its conditioning check, and a ridge filter from the bin
-    eigendecompositions at its beta; a cell without a ridge filter
-    decomposes nothing. With a beta search, the cell first factors draws
-    0 .. beta.trials - 1, serving every filter, and searches beta at every
-    power point on them (`optimize_beta`). The factors keep the stacks
-    of every beta evaluated, so the coarse grid is evaluated once per
-    cell, and the reporting pass evaluates every beta* and beta = 0 only
-    on the later draws. A sweep row
-    (`run_sweep`) keeps the better result, beta* unless beta = 0 rates
-    strictly higher on the reporting draws, so it never falls below the
-    unregularized filter on its own draws.
+    With a beta search, each cell in turn factors its draws
+    0 .. beta.trials - 1 for every filter, searches beta at every power
+    point on them (`optimize_beta`) and reads every row's stacks there;
+    those factors keep the stacks of every beta evaluated, and are
+    released before the next cell's search. The group then draws each
+    later draw's fading once for all its cells (every draw with a fixed
+    beta; `analysis.mc_buckets_group`), and holds every cell's reporting
+    stacks until it ends. A draw's stacks depend only on (seed, t) and its
+    own correlation, so no row depends on the grouping. A sweep row
+    (`run_sweep`) keeps beta* unless beta = 0 rates strictly higher on
+    the reporting draws.
     """
-    scn0 = _scenario(cfg, cfg.filters[0], param, cfg.rho_grid[0])
-
-    def at(filt, rho_db, beta):
-        return dataclasses.replace(
-            scn0, filt=filt, beta=beta,
-            dims=dataclasses.replace(scn0.dims, rho_f_db=rho_db))
-
     fixed = {f: cfg.beta_value if f in BETA_FILTERS else 0.0
              for f in cfg.filters}
     search = next((f for f in cfg.filters if f in BETA_FILTERS),
                   None) if cfg.beta_mode == "grid_opt" else None
-    requests = [(f, beta) for f, beta in fixed.items() if f != search]
-    factors, betas = None, [None] * len(cfg.rho_grid)
-    if search:
-        factors = analysis.factor_draws(at(search, cfg.rho_grid[0], 0.0),
-                                        cfg.beta_trials, filters=cfg.filters)
-        betas = [optimize_beta(at(search, rho_db, 0.0),
-                               10.0 ** (rho_db / 10.0),
-                               trials=cfg.beta_trials, factors=factors)
-                 for rho_db in cfg.rho_grid]
-        requests += [(search, b) for b in sorted(set(betas) | {0.0})]
-    stacks = dict(zip(requests, analysis.mc_buckets_at(
-        scn0, cfg.trials, requests, factors)))
+    cells = []
 
-    def results(filt, rho_db, beta_star):
+    def at(scn0, filt, rho_db, beta):
+        return dataclasses.replace(
+            scn0, filt=filt, beta=beta,
+            dims=dataclasses.replace(scn0.dims, rho_f_db=rho_db))
+
+    def searched(param):
+        scn0 = _scenario(cfg, cfg.filters[0], param, cfg.rho_grid[0])
+        requests = [(f, beta) for f, beta in fixed.items() if f != search]
+        factors, betas = None, [None] * len(cfg.rho_grid)
+        if search:
+            factors = analysis.factor_draws(
+                at(scn0, search, cfg.rho_grid[0], 0.0), cfg.beta_trials,
+                filters=cfg.filters)
+            betas = [optimize_beta(at(scn0, search, rho_db, 0.0),
+                                   10.0 ** (rho_db / 10.0),
+                                   trials=cfg.beta_trials, factors=factors)
+                     for rho_db in cfg.rho_grid]
+            requests += [(search, b) for b in sorted(set(betas) | {0.0})]
+        cells.append((scn0, requests, betas))
+        return scn0, requests, factors
+
+    def results(scn0, stacks, filt, rho_db, beta_star):
         candidates = (beta_star, 0.0) if filt == search else (fixed[filt],)
-        return [buckets_to_result(at(filt, rho_db, b), cfg.trials,
+        return [buckets_to_result(at(scn0, filt, rho_db, b), cfg.trials,
                                   *stacks[filt, b])
                 for b in dict.fromkeys(candidates)]
 
-    return [[results(filt, rho_db, beta)
-             for rho_db, beta in zip(cfg.rho_grid, betas)]
-            for filt in cfg.filters]
+    # lazy: a cell's search runs once the previous cell's factors are read
+    per_cell = analysis.mc_buckets_group(map(searched, params), cfg.trials)
+    return [[[results(scn0, dict(zip(requests, stacks)), filt, rho_db, beta)
+              for rho_db, beta in zip(cfg.rho_grid, betas)]
+             for filt in cfg.filters]
+            for (scn0, requests, betas), stacks in zip(cells, per_cell)]
 
 
 def _result_row(result):
@@ -500,40 +506,45 @@ def _init_worker():
 
 
 def run_sweep(cfg, workers=None):
-    """Evaluate the config's full (filter x parameter x power) grid.
+    """Evaluate the config's full (filter x parameter x power) grid and
+    write it to cfg.output in filter-major config order, whatever order
+    the cells finish in; returns the row dicts. A row reports the best
+    result its cell compared at that point.
 
-    Each correlation parameter is one cell (`_sweep_group`) that serves
-    every filter. With more than one worker and more than one cell, the
-    cells run in `workers` worker processes (by default one per CPU, at
-    most one per cell; more than the CPUs only oversubscribe them),
-    forked where the platform can fork, else spawned, each with its BLAS
-    on one thread and, under glibc, a heap that stays mapped between
-    bucket-core chunks (`_init_worker`). Each worker holds its own cell's
-    draws, and the pool is shut down before this returns or raises.
-    Otherwise the cells run one after another in this process, whose
-    BLAS threads and malloc settings are left as they are. A row
-    reports the best result its cell compared at that point. Rows are
-    buffered and written to cfg.output in deterministic filter-major
-    config order regardless of completion order. Returns the row dicts.
+    Each correlation parameter is one cell serving every filter, run in a
+    group (`_sweep_group`) that draws each reporting draw's fading once
+    for all its cells; no row depends on the grouping. With more than one
+    worker (by default one per CPU, at most one per cell; more than the
+    CPUs only oversubscribe them), worker i runs the group
+    params[i::workers] in a process forked where the platform can fork,
+    else spawned, with its BLAS on one thread and, under glibc, a heap
+    kept mapped between bucket-core chunks (`_init_worker`); the pool is
+    shut down before this returns or raises. Otherwise all the cells are
+    one group in this process, whose BLAS threads and malloc settings are
+    left as they are.
     """
     params = cfg.corr_params
     if workers is None:
-        workers = min(len(params), os.cpu_count() or 1)
+        workers = os.cpu_count() or 1
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 and len(params) > 1:
+    workers = min(workers, len(params))
+    if workers > 1:
         # imported here, so that loading the module pays no multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                   else "spawn")
+        groups = [params[i::workers] for i in range(workers)]
+        per_cell = [None] * len(params)
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context(method),
                 initializer=_init_worker) as pool:
-            per_cell = list(pool.map(functools.partial(_sweep_group, cfg),
-                                     params))
+            for i, cells in enumerate(pool.map(
+                    functools.partial(_sweep_group, cfg), groups)):
+                per_cell[i::workers] = cells
     else:
-        per_cell = [_sweep_group(cfg, param) for param in params]
+        per_cell = _sweep_group(cfg, params)
     rows = [_result_row(max(results, key=lambda r: r.rate_bpcu))
             for i in range(len(cfg.filters)) for cell in per_cell
             for results in cell[i]]
@@ -819,9 +830,9 @@ def _validate_figures(rep):
         its own beta* (the sweep row, the better of beta* and 0, would
         make "rzfp >= zfp" hold by construction)."""
         cfg = dataclasses.replace(cfg, rho_grid=rho_grid)
+        [per_filter] = _sweep_group(cfg, [alpha])
         return {(filt, rho_db): results[0].rate_bpcu
-                for filt, per_power in zip(cfg.filters,
-                                           _sweep_group(cfg, alpha))
+                for filt, per_power in zip(cfg.filters, per_filter)
                 for rho_db, results in zip(rho_grid, per_power)}
 
     dl_cfg = _quick_cfg("downlink", ["cmfp", "zfp", "rzfp"])
@@ -913,8 +924,9 @@ def main(argv=None):
         "--workers", type=int, default=None,
         help="worker processes the correlation cells run in (default: "
              "one per CPU, at most one per cell; 1 runs them in the "
-             "sweep's own process). Each worker holds its own cell's "
-             "draws, and more workers than CPUs only oversubscribe them")
+             "sweep's own process). Each worker draws each channel's "
+             "fading once for its cells and holds their draws; more "
+             "workers than CPUs only oversubscribe them")
 
     p_val = sub.add_parser("validate", help="run an acceptance suite")
     p_val.add_argument("--suite", required=True,
@@ -966,8 +978,9 @@ def main(argv=None):
         # is searched whatever beta.mode says
         cfg = dataclasses.replace(cfg, filters=[filt],
                                   rho_grid=[args.rho_db], beta_mode="grid_opt")
-        for param in cfg.corr_params:
-            result = _sweep_group(cfg, param)[0][0][0]
+        for param, cell in zip(cfg.corr_params,
+                               _sweep_group(cfg, cfg.corr_params)):
+            result = cell[0][0][0]
             beta, rate = result.meta["beta"], result.rate_bpcu
             if cfg.corr_model == "exponential":
                 label = f", exponential alpha={param!r}"

@@ -219,7 +219,7 @@ def test_ridge_buckets_match_tap_placement_at_paper_size(link, filt, T):
     chans = [draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
              for t in range(3)]
     factors = analysis.DrawFactors(scn, len(chans))
-    factors.fill(0, chans)
+    factors.fill(0, np.stack([ch.Hhat for ch in chans]))
     for beta in (0.0, 1e-3, 1.0, 1e6):
         got = factors._ridge_buckets(beta, 0, len(chans), filt)
         assert np.all(got[1] >= 0.0) and np.all(got[2] >= 0.0)
@@ -248,9 +248,10 @@ def test_factor_draws_rekeyed_stream_matches_fresh_generators(link, filters):
     got = factor_draws(scn, n, first=first, filters=filters)
     want = analysis.DrawFactors(scn, n, first, filters)
     for lo in range(0, n, analysis.CHUNK):
-        want.fill(lo, [draw_channel(scn.dims, scn.pdp, scn.corr,
-                                    trial_rng(scn.dims.seed, first + t))
-                       for t in range(lo, min(lo + analysis.CHUNK, n))])
+        want.fill(lo, np.stack([
+            draw_channel(scn.dims, scn.pdp, scn.corr,
+                         trial_rng(scn.dims.seed, first + t)).Hhat
+            for t in range(lo, min(lo + analysis.CHUNK, n))]))
     for filt in filters:
         for beta in (0.0, 1e-2):
             for a, b in zip(got.buckets(filt, beta),
@@ -497,7 +498,7 @@ def test_singular_draw_is_rejected_when_factored(link, filt):
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"\({filt}, seed 51, trial 1\): Gram matrix "
                              rf"at bin \d+ has reciprocal condition"):
-        factors.fill(0, chans)
+        factors.fill(0, np.stack([ch.Hhat for ch in chans]))
 
 
 @pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),

@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from scmimo.channel import (ChannelRealization, PowerDelayProfile,
-                            SimulationDims, draw_channel, exponential_pdp,
-                            rekey, taps_to_freq, trial_rng)
+                            SimulationDims, composite_taps, draw_channel,
+                            draw_fading, exponential_pdp, rekey,
+                            taps_to_freq, trial_rng)
 from scmimo.corr_models import (bessel_correlation, exponential_correlation,
                                 identity_correlation, ula)
 
@@ -191,6 +192,25 @@ def test_draw_channel_composite_taps_match_complex_product(mu):
         want = (sqrt_A @ ch.H) * np.sqrt(pdp.d.T)[:, None, :]
         err = np.max(np.abs(ch.Hhat - want)) / np.max(np.abs(want))
         assert err <= 1e-14
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.4])
+def test_fading_draw_and_composite_step_are_draw_channel(mu):
+    """draw_fading then composite_taps gives draw_channel's H and Hhat
+    byte for byte, for a real (mu = 0) and a complex sqrt_A, and so does
+    composite_taps of a stack of fading draws, draw by draw."""
+    M, K, L = 16, 4, 3
+    dims = small_dims(M=M, K=K, L=L, N=8, T=16, T_c=8)
+    pdp = exponential_pdp(K, L)
+    corr = bessel_correlation(ula(M, 0.5), 3.0, mu)
+    assert np.isrealobj(corr.sqrt_A) == (mu == 0.0)
+    H = np.stack([draw_fading(dims, trial_rng(17, t)) for t in range(5)])
+    stacked = composite_taps(H, pdp, corr)
+    for t in range(5):
+        ch = draw_channel(dims, pdp, corr, trial_rng(17, t))
+        assert ch.H.tobytes() == H[t].tobytes()
+        assert ch.Hhat.tobytes() == composite_taps(H[t], pdp, corr).tobytes()
+        assert ch.Hhat.tobytes() == stacked[t].tobytes()
 
 
 def test_fading_shared_across_correlation_models():

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import scmimo
-from scmimo import analysis, dl_precoding, experiments_cli as cli
+from scmimo import analysis, channel, dl_precoding, experiments_cli as cli
 from scmimo.analysis import Scenario, _draw_buckets, sum_rate_mc
 from scmimo.channel import (DEFAULT_SEED, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
@@ -217,8 +217,28 @@ def test_load_config_bessel_pairs(tmp_path):
 
 def test_load_config_identity_model(tmp_path):
     text = BASE_CFG.replace("corr.model = exponential", "corr.model = identity")
+    text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99\n", "")
     cfg = load_config(cfg_file(tmp_path, text))
     assert cfg.corr_params == [None]
+
+
+@pytest.mark.parametrize("model,override", [
+    ("bessel", "corr.alpha=0.5"), ("identity", "corr.alpha=0.5"),
+    ("exponential", "corr.pairs=20,0"), ("identity", "corr.pairs=20,0")])
+def test_load_config_rejects_a_correlation_key_its_model_ignores(
+        tmp_path, model, override):
+    """corr.alpha is read only by the exponential model and corr.pairs
+    only by the Bessel model; either one under another model would be
+    silently ignored, so it is rejected by name."""
+    text = BASE_CFG.replace("corr.model = exponential",
+                            f"corr.model = {model}")
+    text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99", {
+        "bessel": "corr.pairs = 20,0 ; 40,1.5708",
+        "identity": "", "exponential": "corr.alpha = 0.0,0.5"}[model])
+    key = override.split("=")[0]
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)}: only the "
+                                         rf".* model reads it"):
+        load_config(cfg_file(tmp_path, text), overrides=[override])
 
 
 def test_seed_priority(tmp_path, monkeypatch):
@@ -471,19 +491,26 @@ seed = 5
 @pytest.mark.parametrize("mode", ["grid_opt", "fixed"])
 def test_sweep_cell_draws_each_trial_once(tmp_path, monkeypatch, link,
                                           filters, mode):
-    """A cell draws each of its trials once for all the link's filters,
-    and its rows are byte for byte those of one single-filter sweep per
+    """A one-worker sweep is one group, which draws each trial's fading
+    once for all its cells and all the link's filters: `trials` fading
+    draws with a fixed beta, and with a beta search the `trials` -
+    `beta.trials` reporting draws once plus each cell's own search draws.
+    Its rows are byte for byte those of one single-filter sweep per
     filter, concatenated."""
     path = cfg_file(tmp_path, CELL_CFG.format(link=link, filters=filters))
     overrides = [f"beta.mode={mode}", f"output={tmp_path / 'all.csv'}"]
     calls = []
-    draw = analysis.draw_channel
-    monkeypatch.setattr(analysis, "draw_channel",
-                        lambda *args: calls.append(args) or draw(*args))
+    draw = channel.draw_fading
+    for module in (channel, analysis):
+        monkeypatch.setattr(module, "draw_fading",
+                            lambda *args: calls.append(args) or draw(*args))
     cfg = load_config(path, overrides=overrides)
     rows = run_sweep(cfg, workers=1)
-    assert len(calls) == len(cfg.corr_params) * cfg.trials
-    monkeypatch.setattr(analysis, "draw_channel", draw)
+    searched = cfg.beta_trials if mode == "grid_opt" else 0
+    assert len(calls) == (cfg.trials - searched
+                          + len(cfg.corr_params) * searched)
+    for module in (channel, analysis):
+        monkeypatch.setattr(module, "draw_fading", draw)
 
     single, body = [], []
     for filt in cfg.filters:
@@ -494,6 +521,53 @@ def test_sweep_cell_draws_each_trial_once(tmp_path, monkeypatch, link,
     assert rows == single
     assert (tmp_path / "all.csv").read_text().splitlines() == [
         CSV_HEADER, *body]
+
+
+GROUP_CFG = CELL_CFG.replace("corr.alpha = 0.0,0.7",
+                             "corr.alpha = 0.0,0.5,0.7,0.9")
+
+
+@pytest.mark.parametrize("link,filters", [("downlink", "cmfp,zfp,rzfp"),
+                                          ("uplink", "cmfe,zfe,mmsee")])
+@pytest.mark.parametrize("mode", ["grid_opt", "fixed"])
+def test_sweep_csv_does_not_depend_on_the_grouping(tmp_path, link, filters,
+                                                   mode):
+    """Four correlation cells give the same CSV bytes as one group, as
+    groups of two, as groups of two and one and one, one cell per worker,
+    and at more workers than cells."""
+    path = cfg_file(tmp_path, GROUP_CFG.format(link=link, filters=filters))
+    out = []
+    for workers in (1, 2, 3, 4, 5):
+        cfg = load_config(path, [f"beta.mode={mode}",
+                                 f"output={tmp_path / f'{workers}.csv'}"])
+        run_sweep(cfg, workers=workers)
+        out.append((tmp_path / f"{workers}.csv").read_bytes())
+    assert len(out[0].splitlines()) == 1 + 3 * 4 * 3
+    assert out == [out[0]] * 5
+
+
+def test_bucket_group_needs_cells_that_share_their_draws():
+    """A group draws one fading block per trial for all its cells: each
+    cell's stacks are bit for bit its own, and cells with another seed,
+    other (M, K, L) or another number of factored draws are rejected."""
+    scn, other = (small_beta_scenario(filt="zfe", alpha=alpha)
+                  for alpha in (0.7, 0.0))
+    requests = [("zfe", 0.0), ("mmsee", 0.1)]
+    group = analysis.mc_buckets_group(
+        [(scn, requests, None), (other, requests, None)], 11)
+    for cell, stacks in zip((scn, other), group):
+        alone = analysis.mc_buckets_at(cell, 11, requests)
+        assert all(np.array_equal(a, b)
+                   for want, got in zip(alone, stacks)
+                   for a, b in zip(want, got))
+    for bad, factors in [
+            (small_beta_scenario(filt="zfe", seed=32), None),
+            (dataclasses.replace(scn, dims=dataclasses.replace(scn.dims, K=2),
+                                 pdp=exponential_pdp(2, 2)), None),
+            (scn, analysis.factor_draws(scn, 4, filters=("zfe", "mmsee")))]:
+        with pytest.raises(ValueError, match="must share their seed"):
+            analysis.mc_buckets_group(
+                [(scn, requests, None), (bad, requests, factors)], 11)
 
 
 def test_grid_opt_cell_evaluates_beta_zero_once_on_search_draws(
@@ -679,10 +753,10 @@ def test_pool_workers_run_blas_on_one_thread():
             "openblas_get_num_threads") if hasattr(lib, name)]
         cell = cli._sweep_group
 
-        def checked_cell(cfg, param):
+        def checked_cell(cfg, params):
             if getters[0]() != 1:
                 raise RuntimeError(f"{getters[0]()} BLAS threads")
-            return cell(cfg, param)
+            return cell(cfg, params)
 
         cli._sweep_group = checked_cell
         with tempfile.TemporaryDirectory() as tmp:
@@ -715,18 +789,20 @@ def test_pool_workers_keep_their_heap_between_chunks():
         from scmimo import experiments_cli as cli
         cell = cli._sweep_group
 
-        def churning_cell(cfg, param):
-            growth = []
-            for _ in range(8):
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                arrays = [np.ones(1 << 16) for _ in range(20)]
-                del arrays
-                growth.append(resource.getrusage(
-                    resource.RUSAGE_SELF).ru_minflt - before)
-            with open(f"{os.path.dirname(cfg.output)}/{param}.json",
-                      "w") as fh:
-                json.dump(growth, fh)
-            return cell(cfg, param)
+        def churning_cell(cfg, params):
+            for param in params:
+                growth = []
+                for _ in range(8):
+                    before = resource.getrusage(
+                        resource.RUSAGE_SELF).ru_minflt
+                    arrays = [np.ones(1 << 16) for _ in range(20)]
+                    del arrays
+                    growth.append(resource.getrusage(
+                        resource.RUSAGE_SELF).ru_minflt - before)
+                with open(f"{os.path.dirname(cfg.output)}/{param}.json",
+                          "w") as fh:
+                    json.dump(growth, fh)
+            return cell(cfg, params)
 
         cli._sweep_group = churning_cell
         with tempfile.TemporaryDirectory() as tmp:
@@ -820,7 +896,7 @@ def test_grid_opt_cell_rejects_zero_forcing_draws_before_the_search(
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"\(exponential alpha=0.7, {zf}, seed 5, "
                              rf"trial 0\): .*bin \d+"):
-        _sweep_group(cfg, 0.7)
+        _sweep_group(cfg, [0.7])
 
 
 @pytest.mark.parametrize("filt", ["rzfp", "cmfp"])
@@ -831,7 +907,7 @@ def test_sweep_cell_reports_each_beta_bit_identically(tmp_path, filt):
     beta."""
     text = SHORTFALL_CFG.format(link="downlink", filt=filt)
     cfg = load_config(cfg_file(tmp_path, text))
-    [per_power] = _sweep_group(cfg, 0.7)
+    [[per_power]] = _sweep_group(cfg, [0.7])
     assert len(per_power) == len(cfg.rho_grid)
     for rho_db, results in zip(cfg.rho_grid, per_power):
         betas = [r.meta["beta"] for r in results]
