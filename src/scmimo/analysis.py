@@ -14,14 +14,16 @@ The received-signal power at user k splits into five buckets:
 `decompose` measures the buckets by driving isolated unit probes through
 the actual transmit/receive operations — one reference implementation
 that serves all six filters. `sum_rate_mc` evaluates the same quantities
-in the tap domain and averages over draws: each draw is factored once
-(`DrawFactors`) from its tap products Hhat_l^H Hhat_l', for every filter
-of its link at once, and a group of correlations shares each draw's
-fading (`mc_buckets_group`). A matched filter's cascade taps
-are those products placed at their delays mod T (`_tap_placement`), and
-its gains and interference energies are c[0] and the summed squared
-taps. A bank filter never places its N + L - 1 cascade taps: the cascade
-folded mod N has bin nu equal to the identity for zero forcing, and to
+in the tap domain and averages over draws. Every draw comes from one
+loop (`_fading_chunks`): CHUNK draws' fading at a time, then one
+`composite_taps` call per chunk and correlation, so a group of
+correlations shares each draw's fading (`mc_buckets_group`). Each draw is
+factored once (`DrawFactors`) from its tap products Hhat_l^H Hhat_l', for
+every filter of its link at once. A matched filter's cascade taps are
+those products placed at their delays mod T (`_tap_placement`), and its
+gains and interference energies are c[0] and the summed squared taps. A
+bank filter never places its N + L - 1 cascade taps: the cascade folded
+mod N has bin nu equal to the identity for zero forcing, and to
 U diag(lambda / (lambda + beta)) U^H, from a Gram eigendecomposition per
 bin, for a ridge filter, so Parseval gives its power from the N bins, and
 only the L - 1 low delays where the linear cascade aliases mod N, and the
@@ -39,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import (composite_taps, draw_channel, draw_fading, rekey,
-                      trial_rng)
+from .channel import composite_taps, draw_fading, rekey, trial_rng
+from .channel import draw_channel  # noqa: F401 (perfbench traces this name)
 from . import dl_precoding
 from .dl_precoding import (check_gram_conditioning, cmfp_transmit,
                            downlink_receive, gram_rcond, precoded_transmit,
@@ -240,20 +242,14 @@ def _stacks(n, K):
 
 
 @functools.lru_cache(maxsize=None)
-def _tap_placement(N, shifts, T):
-    """Matrix A, shape (D, len(shifts), N), taking per-bin products to
-    circular cascade taps: c[d] = sum_j A[d, j] @ z[:, j], where z[nu, j]
-    is bank bin nu times channel term j. The N-point inverse DFT turns bin
-    nu into bank tap m, which term j places at delay (m + shifts[j]) mod T;
-    rows are the D distinct delays in increasing order, so delay 0 comes
-    first when some term has shift 0 (every caller's does). With N = 1 it
-    is a 0/1 matrix placing the terms alone: the bucket core uses only
-    that form, for the matched cascade; zero-forcing and ridge banks get
-    their buckets from the bins (`DrawFactors`)."""
-    m = np.arange(N)
-    delay = (m + np.array(shifts)[:, None]) % T
-    idft = np.exp(2j * np.pi * np.outer(m, m) / N) / N     # [m, nu]
-    A = (delay == np.unique(delay)[:, None, None]) @ idft
+def _tap_placement(shifts, T):
+    """The 0/1 matrix A, shape (D, len(shifts)), that places channel terms
+    at their delays mod T: c[d] = sum_j A[d, j] z[j], with term j at delay
+    shifts[j] mod T. Rows are the D distinct delays in increasing order,
+    so delay 0 comes first when some term has shift 0, as the matched
+    cascade's l = l' terms do (read-only, complex)."""
+    delay = np.array(shifts) % T
+    A = (delay == np.unique(delay)[:, None]).astype(complex)
     A.flags.writeable = False
     return A
 
@@ -297,7 +293,7 @@ class DrawFactors:
 
     * A matched filter: its buckets, which have no parameter, from the
       cascade taps sum_{l - l' = d mod T} Hhat_l^H Hhat_l' / sqrt(MK)
-      (uplink: l' - l), placed by `_tap_placement` with N = 1.
+      (uplink: l' - l), placed at their delays by `_tap_placement`.
     * A zero-forcing filter: its buckets, which have no parameter either,
       from one batched inverse G_nu^-1. Its cascade folded mod N is the
       identity at every bin, so only the L - 1 low taps of the linear
@@ -382,9 +378,9 @@ class DrawFactors:
                        for family in (MATCHED, ZERO_FORCING))
         if matched is not None:
             sign = 1 if self.downlink else -1
-            A = _tap_placement(1, tuple(sign * (l - lp) for l in range(L)
-                                        for lp in range(L)), dims.T)
-            c = (A[..., 0] @ F.transpose(0, 1, 3, 2, 4).reshape(
+            A = _tap_placement(tuple(sign * (l - lp) for l in range(L)
+                                     for lp in range(L)), dims.T)
+            c = (A @ F.transpose(0, 1, 3, 2, 4).reshape(
                 n, L * L, K * K)).reshape(n, -1, K, K) / np.sqrt(M * K)
             awgn = np.ones((n, K)) if self.downlink else np.real(
                 np.einsum("nlklk->nk", F)) / (M * K)
@@ -597,22 +593,25 @@ def _draw_buckets(scenario, ch):
     return tuple(s[0] for s in factors.buckets(scenario.filt, scenario.beta))
 
 
-def factor_draws(scenario, trials, first=0, filters=None):
-    """Draw trials first .. first + trials - 1 of the scenario's seed and
-    factor them, CHUNK draws at a time, into one DrawFactors serving
-    `filters` (default: the scenario's filter).
+def _fading_chunks(dims, lo, hi):
+    """(first trial, stacked fading (n, L, M, K)) of trials lo .. hi - 1
+    of dims.seed, CHUNK trials at a time. One generator is re-keyed for
+    each trial (rekey), so trial t draws exactly what trial_rng(seed, t)
+    would, and one composite_taps call on a chunk gives each draw's
+    composite taps bit for bit as draw_channel would."""
+    rng = trial_rng(dims.seed, 0)
+    for a in range(lo, hi, CHUNK):
+        yield a, np.stack([draw_fading(dims, rekey(rng, dims.seed, t))
+                           for t in range(a, min(a + CHUNK, hi))])
 
-    One generator is built per call and re-keyed for each trial (rekey),
-    so trial t draws exactly what draw_channel on trial_rng(seed, t)
-    would."""
-    dims = scenario.dims
-    factors = DrawFactors(scenario, trials, first, filters)
-    rng = trial_rng(dims.seed, first)
-    for lo in range(0, trials, CHUNK):
-        factors.fill(lo, np.stack([
-            draw_channel(dims, scenario.pdp, scenario.corr,
-                         rekey(rng, dims.seed, first + t)).Hhat
-            for t in range(lo, min(lo + CHUNK, trials))]))
+
+def factor_draws(scenario, trials, filters=None):
+    """Draw trials 0 .. trials - 1 of the scenario's seed and factor them,
+    a chunk at a time (`_fading_chunks`), into one DrawFactors serving
+    `filters` (default: the scenario's filter)."""
+    factors = DrawFactors(scenario, trials, 0, filters)
+    for lo, H in _fading_chunks(scenario.dims, 0, trials):
+        factors.fill(lo, composite_taps(H, scenario.pdp, scenario.corr))
     return factors
 
 
@@ -635,8 +634,9 @@ def mc_buckets_group(cells, trials):
     number in every cell, are read as a prefix then, so an iterator of
     cells can make each cell's factors after the previous cell's are
     released. Each later chunk of draws has its fading drawn once for the
-    group (draw_fading), then is composited and factored per scenario, so
-    a draw's stacks depend only on (seed, t) and its own scenario.
+    group (`_fading_chunks`), then is composited and factored per
+    scenario, so a draw's stacks depend only on (seed, t) and its own
+    scenario.
     """
     group, out, shared = [], [], set()
     for scenario, requests, factors in cells:
@@ -653,11 +653,8 @@ def mc_buckets_group(cells, trials):
         group.append((scenario, requests,
                       tuple(dict.fromkeys(f for f, _ in requests))))
         out.append(stacks)
-    rng = trial_rng(dims.seed, 0)
-    for lo in range(cached, trials, CHUNK):
-        hi = min(lo + CHUNK, trials)
-        H = np.stack([draw_fading(dims, rekey(rng, dims.seed, t))
-                      for t in range(lo, hi)])
+    for lo, H in _fading_chunks(dims, cached, trials):
+        hi = lo + H.shape[0]
         for (scenario, requests, filters), stacks in zip(group, out):
             factors = DrawFactors(scenario, hi - lo, lo, filters)
             factors.fill(0, composite_taps(H, scenario.pdp, scenario.corr))
@@ -665,22 +662,16 @@ def mc_buckets_group(cells, trials):
     return out
 
 
-def mc_buckets_at(scenario, trials, requests, factors=None):
-    """Bucket stacks of draws 0 .. trials - 1 for each (filter, beta) pair
-    in `requests`: mc_buckets_group of the one cell (scenario, requests,
-    factors)."""
-    return mc_buckets_group([(scenario, requests, factors)], trials)[0]
-
-
 def mc_buckets(scenario, trials):
-    """Per-draw bucket stacks over `trials` seeded channel draws.
+    """Per-draw bucket stacks over `trials` seeded channel draws: the
+    group of one cell, which requests the scenario's filter at its beta.
 
     Returns (g, isi_u, mui_u, awgn) arrays of shape (trials, K) at unit
     symbol power. Draw t uses the counter-based stream (seed, t), so the
     stack is independent of evaluation order and chunking.
     """
-    return mc_buckets_at(scenario, trials,
-                         [(scenario.filt, scenario.beta)])[0]
+    return mc_buckets_group([(scenario, [(scenario.filt, scenario.beta)],
+                              None)], trials)[0][0]
 
 
 def _aggregate(scenario, g, isi_u, mui_u, awgn):

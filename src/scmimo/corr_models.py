@@ -42,8 +42,9 @@ class ArrayGeometry:
             raise ValueError(f"unknown geometry kind {self.kind!r}")
         if self.M <= 0 or self.M_x <= 0:
             raise ValueError("antenna counts must be positive")
-        if self.spacing_d <= 0:
-            raise ValueError("element spacing must be positive")
+        if not (np.isfinite(self.spacing_d) and self.spacing_d > 0):
+            raise ValueError(f"element spacing must be finite and positive, "
+                             f"got {self.spacing_d}")
         if self.kind == "upa" and self.M % self.M_x != 0:
             raise ValueError(f"UPA needs a rectangular grid: M={self.M} "
                              f"is not divisible by M_x={self.M_x}")

@@ -24,7 +24,6 @@ import dataclasses
 import functools
 import math
 import os
-import sys
 
 import numpy as np
 
@@ -992,7 +991,3 @@ def main(argv=None):
                   f"{args.rho_db:+.1f} dB, filter {filt}{label})")
         return 0
     return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -32,6 +32,8 @@ def test_upa_geometry_fields():
     dict(kind="ula", M=4, M_x=4, spacing_d=-1.0),
     dict(kind="circular", M=4, M_x=4, spacing_d=0.5),
     dict(kind="ula", M=4, M_x=2, spacing_d=0.5),    # ULA must have M_x == M
+    dict(kind="ula", M=4, M_x=4, spacing_d=float("inf")),
+    dict(kind="ula", M=4, M_x=4, spacing_d=float("nan")),
 ])
 def test_geometry_validation(bad):
     with pytest.raises(ValueError):

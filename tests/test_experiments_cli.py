@@ -116,7 +116,9 @@ def test_load_config_bad_values(tmp_path):
             ("dims.k=9", "^dims: need K <= M"),
             ("corr.alpha=0.5,1.5", "^corr.alpha: "),
             ("corr.alpha=-0.1", "^corr.alpha: "),
-            ("corr.alpha=nan", "^corr.alpha: ")]:
+            ("corr.alpha=nan", "^corr.alpha: "),
+            ("geometry.spacing=inf", "^geometry: element spacing"),
+            ("geometry.spacing=nan", "^geometry: element spacing")]:
         with pytest.raises(ValueError, match=match):
             load_config(base, overrides=[override])
     for pairs in ("20,0;-1,0", "nan,0", "inf,0.5", "20,0;20,nan", "20,-inf"):
@@ -556,7 +558,7 @@ def test_bucket_group_needs_cells_that_share_their_draws():
     group = analysis.mc_buckets_group(
         [(scn, requests, None), (other, requests, None)], 11)
     for cell, stacks in zip((scn, other), group):
-        alone = analysis.mc_buckets_at(cell, 11, requests)
+        alone, = analysis.mc_buckets_group([(cell, requests, None)], 11)
         assert all(np.array_equal(a, b)
                    for want, got in zip(alone, stacks)
                    for a, b in zip(want, got))
