@@ -19,7 +19,9 @@ variable, else 12345.
 """
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import dataclasses
 import functools
 import math
@@ -450,11 +452,80 @@ def _result_row(result):
     }
 
 
+# OpenBLAS's (thread-count getter, setter) symbol names, in the order
+# they are looked for: SciPy's wheels prefix them, ILP64 builds suffix them
+_OPENBLAS_THREAD_SYMBOLS = [
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
+
 # glibc's mallopt parameter numbers, and the thresholds pool workers set:
 # well above the 3-4 MB a bucket-core chunk allocates and frees, and 32 MB
 # is the largest mmap threshold glibc accepts on 64-bit.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _WORKER_MMAP_THRESHOLD, _WORKER_TRIM_THRESHOLD = 32 << 20, 64 << 20
+
+
+def _load_library(path):
+    """The shared library at path (None: the process's own symbols), or
+    None where it cannot be loaded."""
+    try:
+        return ctypes.CDLL(path)
+    except (OSError, TypeError):
+        return None
+
+
+def _blas_threads(n):
+    """Run the OpenBLAS that NumPy's linalg module links on n threads;
+    returns the count it ran on before. Never raises.
+
+    Sets the count only where it differs from n: OpenBLAS's setter starts
+    its thread server where none runs, so in a process forked with a count
+    of 1 it would start a helper thread that no call uses. Returns None,
+    and changes nothing, where no such library loads or it has no thread
+    setter (any other BLAS is left as it is); where it has a setter but no
+    getter, sets n and returns None, as there is no count to restore.
+    The count is process-wide: every thread of the process shares it.
+    """
+    try:
+        blas = _load_library(np.linalg._umath_linalg.__file__)
+    except AttributeError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        setter = getattr(blas, set_name, None)
+        if setter is not None:
+            break
+    else:
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter = getattr(blas, get_name, None)
+    previous = None
+    if getter is not None:
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        previous = getter()
+    if previous != n:
+        setter(n)
+    return previous
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread (`_blas_threads`), and
+    restore the count it found when the block ends or raises.
+
+    The bucket core's BLAS calls are all small, so a second OpenBLAS
+    thread does no useful work and only takes CPU from the process's
+    neighbours: on a 2-CPU box, two serial sweeps side by side (perfbench's
+    beta_grid workload) ran about a fifth faster on one thread than on
+    OpenBLAS's default two. Two threads of one process that run such
+    blocks at once share the count, and each restores the count it found
+    when its block ends.
+    """
+    previous = _blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            _blas_threads(previous)
 
 
 def _init_worker():
@@ -464,9 +535,10 @@ def _init_worker():
     By default the pool runs one worker per CPU, so a multithreaded BLAS
     in each worker only oversubscribes the CPUs: on a 2-CPU box, workers
     without this ran their cells about 10% slower, and 12 of 32 ran a
-    64 x 64 `eigh` 10-100x slower. Calls OpenBLAS's set_num_threads,
-    found through the library NumPy's linalg module links; any other BLAS
-    is left as it is.
+    64 x 64 `eigh` 10-100x slower. A worker forked by `run_sweep` already
+    holds the one thread its parent set, and this leaves it alone; a
+    spawned worker starts on OpenBLAS's default and is set to one thread
+    (`_blas_threads`).
 
     Under glibc it also fixes malloc's mmap and trim thresholds. Left
     dynamic, they rise only to twice the largest mmapped block ever freed
@@ -477,25 +549,8 @@ def _init_worker():
     system time, against 23 k and 0.10 s with the heap kept. Under any
     other C library this part does nothing.
     """
-    import ctypes
-
-    def load(path):
-        try:
-            return ctypes.CDLL(path)
-        except (OSError, TypeError):
-            return None
-
-    try:
-        blas = load(np.linalg._umath_linalg.__file__)
-    except AttributeError:
-        blas = None
-    for name in ("scipy_openblas_set_num_threads64_",
-                 "scipy_openblas_set_num_threads",
-                 "openblas_set_num_threads64_", "openblas_set_num_threads"):
-        if hasattr(blas, name):
-            getattr(blas, name)(1)
-            break
-    libc = load(None)
+    _blas_threads(1)
+    libc = _load_library(None)
     # the parameter numbers are glibc's own: no other libc is passed them
     if hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt"):
         mallopt = libc.mallopt
@@ -512,15 +567,19 @@ def run_sweep(cfg, workers=None):
 
     Each correlation parameter is one cell serving every filter, run in a
     group (`_sweep_group`) that draws each reporting draw's fading once
-    for all its cells; no row depends on the grouping. With more than one
-    worker (by default one per CPU, at most one per cell; more than the
-    CPUs only oversubscribe them), worker i runs the group
-    params[i::workers] in a process forked where the platform can fork,
-    else spawned, with its BLAS on one thread and, under glibc, a heap
-    kept mapped between bucket-core chunks (`_init_worker`); the pool is
-    shut down before this returns or raises. Otherwise all the cells are
-    one group in this process, whose BLAS threads and malloc settings are
-    left as they are.
+    for all its cells; no row depends on the grouping. While the cells
+    run, this process's OpenBLAS runs on one thread (`_one_blas_thread`),
+    and the count it had is restored before this returns or raises; the
+    count is process-wide, so two threads that call this at once share
+    it. With more than one worker (by default one per CPU, at most one
+    per cell; more than the CPUs only oversubscribe them), worker i runs
+    the group params[i::workers] in a process forked where the platform
+    can fork, else spawned, with its BLAS on one thread and, under glibc,
+    a heap kept mapped between bucket-core chunks (`_init_worker`); a
+    forked worker inherits the one thread and starts no BLAS helper
+    thread. The pool is shut down before this returns or raises.
+    Otherwise all the cells are one group in this process, whose malloc
+    settings are left as they are.
     """
     params = cfg.corr_params
     if workers is None:
@@ -528,22 +587,24 @@ def run_sweep(cfg, workers=None):
     elif workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     workers = min(workers, len(params))
-    if workers > 1:
-        # imported here, so that loading the module pays no multiprocessing
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
-                  else "spawn")
-        groups = [params[i::workers] for i in range(workers)]
-        per_cell = [None] * len(params)
-        with ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context(method),
-                initializer=_init_worker) as pool:
-            for i, cells in enumerate(pool.map(
-                    functools.partial(_sweep_group, cfg), groups)):
-                per_cell[i::workers] = cells
-    else:
-        per_cell = _sweep_group(cfg, params)
+    with _one_blas_thread():
+        if workers > 1:
+            # imported here, so that loading the module pays no multiprocessing
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            method = ("fork"
+                      if "fork" in multiprocessing.get_all_start_methods()
+                      else "spawn")
+            groups = [params[i::workers] for i in range(workers)]
+            per_cell = [None] * len(params)
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context(method),
+                    initializer=_init_worker) as pool:
+                for i, cells in enumerate(pool.map(
+                        functools.partial(_sweep_group, cfg), groups)):
+                    per_cell[i::workers] = cells
+        else:
+            per_cell = _sweep_group(cfg, params)
     rows = [_result_row(max(results, key=lambda r: r.rate_bpcu))
             for i in range(len(cfg.filters)) for cell in per_cell
             for results in cell[i]]
@@ -889,7 +950,8 @@ def _validate_figures(rep):
 
 
 def validate(suite):
-    """Run one named validation suite; returns (all_passed, report_lines)."""
+    """Run one named validation suite; returns (all_passed, report_lines).
+    Its cells run with OpenBLAS on one thread, as `run_sweep`'s do."""
     suites = {
         "closed_forms": _validate_closed_forms,
         "appendix": _validate_appendix,
@@ -900,7 +962,8 @@ def validate(suite):
         raise ValueError(f"unknown suite {suite!r} "
                          f"(expected one of {sorted(suites)})")
     rep = _Report()
-    suites[suite](rep)
+    with _one_blas_thread():
+        suites[suite](rep)
     return rep.ok, rep.lines
 
 
@@ -977,8 +1040,9 @@ def main(argv=None):
         # is searched whatever beta.mode says
         cfg = dataclasses.replace(cfg, filters=[filt],
                                   rho_grid=[args.rho_db], beta_mode="grid_opt")
-        for param, cell in zip(cfg.corr_params,
-                               _sweep_group(cfg, cfg.corr_params)):
+        with _one_blas_thread():
+            per_cell = _sweep_group(cfg, cfg.corr_params)
+        for param, cell in zip(cfg.corr_params, per_cell):
             result = cell[0][0][0]
             beta, rate = result.meta["beta"], result.rate_bpcu
             if cfg.corr_model == "exponential":

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import types
 
 import numpy as np
 import pytest
@@ -827,36 +828,128 @@ def test_pool_workers_keep_their_heap_between_chunks():
         assert max(rounds[1:]) < pages // 20, rounds
 
 
+def _openblas_thread_calls():
+    """OpenBLAS's thread-count (getter, setter) where NumPy's linalg module
+    links it, else None."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            names = (f"{prefix}get_num_threads{suffix}",
+                     f"{prefix}set_num_threads{suffix}")
+            if all(hasattr(lib, name) for name in names):
+                return tuple(getattr(lib, name) for name in names)
+    return None
+
+
 def test_serial_sweep_leaves_its_process_alone(tmp_path, monkeypatch):
     """A one-worker sweep runs its cells in the caller's process and never
-    runs the pool-worker initializer there."""
+    runs the pool-worker initializer there. Where NumPy links OpenBLAS,
+    the cells run on one BLAS thread, and the caller's thread count is
+    restored whether the sweep returns or raises."""
     def refused():
         raise AssertionError("pool-worker initializer in the caller")
 
+    openblas = _openblas_thread_calls()
+    get, set_ = openblas or (lambda: None, lambda n: None)
+    seen = []
+    cell = cli._sweep_group
+
+    def checked_cell(cfg, params):
+        seen.append(get())
+        return cell(cfg, params)
+
     monkeypatch.setattr(cli, "_init_worker", refused)
+    monkeypatch.setattr(cli, "_sweep_group", checked_cell)
     path = cfg_file(tmp_path, SHORTFALL_CFG.format(link="uplink",
                                                    filt="cmfe,zfe"))
     cfg = load_config(path, overrides=[f"output={tmp_path / 'o.csv'}"])
-    assert len(run_sweep(cfg, workers=1)) == 2 * 3 * 5
+    previous = get()
+    set_(2)  # a caller's count that the cells must not run on
+    caller = get()
+    try:
+        assert len(run_sweep(cfg, workers=1)) == 2 * 3 * 5
+        after = [get()]
+        # a rank threshold no Gram matrix meets: the first cell raises
+        monkeypatch.setattr(dl_precoding, "RCOND_MIN", 1.0)
+        with pytest.raises(np.linalg.LinAlgError, match="zfe"):
+            run_sweep(cfg, workers=1)
+        after.append(get())
+    finally:
+        set_(previous)
+    assert after == [caller, caller]
+    if openblas:
+        assert seen == [1, 1]
 
 
-@pytest.mark.parametrize("library", ["missing", "bare"])
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods()
+    or not os.path.isdir("/proc/self/task"),
+    reason="the checking cell reaches workers by fork and counts their "
+           "threads in /proc/self/task")
+def test_forked_pool_workers_start_no_blas_helper_thread():
+    """A forked pool worker runs its cells on its one OS thread: it
+    inherits the one OpenBLAS thread run_sweep sets in its parent, so
+    neither the initializer nor the cells start OpenBLAS's thread server
+    in it."""
+    code = """
+        import ctypes, os, sys, tempfile
+        import numpy as np
+        from scmimo import experiments_cli as cli
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        openblas = any(hasattr(lib, name) for name in (
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads", "openblas_get_num_threads64_",
+            "openblas_get_num_threads"))
+        cell = cli._sweep_group
+
+        def checked_cell(cfg, params):
+            cells = cell(cfg, params)
+            threads = len(os.listdir("/proc/self/task"))
+            if threads != 1:
+                raise RuntimeError(f"{threads} threads in a worker")
+            return cells
+
+        cli._sweep_group = checked_cell
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write(sys.argv[1])
+            if openblas:
+                cli.run_sweep(cli.load_config(path, [f"output={tmp}/o.csv"]),
+                              workers=2)
+        print("OpenBLAS" if openblas else "another BLAS")
+    """
+    if _run_fresh(code, SHORTFALL_CFG.format(
+            link="downlink", filt="zfp,rzfp")) != "OpenBLAS":
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+
+
+@pytest.mark.parametrize("library", ["missing", "bare", "setter only"])
 def test_worker_initializer_is_quiet_without_its_libraries(monkeypatch,
                                                             library):
     """Where no library can be loaded, or one has neither mallopt nor an
     OpenBLAS thread setter, the pool-worker initializer does nothing and
-    raises nothing."""
-    loaded = []
+    raises nothing; where OpenBLAS has a setter but no getter, it sets
+    one thread. The BLAS helper then has no count to restore."""
+    loaded, counts = [], []
+
+    def set_num_threads(n):
+        counts.append(n)
 
     def cdll(path):
         loaded.append(path)
         if library == "missing":
             raise OSError(f"cannot load {path}")
+        if library == "setter only":
+            return types.SimpleNamespace(
+                scipy_openblas_set_num_threads64_=set_num_threads)
         return object()
 
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     assert cli._init_worker() is None
     assert len(loaded) == 2
+    assert cli._blas_threads(2) is None
+    assert counts == ([1, 2] if library == "setter only" else [])
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -1179,6 +1272,42 @@ def test_main_beta_subcommand(tmp_path, capsys):
     expected = optimize_beta(_scenario(cfg, "rzfp", 0.7, 0.0), 1.0,
                              trials=cfg.beta_trials)
     assert out.startswith(f"beta* = {expected!r}  ")
+
+
+@pytest.mark.parametrize("command", ["beta", "validate"])
+def test_main_runs_cells_on_one_blas_thread(tmp_path, monkeypatch, command):
+    """`beta` and `validate` run their cells as run_sweep does: on one
+    OpenBLAS thread, with the caller's thread count restored after."""
+    openblas = _openblas_thread_calls()
+    if openblas is None:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    get, set_ = openblas
+    seen = []
+    if command == "beta":
+        text = BASE_CFG.replace("filters = cmfp,zfp,rzfp", "filters = rzfp")
+        argv = ["beta", "--config", cfg_file(tmp_path, text),
+                "--rho-db", "0"]
+        hooked, name = cli, "_sweep_group"
+    else:
+        argv = ["validate", "--suite", "zero_forcing"]
+        hooked, name = cli._Report, "check"
+    call = getattr(hooked, name)
+
+    def checked(*args, **kwargs):
+        seen.append(get())
+        return call(*args, **kwargs)
+
+    monkeypatch.setattr(hooked, name, checked)
+    previous = get()
+    set_(2)  # a caller's count that the cells must not run on
+    caller = get()
+    try:
+        assert main(argv) == 0
+        after = get()
+    finally:
+        set_(previous)
+    assert after == caller
+    assert seen and set(seen) == {1}
 
 
 @pytest.mark.parametrize("corr,params,labels", [
