@@ -474,57 +474,56 @@ def _load_library(path):
         return None
 
 
-def _blas_threads(n):
-    """Run the OpenBLAS that NumPy's linalg module links on n threads;
-    returns the count it ran on before. Never raises.
+def _blas_threads(n=None):
+    """The thread count of the OpenBLAS that NumPy's linalg module links,
+    read before this call; with n, it then runs on n threads. Returns
+    None, and changes nothing, where no such library loads or it lacks
+    the thread-count getter and setter pair: any other BLAS is left as it
+    is. Never raises.
 
     Sets the count only where it differs from n: OpenBLAS's setter starts
     its thread server where none runs, so in a process forked with a count
-    of 1 it would start a helper thread that no call uses. Returns None,
-    and changes nothing, where no such library loads or it has no thread
-    setter (any other BLAS is left as it is); where it has a setter but no
-    getter, sets n and returns None, as there is no count to restore.
-    The count is process-wide: every thread of the process shares it.
+    of 1 it would start a helper thread that no call uses. The count is
+    process-wide: every thread of the process shares it.
     """
     try:
         blas = _load_library(np.linalg._umath_linalg.__file__)
     except AttributeError:
         return None
-    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-        setter = getattr(blas, set_name, None)
-        if setter is not None:
+    for names in _OPENBLAS_THREAD_SYMBOLS:
+        getter, setter = (getattr(blas, name, None) for name in names)
+        if getter is not None and setter is not None:
             break
     else:
         return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
     setter.argtypes, setter.restype = [ctypes.c_int], None
-    getter = getattr(blas, get_name, None)
-    previous = None
-    if getter is not None:
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        previous = getter()
-    if previous != n:
+    previous = getter()
+    if n is not None and previous != n:
         setter(n)
     return previous
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread (`_blas_threads`), and
-    restore the count it found when the block ends or raises.
+    """Run the block with OpenBLAS on one thread (`_blas_threads`). When
+    the block ends or raises, restore the count it found if the count is
+    still the 1 set here; any other count belongs to whoever set it.
 
     The bucket core's BLAS calls are all small, so a second OpenBLAS
     thread does no useful work and only takes CPU from the process's
     neighbours: on a 2-CPU box, two serial sweeps side by side (perfbench's
     beta_grid workload) ran about a fifth faster on one thread than on
-    OpenBLAS's default two. Two threads of one process that run such
-    blocks at once share the count, and each restores the count it found
-    when its block ends.
+    OpenBLAS's default two. The count is process-wide, so blocks that
+    nest or overlap, in one thread or several, share it: only the block
+    that found the caller's count restores it, and a block still running
+    then runs on that count.
     """
     previous = _blas_threads(1)
     try:
         yield
     finally:
-        if previous is not None:
+        if previous is not None and _blas_threads() == 1:
             _blas_threads(previous)
 
 
@@ -568,18 +567,17 @@ def run_sweep(cfg, workers=None):
     Each correlation parameter is one cell serving every filter, run in a
     group (`_sweep_group`) that draws each reporting draw's fading once
     for all its cells; no row depends on the grouping. While the cells
-    run, this process's OpenBLAS runs on one thread (`_one_blas_thread`),
-    and the count it had is restored before this returns or raises; the
-    count is process-wide, so two threads that call this at once share
-    it. With more than one worker (by default one per CPU, at most one
-    per cell; more than the CPUs only oversubscribe them), worker i runs
-    the group params[i::workers] in a process forked where the platform
-    can fork, else spawned, with its BLAS on one thread and, under glibc,
-    a heap kept mapped between bucket-core chunks (`_init_worker`); a
-    forked worker inherits the one thread and starts no BLAS helper
-    thread. The pool is shut down before this returns or raises.
-    Otherwise all the cells are one group in this process, whose malloc
-    settings are left as they are.
+    run, this process's OpenBLAS runs on one thread, and the count it had
+    is restored before this returns or raises if the count is still that
+    one thread (`_one_blas_thread`). With more than one worker (by
+    default one per CPU, at most one per cell; more than the CPUs only
+    oversubscribe them), worker i runs the group params[i::workers] in a
+    process forked where the platform can fork, else spawned, with its
+    BLAS on one thread and, under glibc, a heap kept mapped between
+    bucket-core chunks (`_init_worker`); a forked worker inherits the one
+    thread and starts no BLAS helper thread. The pool is shut down before
+    this returns or raises. Otherwise all the cells are one group in this
+    process, whose malloc settings are left as they are.
     """
     params = cfg.corr_params
     if workers is None:

@@ -528,6 +528,27 @@ def test_prefix_read_keeps_the_stacks_of_every_slot(monkeypatch, link, filt):
         assert np.array_equal(whole, want)
 
 
+@pytest.mark.parametrize("n", [-1, 2])
+def test_read_of_more_slots_than_factored_raises(n):
+    scn = scenario(filt="zfp")
+    factors = factor_draws(scn, 1)
+    with pytest.raises(IndexError, match=rf"{n} slots requested of the 1 "):
+        factors.buckets("zfp", 0.0, n)
+
+
+def test_zero_energy_ridge_draw_names_filter_seed_and_trial():
+    """A downlink draw whose taps are all zero has a zero Gram matrix at
+    every bin, so its ridge precoder has no energy to normalize at any
+    beta > 0: the read names the filter, the seed and the draw's trial."""
+    scn = scenario(filt="rzfp", seed=7)
+    factors = analysis.DrawFactors(scn, 2, first=4)
+    Hhat = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(7, 4)).Hhat
+    factors.fill(0, np.stack([Hhat, np.zeros_like(Hhat)]))
+    with pytest.raises(ValueError, match=r"zero-energy filter bank "
+                                         r"\(rzfp, seed 7, trial 5\)"):
+        factors.buckets("rzfp", 0.1)
+
+
 @pytest.mark.parametrize("link,ridge,other", [
     ("downlink", "rzfp", "cmfp"), ("downlink", "rzfp", "zfp"),
     ("uplink", "mmsee", "cmfe"), ("uplink", "mmsee", "zfe")])

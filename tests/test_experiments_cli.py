@@ -617,6 +617,14 @@ def _run_fresh(code, *args):
     return proc.stdout.strip()
 
 
+def test_module_entry_point_prints_its_help():
+    """`python -m scmimo --help` runs the `scmimo` command line and exits
+    0 (`_run_fresh` checks the exit status)."""
+    out = _run_fresh("import runpy; runpy.run_module('scmimo', "
+                     "run_name='__main__', alter_sys=True)", "--help")
+    assert out.startswith("usage: scmimo")
+
+
 def test_search_leaves_scipy_optimize_unimported():
     """An exponential-model sweep, β search included, loads no SciPy at
     all: the search has its own minimizer, and only the Bessel model
@@ -927,10 +935,10 @@ def test_forked_pool_workers_start_no_blas_helper_thread():
 @pytest.mark.parametrize("library", ["missing", "bare", "setter only"])
 def test_worker_initializer_is_quiet_without_its_libraries(monkeypatch,
                                                             library):
-    """Where no library can be loaded, or one has neither mallopt nor an
-    OpenBLAS thread setter, the pool-worker initializer does nothing and
-    raises nothing; where OpenBLAS has a setter but no getter, it sets
-    one thread. The BLAS helper then has no count to restore."""
+    """Where no library can be loaded, or one has neither mallopt nor
+    OpenBLAS's thread-count getter and setter pair (a setter alone is not
+    the pair), the pool-worker initializer does nothing and raises
+    nothing, and the BLAS helper sets nothing and reads no count."""
     loaded, counts = [], []
 
     def set_num_threads(n):
@@ -949,7 +957,34 @@ def test_worker_initializer_is_quiet_without_its_libraries(monkeypatch,
     assert cli._init_worker() is None
     assert len(loaded) == 2
     assert cli._blas_threads(2) is None
-    assert counts == ([1, 2] if library == "setter only" else [])
+    assert counts == []
+
+
+def test_overlapping_one_thread_scopes_end_on_the_callers_count():
+    """Two one-thread scopes that overlap, the first entered ending first
+    (as two threads' sweeps can), leave the process on the caller's
+    OpenBLAS count, and so do two properly nested ones: a scope restores
+    only the count it set, while that count is still in place."""
+    openblas = _openblas_thread_calls()
+    if openblas is None:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    get, set_ = openblas
+    previous = get()
+    try:
+        ends = []
+        for last_entered_ends_first in (False, True):
+            set_(2)  # a caller's count that the scopes must not leave behind
+            first, second = cli._one_blas_thread(), cli._one_blas_thread()
+            first.__enter__()
+            second.__enter__()
+            inside = get()
+            for scope in ((second, first) if last_entered_ends_first
+                          else (first, second)):
+                scope.__exit__(None, None, None)
+            ends.append((inside, get()))
+    finally:
+        set_(previous)
+    assert ends == [(1, 2), (1, 2)]
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -1135,6 +1170,10 @@ def test_emitted_script_compiles(tmp_path):
 
 
 def test_emitted_script_renders_png(tmp_path):
+    """The emitted script renders a PNG where the optional `plots` extra
+    (matplotlib) is installed; test_emitted_script_compiles checks it
+    everywhere."""
+    pytest.importorskip("matplotlib")
     rows, csv_path = sweep_rows(tmp_path)
     script = str(tmp_path / "curves.py")
     emit_plot_script(rows, script, csv_path=csv_path)
@@ -1174,6 +1213,28 @@ def test_report_check_records_a_failure():
     rep.check("outside tolerance", 0.0, 1e-3, 1e-6, kind="abs")
     assert not rep.ok
     assert rep.lines[0].endswith("PASS") and rep.lines[1].endswith("FAIL")
+
+
+@pytest.mark.parametrize("lhs,rhs,strict,slack,verdict", [
+    (2.0, 1.0, True, 0.0, "PASS"), (1.0, 1.0, True, 0.0, "FAIL"),
+    (1.0, 1.0 + 1e-10, False, 1e-9, "PASS"),
+    (1.0, 1.0 + 1e-8, False, 1e-9, "FAIL")])
+def test_report_check_order_records_its_verdict(lhs, rhs, strict, slack,
+                                                verdict):
+    """A strict ordering fails on a tie; a non-strict one passes within
+    its slack and fails beyond it."""
+    rep = cli._Report()
+    rep.check_order("ordering", lhs, rhs, strict=strict, slack=slack)
+    assert rep.ok == (verdict == "PASS")
+    assert rep.lines[0].endswith(verdict)
+
+
+def test_validate_figures_passes():
+    """The abstract's orderings hold on the suite's small cells: ZFP and
+    RZFP over CMFP at high correlation, MMSEE over CMFE, ULA over UPA."""
+    ok, lines = validate("figures")
+    assert ok, "\n".join(line for line in lines if line.endswith("FAIL"))
+    assert all(line.endswith("PASS") for line in lines)
 
 
 def test_benchmark_tracing_hooks_resolve(monkeypatch):

@@ -133,6 +133,11 @@ def test_cmfe_impulse_indexing():
     assert np.max(np.abs(y[:, mask])) < 1e-12
 
 
+def test_cmfe_rejects_a_block_with_the_wrong_row_count():
+    with pytest.raises(ValueError, match="15 rows, expected M=16"):
+        cmfe_apply(make_channel(), np.zeros((15, 40), dtype=complex))
+
+
 def test_cmfe_awgn_variance_noise_only():
     """Averaged over draws the post-filter noise power is tr(A)/(MK) = 1/K."""
     rng = np.random.default_rng(5)
