@@ -37,6 +37,7 @@ Rates are (1/2) log2(1 + SINR) per user, in bits per channel use.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -321,9 +322,10 @@ class DrawFactors:
     filter at a new beta over all the slots and keeps its stacks, and
     every read, of all the slots or of a prefix, slices the kept ones. A
     sweep cell's beta search keeps at most 14 + 12 x (power points) of
-    them (the grid, and no refinement of the eight figure configs takes
-    more than 12), each beta.trials x K x 40 B, until its rows' stacks on
-    those draws are read. Fill every slot first.
+    them (the grid points its climbs rate, and no refinement of the eight
+    figure configs takes more than 12), each beta.trials x K x 40 B,
+    until its rows' stacks on those draws are read. Fill every slot
+    first.
     """
 
     def __init__(self, scenario, n, first=None, filters=None):
@@ -747,6 +749,15 @@ def buckets_to_result(scenario, trials, g, isi_u, mui_u, awgn):
                          breakdown=bd, meta=meta, stderr=stderr)
 
 
+def _check_trials(trials):
+    """Reject a draw count that is not an integer >= 1 (a bool is not a
+    count; a NumPy integer is)."""
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise TypeError(f"trials must be an integer, got trials={trials!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def sum_rate_mc(scenario, trials):
     """Monte Carlo achievable sum rate over `trials` channel draws.
 
@@ -755,8 +766,7 @@ def sum_rate_mc(scenario, trials):
     pairwise summation. The result's rate always equals the rate
     recomputed from its own breakdown.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_trials(trials)
     g, isi_u, mui_u, awgn = mc_buckets(scenario, trials)
     return buckets_to_result(scenario, trials, g, isi_u, mui_u, awgn)
 

@@ -319,14 +319,21 @@ def _brent_min(f, a, b, tol):
 def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
     """Ridge parameter maximizing the Monte Carlo sum rate at power rho_f.
 
-    Evaluates beta in {0} union {10^k : k = -6..6} under common random
-    numbers (one shared set of channel draws), then refines log beta over
-    the winner's two grid neighbours with Brent's bounded search
-    (`_brent_min`) until the best point is within log(1.01)/2 of both
-    ends of its bracket. Exact ties return the earliest candidate, biasing
-    toward beta = 0; when beta = 0 wins outright the search returns 0.0
-    without refinement, and a refined point that rates below the grid
-    winner is never returned. Deterministic given the scenario seed.
+    Climbs the grid {0} union {10^k : k = -6..6} under common random
+    numbers (one shared set of channel draws): from the positive point
+    nearest the classical MMSE ridge beta_0 in log10 (K / rho_f on the
+    downlink, 1 / rho_f on the uplink: Peel, Hochwald & Swindlehurst,
+    IEEE Trans. Commun. 53(1), 2005), it rates the current point and its
+    two neighbours and moves to the best until the current point beats
+    both. Exact ties go to the earlier grid point, biasing toward beta =
+    0. The climb ends at a local maximum of the grid's rates, which is
+    the winner of a scan of the whole grid when those rates are unimodal.
+    When beta = 0 wins the search returns 0.0 without refinement; else it
+    refines log beta over the winner's two grid neighbours with Brent's
+    bounded search (`_brent_min`) until the best point is within
+    log(1.01)/2 of both ends of its bracket, and never returns a refined
+    point that rates below the grid winner. Deterministic given the
+    scenario seed.
 
     The draws are factored once (analysis.DrawFactors), so each candidate
     costs only a rescale of the cached per-bin eigendecompositions.
@@ -339,8 +346,7 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
         raise ValueError(f"filter {scenario.filt!r} has no ridge parameter")
     if not (math.isfinite(rho_f) and rho_f > 0):
         raise ValueError(f"rho_f: power must be finite and > 0, got {rho_f}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    analysis._check_trials(trials)
     dims = scenario.dims
     rho_db = 10.0 * math.log10(rho_f)
     base = dataclasses.replace(
@@ -353,8 +359,20 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
             base, *factors.buckets(scenario.filt, beta, trials)))[0]
 
     grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
-    rates = [rate(b) for b in grid]
-    best = max(range(len(grid)), key=lambda i: (rates[i], -i))
+    rates = {}
+
+    def rank(i):
+        if i not in rates:
+            rates[i] = rate(grid[i])
+        return rates[i], -i
+
+    # grid[i] = 10^(i - 7) for i >= 1; log10 beta_0 without overflow
+    log_beta0 = math.log10(dims.K if scenario.link == "downlink" else 1) \
+        - math.log10(rho_f)
+    best = min(max(math.floor(log_beta0 + 0.5) + 7, 1), len(grid) - 1)
+    while (step := max(range(max(best - 1, 0), min(best + 2, len(grid))),
+                       key=rank)) != best:
+        best = step
     if best == 0:
         return 0.0
 

@@ -5,6 +5,7 @@ import ctypes
 import dataclasses
 import importlib.util
 import json
+import math
 import mmap
 import multiprocessing
 import os
@@ -23,7 +24,8 @@ from scmimo import analysis, channel, dl_precoding, experiments_cli as cli
 from scmimo.analysis import Scenario, _draw_buckets, sum_rate_mc
 from scmimo.channel import (DEFAULT_SEED, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
-from scmimo.corr_models import exponential_correlation, identity_correlation, ula
+from scmimo.corr_models import (exponential_correlation, identity_correlation,
+                                ula, upa)
 from scmimo.experiments_cli import (CSV_HEADER, _brent_min, _correlation,
                                     _scenario, _sweep_group, emit_plot_script,
                                     load_config, main, optimize_beta,
@@ -372,6 +374,25 @@ def test_optimize_beta_rejects_fewer_than_one_trial(trials):
         sum_rate_mc(small_beta_scenario(filt="mmsee"), trials)
 
 
+@pytest.mark.parametrize("trials", [2.5, "3", True, None])
+def test_optimize_beta_rejects_non_integer_trials(trials):
+    """A draw count that is not an integer is named before any draw."""
+    scn = small_beta_scenario(filt="mmsee")
+    with pytest.raises(TypeError, match=r"^trials must be an integer, got "
+                                        rf"trials={re.escape(repr(trials))}$"):
+        optimize_beta(scn, 1.0, trials=trials)
+    with pytest.raises(TypeError, match=r"^trials must be an integer"):
+        sum_rate_mc(scn, trials)
+
+
+def test_numpy_integer_trials_are_accepted():
+    scn = small_beta_scenario(filt="mmsee")
+    assert optimize_beta(scn, 1.0, trials=np.int64(3)) \
+        == optimize_beta(scn, 1.0, trials=3)
+    assert sum_rate_mc(scn, np.int64(3)).rate_bpcu \
+        == sum_rate_mc(scn, 3).rate_bpcu
+
+
 @pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
                                        ("uplink", "mmsee")])
 @pytest.mark.parametrize("rho_db", [0.0, 10.0, 30.0])
@@ -406,6 +427,127 @@ def test_optimize_beta_refinement_matches_dense_scan(link, filt, rho_db):
     assert rate(beta_star) >= rates[best]
 
 
+GRID = [0.0] + [10.0 ** k for k in range(-6, 7)]
+
+
+def _scan_beta(scn, rho_f, trials, factors):
+    """Reference search: rate every grid point, take the best under
+    (rate, -index), then refine over its two neighbours as optimize_beta
+    does. Returns (beta*, the 14 grid rates)."""
+    at = dataclasses.replace(scn, dims=dataclasses.replace(
+        scn.dims, rho_f_db=10.0 * math.log10(rho_f)))
+
+    def rate(beta):
+        return analysis.rate_from_breakdown(analysis._aggregate(
+            at, *factors.buckets(scn.filt, beta, trials)))[0]
+
+    rates = [rate(beta) for beta in GRID]
+    best = max(range(len(GRID)), key=lambda i: (rates[i], -i))
+    if best == 0:
+        return 0.0, rates
+    lo, hi = GRID[max(best - 1, 1)], GRID[min(best + 1, len(GRID) - 1)]
+    x, loss = _brent_min(lambda t: -rate(math.exp(t)), math.log(lo),
+                         math.log(hi), math.log(1.01) / 4.0)
+    return (math.exp(x) if -loss >= rates[best] else GRID[best]), rates
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
+                                       ("uplink", "mmsee")])
+@pytest.mark.parametrize("alpha", [0.0, 0.9, 0.99])
+@pytest.mark.parametrize("geometry", [ula(8), upa(8, 4)],
+                         ids=["ula", "upa"])
+def test_optimize_beta_matches_full_grid_scan(link, filt, alpha, geometry):
+    """The climb from beta_0 returns exactly the full scan's beta* from
+    -10 to 40 dB, and 0.0 at a power so low that every grid rate ties."""
+    dims = SimulationDims(M=8, K=3, L=2, N=4, T=8, T_c=4, seed=31)
+    scn = Scenario(link=link, filt=filt, dims=dims,
+                   corr=exponential_correlation(geometry, alpha),
+                   pdp=exponential_pdp(3, 2))
+    factors = analysis.factor_draws(scn, 25)
+    for rho_f in [10.0 ** (rho_db / 10.0) for rho_db in range(-10, 41, 5)]:
+        assert optimize_beta(scn, rho_f, trials=25, factors=factors) \
+            == _scan_beta(scn, rho_f, 25, factors)[0]
+    beta, rates = _scan_beta(scn, 1e-300, 25, factors)
+    assert beta == 0.0 and len(set(rates)) == 1
+    assert optimize_beta(scn, 1e-300, trials=25, factors=factors) == 0.0
+
+
+def test_optimize_beta_matches_full_grid_scan_where_zero_wins():
+    dims = SimulationDims(M=8, K=2, L=2, N=4, T=4, T_c=4, seed=5)
+    scn = Scenario(link="uplink", filt="mmsee", dims=dims,
+                   corr=identity_correlation(8), pdp=exponential_pdp(2, 2))
+    factors = analysis.factor_draws(scn, 4)
+    assert _scan_beta(scn, 1e12, 4, factors)[0] == 0.0
+    assert optimize_beta(scn, 1e12, trials=4, factors=factors) == 0.0
+
+
+class _Recorder:
+    """Factored draws that record every beta read from them, in order."""
+
+    def __init__(self, factors):
+        self.factors, self.reads = factors, []
+
+    def buckets(self, filt, beta, n=None):
+        self.reads.append(beta)
+        return self.factors.buckets(filt, beta, n)
+
+
+def test_optimize_beta_climb_properties():
+    """On random small scenarios the climb's winner, the best grid point
+    it rated, beats both its grid neighbours, which it rated too; beta*
+    lies in the winner's bracket (0.0 when beta = 0 wins); and whenever
+    the 14 grid ranks (rate, -index) rise then fall, beta* is the full
+    scan's."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        K = draw(st.integers(1, 5))
+        M = draw(st.integers(K, 12))
+        L = draw(st.integers(1, 4))
+        N = draw(st.integers(L + 1, L + 4))
+        T = draw(st.integers(N, N + L + 2))
+        dims = SimulationDims(M=M, K=K, L=L, N=N, T=T,
+                              T_c=draw(st.integers(L + 1, T)),
+                              seed=draw(st.integers(0, 2 ** 32)))
+        link, filt = draw(st.sampled_from([("downlink", "rzfp"),
+                                           ("uplink", "mmsee")]))
+        corr = exponential_correlation(
+            ula(M), draw(st.sampled_from([0.0, 0.5, 0.9, 0.99])))
+        rho_f = 10.0 ** (draw(st.integers(-20, 60)) / 10.0)
+        return Scenario(link=link, filt=filt, dims=dims, corr=corr,
+                        pdp=exponential_pdp(K, L)), rho_f
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        scn, rho_f = case
+        factors = _Recorder(analysis.factor_draws(scn, 6))
+        beta = optimize_beta(scn, rho_f, trials=6, factors=factors)
+        n = next((j for j, b in enumerate(factors.reads) if b not in GRID),
+                 len(factors.reads))
+        climbed = {GRID.index(b) for b in factors.reads[:n]}
+        reference, rates = _scan_beta(scn, rho_f, 6, factors.factors)
+        rank = [(r, -i) for i, r in enumerate(rates)]
+        winner = max(climbed, key=rank.__getitem__)
+        for i in (winner - 1, winner + 1):
+            if 0 <= i < len(GRID):
+                assert i in climbed and rank[i] < rank[winner]
+        if winner == 0:
+            assert beta == 0.0
+        else:
+            assert GRID[max(winner - 1, 1)] <= beta \
+                <= GRID[min(winner + 1, len(GRID) - 1)]
+        top = max(range(len(GRID)), key=rank.__getitem__)
+        if all(rank[i] < rank[i + 1] for i in range(top)) and all(
+                rank[i] > rank[i + 1] for i in range(top, len(GRID) - 1)):
+            assert winner == top and beta == reference
+
+    check()
+
+
 @pytest.mark.parametrize("f,a,b,x_min", [
     (lambda x: (x - 1.234) ** 2 + 0.1 * (x - 1.234) ** 4, 0.0, 3.0, 1.234),
     (lambda x: np.exp(x) - 2.0 * x, -1.0, 3.0, np.log(2.0)),
@@ -428,10 +570,12 @@ def test_brent_min_reaches_tolerance(f, a, b, x_min):
 
 def test_beta_search_shares_its_coarse_grid_across_a_cell(tmp_path,
                                                           monkeypatch):
-    """One grid_opt cell with three power points evaluates each coarse
-    grid beta once on the search's draws, each refinement takes at most
-    12 evaluations, and the reporting pass evaluates no beta on those
-    draws again."""
+    """One grid_opt cell with three power points rates each beta at most
+    once on the search's draws. Each power's climb rates one contiguous
+    run of grid points around its winner, and the cell fewer than the 14
+    of a full scan; each refinement takes at most 12 evaluations; and the
+    reporting pass rates nothing again there (only beta = 0, when no
+    climb reached it)."""
     path = cfg_file(tmp_path, SHORTFALL_CFG.format(
         link="downlink", filt="rzfp"))
     cfg = load_config(path, overrides=[
@@ -439,12 +583,22 @@ def test_beta_search_shares_its_coarse_grid_across_a_cell(tmp_path,
         f"output={tmp_path / 'out.csv'}"])
     log = []
     ridge = analysis.DrawFactors._ridge_buckets
+    read = analysis.DrawFactors.buckets
     search = optimize_beta
 
+    def on_search_draws(factors):
+        return (factors.first, factors.n) == (0, cfg.beta_trials)
+
     def counted_ridge(self, beta, a, b, filt):
-        if (self.first, self.n) == (0, cfg.beta_trials):
-            log[-1].append((a, beta))
+        # one evaluation on the search's draws is one chunk call at slot 0
+        if on_search_draws(self) and a == 0:
+            log[-1].append(("rate", beta))
         return ridge(self, beta, a, b, filt)
+
+    def counted_read(self, filt, beta, n=None):
+        if on_search_draws(self):
+            log[-1].append(("read", beta))
+        return read(self, filt, beta, n)
 
     def counted_search(*args, **kwargs):
         log.append([])
@@ -454,18 +608,34 @@ def test_beta_search_shares_its_coarse_grid_across_a_cell(tmp_path,
 
     monkeypatch.setattr(analysis.DrawFactors, "_ridge_buckets",
                         counted_ridge)
+    monkeypatch.setattr(analysis.DrawFactors, "buckets", counted_read)
     monkeypatch.setattr(cli, "optimize_beta", counted_search)
     run_sweep(cfg, workers=1)
-    # one evaluation on the search's draws is one chunk call at slot 0
-    searches = [[beta for a, beta in calls if a == 0] for calls in log[::2]]
+    monkeypatch.undo()
+    searches, reports = log[::2], log[1::2]
     assert len(searches) == 3
-    assert log[1::2] == [[], [], []]
-    grid = [0.0] + [10.0 ** k for k in range(-6, 7)]
-    assert searches[0][:len(grid)] == grid
-    evals = [beta for betas in searches for beta in betas]
-    for beta in grid:
-        assert evals.count(beta) == 1
-    refinements = [searches[0][len(grid):], *searches[1:]]
+    rated = [beta for calls in log for kind, beta in calls if kind == "rate"]
+    assert len(rated) == len(set(rated))
+    assert {beta for calls in reports for kind, beta in calls
+            if kind == "rate"} <= {0.0}
+    assert len(set(rated) & set(GRID)) < len(GRID)
+    factors = analysis.factor_draws(_scenario(cfg, "rzfp", 0.7, 0.0),
+                                    cfg.beta_trials)
+    refinements = []
+    for rho_db, calls in zip(cfg.rho_grid, searches):
+        reads = [beta for kind, beta in calls if kind == "read"]
+        n = next((j for j, beta in enumerate(reads) if beta not in GRID),
+                 len(reads))
+        assert not set(reads[n:]) & set(GRID)
+        refinements.append(reads[n:])
+        run = sorted({GRID.index(beta) for beta in reads[:n]})
+        assert run == list(range(run[0], run[-1] + 1))
+        rates = _scan_beta(_scenario(cfg, "rzfp", 0.7, rho_db),
+                           10.0 ** (rho_db / 10.0), cfg.beta_trials,
+                           factors)[1]
+        winner = max(run, key=lambda i: (rates[i], -i))
+        assert run[0] <= max(winner - 1, 0)
+        assert run[-1] >= min(winner + 1, len(GRID) - 1)
     assert any(refinements)
     assert all(len(r) <= 12 for r in refinements)
 
