@@ -130,21 +130,6 @@ class Scenario:
         _check_combo(self.link, self.filt)
 
 
-@dataclass(frozen=True)
-class SignalBlocks:
-    """Stimulus for decompose: block length, symbol power, noise block.
-
-    The probes themselves are generated internally (unit impulses), so the
-    external inputs reduce to the block length T, the per-symbol variance
-    rho_f, and the noise block (None means noiseless — the AWGN bucket
-    then comes out exactly zero).
-    """
-
-    rho_f: float
-    T: int
-    noise: np.ndarray = None
-
-
 def _check_combo(link, filt):
     if link == "downlink":
         if filt not in DL_FILTERS:
@@ -185,18 +170,21 @@ def _cmfp_reference_gains(dims, pdp):
     return np.sqrt(dims.M / dims.K) * pdp.d.sum(axis=1)
 
 
-def decompose(link, filt, ch, blocks, beta=0.0):
+def decompose(link, filt, ch, rho_f, T, noise=None, beta=0.0):
     """Probe-based power decomposition through the actual signal path.
 
-    Sends one unit impulse per user (zero noise) at symbol 0 to measure
-    the full circular cascade tap response, then a noise-only block for
-    the AWGN bucket. The reference gain is the analytic mean gain for
-    downlink CMFP and the realized per-draw gain for every other filter
-    (which makes their IF bucket exactly zero).
+    Sends one unit impulse per user (zero noise) at symbol 0 of a T-symbol
+    block to measure the full circular cascade tap response, and scales
+    the signal buckets by the per-symbol variance rho_f. The AWGN bucket
+    is the mean output power of `noise`, a noise-only block shaped like
+    the link's receive input (K x T downlink, M x T uplink) sent through
+    the same path; with noise=None it comes out exactly zero. beta is the
+    ridge filters' regularizer. The reference gain is the analytic mean
+    gain for downlink CMFP and the realized per-draw gain for every other
+    filter (which makes their IF bucket exactly zero).
     """
     dims = ch.dims
-    K, T = dims.K, blocks.T
-    rho = blocks.rho_f
+    K = dims.K
     run = _make_pipeline(link, filt, ch, beta)
 
     C = np.zeros((T, K, K), dtype=complex)
@@ -211,15 +199,15 @@ def decompose(link, filt, ch, blocks, beta=0.0):
         if link == "downlink" and filt == "cmfp" else g
 
     tot = (np.abs(C) ** 2).sum(axis=0)          # (K, K) over all delays
-    isi_k = rho * (np.diagonal(tot) - np.abs(g) ** 2)
-    mui_k = rho * (tot.sum(axis=1) - np.diagonal(tot))
-    desired_k = rho * np.abs(gbar) ** 2
-    if_k = rho * np.abs(g - gbar) ** 2
+    isi_k = rho_f * (np.diagonal(tot) - np.abs(g) ** 2)
+    mui_k = rho_f * (tot.sum(axis=1) - np.diagonal(tot))
+    desired_k = rho_f * np.abs(gbar) ** 2
+    if_k = rho_f * np.abs(g - gbar) ** 2
 
-    if blocks.noise is None:
+    if noise is None:
         awgn_k = np.zeros(K)
     else:
-        y_n = run(np.zeros((K, T), dtype=complex), blocks.noise)
+        y_n = run(np.zeros((K, T), dtype=complex), noise)
         awgn_k = (np.abs(y_n) ** 2).mean(axis=1)
 
     return NoiseBreakdown(desired_k=desired_k, if_k=if_k,

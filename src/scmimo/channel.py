@@ -17,14 +17,26 @@ import numpy as np
 DEFAULT_SEED = 12345
 
 
+def positive_finite_power(rho_db):
+    """Whether the power rho_db (in dB) has a positive finite float as
+    its linear value 10**(rho_db / 10): rho_db is finite, at most about
+    3082.5 dB (above, the value overflows) and at least about -3233 dB
+    (below, it underflows to 0)."""
+    try:
+        return 0.0 < math.pow(10.0, rho_db / 10.0) < math.inf
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class SimulationDims:
     """Static scenario dimensions.
 
     M antennas, K users, L channel taps, N filter-bank bins (N > L),
-    T-symbol blocks (T >= N), cyclic prefix L < T_c <= T, a finite power
-    rho_f_db, and an integer seed in [0, 2**64), the key range of the
-    per-trial Philox streams.
+    T-symbol blocks (T >= N), cyclic prefix L < T_c <= T, a power
+    rho_f_db whose linear value rho_f is a positive finite float, and an
+    integer seed in [0, 2**64), the key range of the per-trial Philox
+    streams.
     """
 
     M: int
@@ -51,8 +63,9 @@ class SimulationDims:
                              f"T={self.T}")
         if self.K > self.M:
             raise ValueError(f"need K <= M, got K={self.K}, M={self.M}")
-        if not math.isfinite(self.rho_f_db):
-            raise ValueError(f"need a finite rho_f_db, got "
+        if not positive_finite_power(self.rho_f_db):
+            raise ValueError(f"need a finite rho_f_db whose linear power "
+                             f"is a positive finite float, got "
                              f"rho_f_db={self.rho_f_db}")
         try:
             operator.index(self.seed)

@@ -33,8 +33,9 @@ from . import analysis
 from .analysis import (Scenario, buckets_to_result, cmfe_rate_closed,
                        cmfp_rate_closed, coop_capacity, mc_buckets,
                        sum_rate_mc)
-from .channel import (DEFAULT_SEED, SimulationDims, draw_channel,
-                      exponential_pdp, rekey, taps_to_freq, trial_rng)
+from .channel import (DEFAULT_SEED, SimulationDims, composite_taps,
+                      draw_channel, exponential_pdp, positive_finite_power,
+                      rekey, taps_to_freq, trial_rng)
 from .corr_models import (ArrayGeometry, bessel_correlation,
                           exponential_correlation, identity_correlation, ula)
 
@@ -226,9 +227,9 @@ def load_config(path, overrides=()):
     if not cfg.rho_grid:
         raise ValueError("grid.rho_db: power grid must be non-empty")
     for rho_db in cfg.rho_grid:
-        if not math.isfinite(rho_db):
-            raise ValueError(f"grid.rho_db: powers must be finite, "
-                             f"got {rho_db}")
+        if not positive_finite_power(rho_db):
+            raise ValueError(f"grid.rho_db: powers must be finite with a "
+                             f"positive finite linear value, got {rho_db}")
     if cfg.trials < 1:
         raise ValueError("trials: must be >= 1")
     if cfg.beta_trials < 1:
@@ -242,26 +243,19 @@ def load_config(path, overrides=()):
     return cfg
 
 
-def _correlation(cfg, param):
-    if cfg.corr_model == "identity":
-        return identity_correlation(cfg.M)
-    if cfg.corr_model == "exponential":
-        return exponential_correlation(cfg.geometry, param)
-    eta, mu = param
-    return bessel_correlation(cfg.geometry, eta, mu)
-
-
 def _scenario(cfg, filt, param, rho_db):
     dims = SimulationDims(M=cfg.M, K=cfg.K, L=cfg.L, N=cfg.N, T=cfg.T,
                           T_c=cfg.T_c, rho_f_db=rho_db, seed=cfg.seed)
     if cfg.corr_model == "bessel":
         corr_param, mu = param
+        corr = bessel_correlation(cfg.geometry, corr_param, mu)
     elif cfg.corr_model == "identity":
         corr_param, mu = None, None
+        corr = identity_correlation(cfg.M)
     else:
         corr_param, mu = param, None
-    return Scenario(link=cfg.link, filt=filt, dims=dims,
-                    corr=_correlation(cfg, param),
+        corr = exponential_correlation(cfg.geometry, param)
+    return Scenario(link=cfg.link, filt=filt, dims=dims, corr=corr,
                     pdp=exponential_pdp(cfg.K, cfg.L),
                     corr_model=cfg.corr_model,
                     corr_param=corr_param, mu=mu)
@@ -822,7 +816,6 @@ def _validate_appendix(rep):
         ("k!=q l=l' b!=0", (1, 1, 1, 0, 2)),
         ("k!=q l!=l'", (1, 2, 0, 0, 2)),
     ]
-    sqrt_d = np.sqrt(pdp.d.T)                      # (L, K)
     chunk, done = 5000, 0
     sums = {name: 0.0 + 0.0j for name, _ in cases}
     sqsums = {name: 0.0 for name, _ in cases}
@@ -832,7 +825,7 @@ def _validate_appendix(rep):
         rng = trial_rng(seed, 10_000 + ci)
         H = (rng.standard_normal((n, L, M, K))
              + 1j * rng.standard_normal((n, L, M, K))) / np.sqrt(2)
-        Hhat = (corr.sqrt_A @ H) * sqrt_d[None, :, None, :]
+        Hhat = composite_taps(H, pdp, corr)
         for name, (l, lp, b, k, q) in cases:
             f1 = np.einsum("nm,nm->n", np.conj(Hhat[:, l, :, k]),
                            Hhat[:, l - b, :, q])
@@ -883,9 +876,8 @@ def _validate_zero_forcing(rep):
             prod = qb.freq[nu] @ Hnu[nu]
             worst_ul = max(worst_ul,
                            float(np.max(np.abs(prod - np.eye(K)))))
-        blocks = analysis.SignalBlocks(rho_f=1.0, T=N, noise=None)
-        bd_dl = analysis.decompose("downlink", "zfp", ch, blocks)
-        bd_ul = analysis.decompose("uplink", "zfe", ch, blocks)
+        bd_dl = analysis.decompose("downlink", "zfp", ch, 1.0, N)
+        bd_ul = analysis.decompose("uplink", "zfe", ch, 1.0, N)
         worst_isi_dl = max(worst_isi_dl,
                            float((bd_dl.isi_k + bd_dl.mui_k).max()))
         worst_isi_ul = max(worst_isi_ul,
@@ -965,21 +957,23 @@ def _validate_figures(rep):
                     strict=False, slack=1e-9)
 
 
+SUITES = {
+    "closed_forms": _validate_closed_forms,
+    "appendix": _validate_appendix,
+    "zero_forcing": _validate_zero_forcing,
+    "figures": _validate_figures,
+}
+
+
 def validate(suite):
     """Run one named validation suite; returns (all_passed, report_lines).
     Its cells run with OpenBLAS on one thread, as `run_sweep`'s do."""
-    suites = {
-        "closed_forms": _validate_closed_forms,
-        "appendix": _validate_appendix,
-        "zero_forcing": _validate_zero_forcing,
-        "figures": _validate_figures,
-    }
-    if suite not in suites:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r} "
-                         f"(expected one of {sorted(suites)})")
+                         f"(expected one of {sorted(SUITES)})")
     rep = _Report()
     with _one_blas_thread():
-        suites[suite](rep)
+        SUITES[suite](rep)
     return rep.ok, rep.lines
 
 
@@ -1007,9 +1001,7 @@ def main(argv=None):
              "workers than CPUs only oversubscribe them")
 
     p_val = sub.add_parser("validate", help="run an acceptance suite")
-    p_val.add_argument("--suite", required=True,
-                       choices=["closed_forms", "appendix", "zero_forcing",
-                                "figures"])
+    p_val.add_argument("--suite", required=True, choices=SUITES)
 
     p_plot = sub.add_parser("plot", help="emit a plotting script for a CSV")
     p_plot.add_argument("--csv", required=True)
@@ -1046,8 +1038,9 @@ def main(argv=None):
         return 0
 
     if args.command == "beta":
-        if not math.isfinite(args.rho_db):
-            parser.error(f"--rho-db: must be finite, got {args.rho_db}")
+        if not positive_finite_power(args.rho_db):
+            parser.error(f"--rho-db: must be finite with a positive finite "
+                         f"linear value, got {args.rho_db}")
         cfg = load_config(args.config, args.override)
         filt = next((f for f in cfg.filters if f in BETA_FILTERS), None)
         if filt is None:

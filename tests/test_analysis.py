@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from scmimo import analysis, dl_precoding
-from scmimo.analysis import (NoiseBreakdown, Scenario, SignalBlocks,
+from scmimo.analysis import (NoiseBreakdown, Scenario,
                              _draw_buckets, appendix_moment,
                              buckets_to_result, cmfe_rate_closed,
                              cmfp_rate_closed, coop_capacity, decompose,
@@ -16,7 +16,7 @@ from scmimo.analysis import (NoiseBreakdown, Scenario, SignalBlocks,
                              sum_rate_mc)
 from scmimo.channel import (ChannelRealization, PowerDelayProfile,
                             SimulationDims, draw_channel, exponential_pdp,
-                            trial_rng)
+                            taps_to_freq, trial_rng)
 from scmimo.corr_models import (CorrelationMatrix, exponential_correlation,
                                 identity_correlation, ula)
 from scmimo.dl_precoding import downlink_receive, precoded_transmit, zfp_bank
@@ -39,19 +39,18 @@ def scenario(link="downlink", filt="cmfp", M=8, K=2, L=2, N=4, T=16,
 def test_decompose_rejects_unknown_combo():
     scn = scenario()
     ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, 0))
-    blocks = SignalBlocks(rho_f=1.0, T=16, noise=None)
     with pytest.raises(ValueError):
-        decompose("downlink", "cmfe", ch, blocks)
+        decompose("downlink", "cmfe", ch, 1.0, 16)
     with pytest.raises(ValueError):
-        decompose("uplink", "zfp", ch, blocks)
+        decompose("uplink", "zfp", ch, 1.0, 16)
     with pytest.raises(ValueError):
-        decompose("sidelink", "cmfp", ch, blocks)
+        decompose("sidelink", "cmfp", ch, 1.0, 16)
 
 
 def test_decompose_zero_noise_gives_zero_awgn():
     scn = scenario()
     ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, 0))
-    bd = decompose("downlink", "cmfp", ch, SignalBlocks(1.0, 16, None))
+    bd = decompose("downlink", "cmfp", ch, 1.0, 16)
     assert np.all(bd.awgn_k == 0.0)
     assert np.all(bd.desired_k >= 0.0)
     assert np.all(bd.isi_k >= 0.0)
@@ -69,8 +68,7 @@ def test_decompose_buckets_match_fast_cascade():
         scn = scenario(link=link, filt=filt, M=8, K=3, L=3, N=5, T=15,
                        alpha=0.7, beta=beta)
         ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, 2))
-        bd = decompose(link, filt, ch, SignalBlocks(1.0, 15, None),
-                       beta=beta)
+        bd = decompose(link, filt, ch, 1.0, 15, beta=beta)
         g, isi_u, mui_u, _ = _draw_buckets(scn, ch)
         assert_allclose(bd.gains, g, atol=1e-10)
         assert_allclose(bd.isi_k, isi_u, atol=1e-10)
@@ -94,8 +92,7 @@ def _exact_uplink_awgn(filt, ch, T, beta):
     for m in range(ch.dims.M):
         impulse = np.zeros((ch.dims.M, T), dtype=complex)
         impulse[m, 0] = 1.0
-        total = total + T * decompose("uplink", filt, ch,
-                                      SignalBlocks(1.0, T, impulse),
+        total = total + T * decompose("uplink", filt, ch, 1.0, T, impulse,
                                       beta=beta).awgn_k
     return total
 
@@ -111,7 +108,7 @@ def test_core_matches_decompose(link, filt, beta, T):
                    alpha=0.7, beta=beta)
     for t in range(2):
         ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
-        bd = decompose(link, filt, ch, SignalBlocks(1.0, T, None), beta=beta)
+        bd = decompose(link, filt, ch, 1.0, T, beta=beta)
         g, isi_u, mui_u, awgn = _draw_buckets(scn, ch)
         scale = np.max(np.abs(bd.gains))
         assert_allclose(g / scale, bd.gains / scale, rtol=0, atol=1e-10)
@@ -135,7 +132,7 @@ def test_core_matches_decompose_when_delays_fold(link, filt, beta, L, T):
                    alpha=0.7, beta=beta)
     for t in range(2):
         ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
-        bd = decompose(link, filt, ch, SignalBlocks(1.0, T, None), beta=beta)
+        bd = decompose(link, filt, ch, 1.0, T, beta=beta)
         g, isi_u, mui_u, awgn = _draw_buckets(scn, ch)
         scale = np.max(np.abs(bd.gains))
         for got, want, power in ((g, bd.gains, 1), (isi_u, bd.isi_k, 2),
@@ -159,7 +156,7 @@ def test_core_matches_decompose_with_one_or_two_taps(link, filt, beta, L, T):
                    alpha=0.7, beta=beta)
     for t in range(2):
         ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
-        bd = decompose(link, filt, ch, SignalBlocks(1.0, T, None), beta=beta)
+        bd = decompose(link, filt, ch, 1.0, T, beta=beta)
         g, isi_u, mui_u, awgn = _draw_buckets(scn, ch)
         scale = np.max(np.abs(bd.gains))
         for got, want, power in ((g, bd.gains, 1), (isi_u, bd.isi_k, 2),
@@ -169,6 +166,92 @@ def test_core_matches_decompose_with_one_or_two_taps(link, filt, beta, L, T):
         want = np.ones(3) if link == "downlink" \
             else _exact_uplink_awgn(filt, ch, T, beta)
         assert_allclose(awgn, want, rtol=1e-10)
+
+
+def test_core_matches_decompose_on_random_small_dims():
+    """Random valid dims (K <= M <= 12, L = 1 .. 4, N <= 8, T one of N,
+    N + L - 1 and N + L + 2), correlations and ridge parameters, all six
+    filters: either both paths raise, or the core's gains, ISI and MUI
+    match the probe measurement to 1e-10 + K kappa eps of the draw's
+    scale.
+
+    The scale is the largest per-user cascade energy, since a gain can
+    be a thousandth of it (K = 1, T > N). kappa is the spread of the
+    eigenvalues of G_nu + beta I over all bins, which the inverting
+    filters invert (1 for the matched ones): both paths carry the
+    inverse's forward error, of order K kappa eps (kappa reaches 1e7 at
+    K = M, alpha = 0.9, where the paths differ by up to 5e-10)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        M = draw(st.integers(1, 12))
+        K = draw(st.integers(1, M))
+        L = draw(st.integers(1, 4))
+        N = draw(st.integers(L + 1, 8))
+        T = draw(st.sampled_from([N, N + L - 1, N + L + 2]))
+        dims = SimulationDims(M=M, K=K, L=L, N=N, T=T,
+                              T_c=draw(st.integers(L + 1, T)),
+                              seed=draw(st.integers(0, 2 ** 32)))
+        link, filt = draw(st.sampled_from(SIX_FILTERS))
+        beta = draw(st.sampled_from([0.0, 1e-4, 1.0, 1e4])) \
+            if filt in ("rzfp", "mmsee") else 0.0
+        corr = exponential_correlation(
+            ula(M), draw(st.sampled_from([0.0, 0.5, 0.9])))
+        return Scenario(link=link, filt=filt, dims=dims, corr=corr,
+                        pdp=exponential_pdp(K, L), beta=beta)
+
+    def outcome(path):
+        try:
+            return path()
+        except (ValueError, np.linalg.LinAlgError) as err:
+            return err
+
+    @hypothesis.settings(derandomize=True, max_examples=500, deadline=None,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(scn):
+        dims = scn.dims
+        ch = draw_channel(dims, scn.pdp, scn.corr, trial_rng(dims.seed, 0))
+        core = outcome(lambda: _draw_buckets(scn, ch))
+        bd = outcome(lambda: decompose(scn.link, scn.filt, ch, 1.0, dims.T,
+                                       beta=scn.beta))
+        if isinstance(core, Exception) or isinstance(bd, Exception):
+            assert type(core) is type(bd), (core, bd)
+            return
+        g, isi_u, mui_u, _ = core
+        energy = np.max(np.abs(bd.gains) ** 2 + bd.isi_k + bd.mui_k)
+        kappa = 1.0
+        if scn.filt not in analysis.MATCHED:
+            Hnu = taps_to_freq(ch.Hhat, dims.N)
+            lam = np.linalg.eigvalsh(np.conj(np.swapaxes(Hnu, -1, -2)) @ Hnu)
+            kappa = (lam.max() + scn.beta) / (lam.min() + scn.beta)
+        tol = 1e-10 + dims.K * kappa * np.finfo(float).eps
+        for got, want, power in ((g, bd.gains, 0.5), (isi_u, bd.isi_k, 1),
+                                 (mui_u, bd.mui_k, 1)):
+            assert_allclose(got / energy ** power, want / energy ** power,
+                            rtol=0, atol=tol)
+
+    check()
+
+
+def test_zero_forcing_matches_the_wishart_inverse_mean():
+    """An oracle independent of how the banks are built. At alpha = 0 each
+    bin's Gram matrix is complex Wishart W_K(M, I), since the PDP rows sum
+    to 1, and E[W^-1] = I / (M - K) (Tulino & Verdu 2004). So the ZFE
+    AWGN bucket has mean 1 / (M - K), and ZFP at T = N has
+    E[1 / |g_k|^2] = K / (M - K). Each sample mean lies within 3 standard
+    errors of its per-draw values (k = 3 fixed beforehand)."""
+    M, K, trials = 16, 4, 2000
+    zfp, zfe = (mc_buckets(scenario(link=link, filt=filt, M=M, K=K, L=4,
+                                    N=20, T=20, T_c=20, seed=12345), trials)
+                for link, filt in (("downlink", "zfp"), ("uplink", "zfe")))
+    for per_draw, exact in (((1 / np.abs(zfp[0]) ** 2).mean(axis=1),
+                             K / (M - K)),
+                            (zfe[3].mean(axis=1), 1 / (M - K))):
+        stderr = per_draw.std(ddof=1) / math.sqrt(trials)
+        assert abs(per_draw.mean() - exact) <= 3 * stderr
 
 
 def _placed_by_ifft_shift_add_fold(z, shifts, T):
@@ -345,7 +428,7 @@ def test_rank_deficient_draw_names_filter_seed_trial_and_bin(link, filt):
     ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(3, 0))
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"\({filt}, seed 3\): Gram matrix at bin \d+"):
-        decompose(link, filt, ch, SignalBlocks(1.0, 8, None))
+        decompose(link, filt, ch, 1.0, 8)
     # the all-ones correlation is the exponential model at alpha = 1
     labelled = dataclasses.replace(scn, corr_model="exponential",
                                    corr_param=1.0)
@@ -408,7 +491,7 @@ def test_zero_forcing_only_cell_skips_the_eigendecomposition(monkeypatch,
     monkeypatch.undo()
     for t in range(5):
         ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
-        bd = decompose(link, filt, ch, SignalBlocks(1.0, 6, None))
+        bd = decompose(link, filt, ch, 1.0, 6)
         g, isi_u, mui_u, awgn = (s[t] for s in stacks)
         scale = np.max(np.abs(bd.gains))
         for got, want, power in ((g, bd.gains, 1), (isi_u, bd.isi_k, 2),
@@ -620,7 +703,7 @@ def test_ridge_rejects_non_finite_beta(link, filt, beta, path):
                        match=rf"^beta must be finite and >= 0, got {beta}$"):
         if path == "decompose":
             ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, 0))
-            decompose(link, filt, ch, SignalBlocks(1.0, 16, None), beta=beta)
+            decompose(link, filt, ch, 1.0, 16, beta=beta)
         else:
             sum_rate_mc(scn, 3)
 

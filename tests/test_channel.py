@@ -90,12 +90,18 @@ def test_dims_accept_every_seed_in_range():
 
 
 @pytest.mark.parametrize("rho_db", [float("nan"), float("inf"),
-                                    float("-inf")])
+                                    float("-inf"), 4000.0, -4000.0])
 def test_dims_reject_non_finite_power(rho_db):
-    """A non-finite power would rate NaN (nan, +inf) or 0 (-inf) without
-    an error."""
+    """A power whose linear value is not a positive finite float would
+    rate NaN (nan, +inf) or 0 (-inf, -4000 dB, an underflow) without an
+    error, or raise a raw OverflowError from rho_f (4000 dB)."""
     with pytest.raises(ValueError, match="finite rho_f_db"):
         small_dims(rho_f_db=rho_db)
+
+
+def test_dims_accept_a_large_power_with_a_finite_linear_value():
+    assert small_dims(rho_f_db=3000.0).rho_f == pytest.approx(1e300)
+    assert small_dims(rho_f_db=-3000.0).rho_f == pytest.approx(1e-300)
 
 
 def test_non_integer_seed_rejected_where_a_key_is_built():

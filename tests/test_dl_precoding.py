@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from scmimo.analysis import Scenario, SignalBlocks, decompose, mc_buckets
+from scmimo.analysis import Scenario, decompose, mc_buckets
 from scmimo.channel import (ChannelRealization, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
 from scmimo.corr_models import exponential_correlation, identity_correlation, ula
@@ -373,6 +373,5 @@ def test_cmfp_end_to_end_sinr_uncorrelated():
 def test_zfp_no_interference_when_block_matches_bank():
     """At T = N the designed bins cover the whole grid: ZFP is exact."""
     ch = make_channel(T=20, N=20)
-    blocks = SignalBlocks(rho_f=1.0, T=20, noise=None)
-    bd = decompose("downlink", "zfp", ch, blocks)
+    bd = decompose("downlink", "zfp", ch, 1.0, 20)
     assert float(np.max(bd.isi_k + bd.mui_k)) < 1e-6

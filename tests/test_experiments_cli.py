@@ -26,8 +26,8 @@ from scmimo.channel import (DEFAULT_SEED, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
 from scmimo.corr_models import (exponential_correlation, identity_correlation,
                                 ula, upa)
-from scmimo.experiments_cli import (CSV_HEADER, _brent_min, _correlation,
-                                    _scenario, _sweep_group, emit_plot_script,
+from scmimo.experiments_cli import (CSV_HEADER, _brent_min, _scenario,
+                                    _sweep_group, emit_plot_script,
                                     load_config, main, optimize_beta,
                                     read_csv, run_sweep, validate)
 
@@ -91,6 +91,13 @@ def test_load_config_missing_key_names_it(tmp_path):
         load_config(cfg_file(tmp_path, text))
 
 
+def test_load_config_keeps_a_large_power_with_a_finite_linear_value(
+        tmp_path):
+    cfg = load_config(cfg_file(tmp_path, BASE_CFG),
+                      overrides=["grid.rho_db=-3000,3000"])
+    assert cfg.rho_grid == [-3000.0, 3000.0]
+
+
 def test_load_config_bad_values(tmp_path):
     base = cfg_file(tmp_path, BASE_CFG)
     for override, match in [
@@ -109,6 +116,8 @@ def test_load_config_bad_values(tmp_path):
             ("grid.rho_db=nan", "^grid.rho_db: "),
             ("grid.rho_db=0,inf", "^grid.rho_db: "),
             ("grid.rho_db=-inf,0", "^grid.rho_db: "),
+            ("grid.rho_db=4000", "^grid.rho_db: "),
+            ("grid.rho_db=0,-4000", "^grid.rho_db: "),
             ("beta.value=nan", "^beta.value: "),
             ("beta.value=-1", "^beta.value: "),
             ("beta.value=inf", "^beta.value: "),
@@ -199,7 +208,7 @@ def test_load_config_rejects_row_length_on_ula(tmp_path):
 def test_shipped_configs_load_and_build_every_correlation(name):
     cfg = load_config(os.path.join(CONFIG_DIR, name))
     for param in cfg.corr_params:
-        corr = _correlation(cfg, param)
+        corr = _scenario(cfg, cfg.filters[0], param, cfg.rho_grid[0]).corr
         assert corr.A.shape == (cfg.M, cfg.M)
 
 
@@ -1568,7 +1577,7 @@ def test_main_beta_prints_one_labelled_line_per_parameter(tmp_path, capsys,
         assert line.endswith(f" bpcu at +5.0 dB, filter rzfp{label})")
 
 
-@pytest.mark.parametrize("rho_db", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("rho_db", ["nan", "inf", "-inf", "4000", "-4000"])
 def test_main_beta_rejects_non_finite_power(tmp_path, capsys, rho_db):
     text = BASE_CFG.replace("filters = cmfp,zfp,rzfp", "filters = rzfp")
     with pytest.raises(SystemExit) as exc:

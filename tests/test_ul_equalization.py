@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from scmimo.analysis import Scenario, SignalBlocks, decompose
+from scmimo.analysis import Scenario, decompose
 from scmimo.channel import (ChannelRealization, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
 from scmimo.corr_models import exponential_correlation, identity_correlation, ula
@@ -221,8 +221,7 @@ def test_zfe_singular_names_bin():
 
 def test_zfe_interference_free_under_cp():
     ch = make_channel(T=20, N=20)
-    blocks = SignalBlocks(rho_f=1.0, T=20, noise=None)
-    bd = decompose("uplink", "zfe", ch, blocks)
+    bd = decompose("uplink", "zfe", ch, 1.0, 20)
     assert float(np.max(bd.isi_k + bd.mui_k)) < 1e-6
     assert np.all(bd.if_k == 0.0)
 
@@ -299,9 +298,8 @@ def test_apply_bank_rejects_short_block():
 
 def test_uplink_reports_zero_if_power():
     ch = make_channel(T=20, N=20)
-    blocks = SignalBlocks(rho_f=2.0, T=20, noise=None)
     for filt in ("cmfe", "zfe", "mmsee"):
-        bd = decompose("uplink", filt, ch, blocks, beta=0.1)
+        bd = decompose("uplink", filt, ch, 2.0, 20, beta=0.1)
         assert np.all(bd.if_k == 0.0)
 
 
