@@ -22,16 +22,18 @@ factored once (`DrawFactors`) from its tap products Hhat_l^H Hhat_l', for
 every filter of its link at once. A matched filter's cascade taps are
 those products placed at their delays mod T (`_tap_placement`), and its
 gains and interference energies are c[0] and the summed squared taps. A
-bank filter never places its N + L - 1 cascade taps: the cascade folded
-mod N has bin nu equal to the identity for zero forcing, and to
-U diag(lambda / (lambda + beta)) U^H, from a Gram eigendecomposition per
-bin, for a ridge filter, so Parseval gives its power from the N bins, and
-only the L - 1 low delays where the linear cascade aliases mod N, and the
-block of T folds it back, need explicit taps: from the bin Gram inverses
-for zero forcing, from the eigenpairs at each beta for a ridge filter.
-Both match the probes to rounding; a beta search re-evaluates the cached
-factors instead of rebuilding banks, and zero forcing needs no
-eigendecomposition.
+bank filter's bin Gram matrices are lag sums of the tap products, one
+product with a cached kernel (`_lag_kernel`) per draw. It never places
+its N + L - 1 cascade taps: the cascade folded mod N has bin nu equal to
+the identity for zero forcing, and to U diag(lambda / (lambda + beta))
+U^H, from a Gram eigendecomposition per bin, for a ridge filter, so
+Parseval gives its power from the N bins, and only the L - 1 low delays
+where the linear cascade aliases mod N, and the block of T folds it
+back, need explicit taps: for zero forcing from the 2L - 2 taps of the
+bin Gram inverses against the tap products, for a ridge filter from the
+eigenpairs at each beta. Both match the probes to rounding; a beta
+search re-evaluates the cached factors instead of rebuilding banks, and
+zero forcing needs no eigendecomposition.
 
 Rates are (1/2) log2(1 + SINR) per user, in bits per channel use.
 """
@@ -252,6 +254,17 @@ def _bin_kernel(N, L):
     return E
 
 
+@functools.lru_cache(maxsize=None)
+def _lag_kernel(N, L, sign):
+    """The (N, L^2) kernel W[nu, l L + l'] = E[nu, sign (l' - l)] that takes
+    tap products F[l, l'], in (l, l') order, to the bin Gram matrices
+    sum_{l, l'} W[nu, l L + l'] F[l, l'] (read-only)."""
+    lag = sign * (np.arange(L) - np.arange(L)[:, None]).ravel()
+    W = np.exp(2j * np.pi * np.outer(np.arange(N), lag) / N)
+    W.flags.writeable = False
+    return W
+
+
 def _cascade_buckets(c):
     """(g, isi_u, mui_u) from circular cascade taps c of shape (n, D, K, K).
 
@@ -273,12 +286,17 @@ class DrawFactors:
     the trial is unknown; it only labels errors). `filters` names the
     filters of the scenario's link that the slots serve (default: the
     scenario's own); a slot keeps only what they need. Every bin product
-    is an N-point transform of the tap products Hhat_l^H Hhat_l'; with
-    V_nu the synthesis bins B_nu on the downlink (ZFP/RZFP) and the
-    analysis bins Hhat_nu on the uplink (ZFE/MMSEE), G_nu = V_nu^H V_nu is
-    the bin Gram matrix (uplink: its transpose), and P_nu,d =
-    sum_{l <= d} (E[nu, d] / N) conj(E[nu, l]) Hhat_l^H B_nu (downlink) or
-    (Hhat_nu^H Hhat_l)^T (uplink), with E[nu, l] = e^{2j pi nu l / N}.
+    is an N-point transform of the tap products F[l, l'] =
+    Hhat_l^H Hhat_l'; with V_nu the synthesis bins B_nu on the downlink
+    (ZFP/RZFP) and the analysis bins Hhat_nu on the uplink (ZFE/MMSEE),
+    G_nu = V_nu^H V_nu is the bin Gram matrix (uplink: its transpose), and
+    P_nu,d = sum_{l <= d} (E[nu, d] / N) conj(E[nu, l]) Hhat_l^H B_nu
+    (downlink) or (Hhat_nu^H Hhat_l)^T (uplink), with E[nu, l] =
+    e^{2j pi nu l / N}. With F' = F on the downlink and F' = conj(F) on
+    the uplink, G_nu = sum_{l, l'} E[nu, l' - l] F'[l, l'] depends on the
+    draw only through the 2 L - 1 lag sums of F': one (N x L^2) @
+    (L^2 x K^2) product per draw with the lag kernel (`_lag_kernel`), for
+    the zero-forcing and the ridge filters alike.
 
     * A matched filter: its buckets, which have no parameter, from the
       cascade taps sum_{l - l' = d mod T} Hhat_l^H Hhat_l' / sqrt(MK)
@@ -286,9 +304,11 @@ class DrawFactors:
     * A zero-forcing filter: its buckets, which have no parameter either,
       from one batched inverse G_nu^-1. Its cascade folded mod N is the
       identity at every bin, so only the L - 1 low taps of the linear
-      cascade, c[d] = sum_nu P_nu,d G_nu^-1 (one (L - 1) K x N K product
-      per draw), are needed for the aliases mod N (and mod T when
-      T < N + L - 1); the downlink power normalization follows from
+      cascade, c[d] = sum_nu P_nu,d G_nu^-1, are needed for the aliases
+      mod N (and mod T when T < N + L - 1). They come without any P:
+      c[d] = sum_{l <= d} sum_l' F'[l, l'] Ghat[d - l + l'], from the
+      2 L - 2 taps Ghat[m] = (1/N) sum_nu E[nu, m] G_nu^-1 of the inverse
+      (`_zero_forcing_buckets`); the downlink power normalization follows from
       sum_nu tr G_nu^-1 and the uplink AWGN bucket from
       (1/N) sum_nu diag G_nu^-1. `fill` rejects, by filter, seed, trial
       and bin, a draw whose bin has a reciprocal condition below
@@ -297,7 +317,8 @@ class DrawFactors:
       2 RCOND_MIN or the inverse failed, as the reference banks do.
     * A ridge filter: the eigenpairs G_nu = U Lambda U^H of every bin, as
       lam and Uh = U^H, and Y, shape ((L - 1) K, N K) per draw, whose
-      rows (d, k) at columns (nu, j) hold P_nu,d U_nu. A ridge parameter
+      rows (d, k) at columns (nu, j) hold P_nu,d U_nu (P only for the
+      L - 1 low delays d, by Horner's rule in E[nu, 1]). A ridge parameter
       beta then costs, per draw, one K x K product per bin for the folded
       cascade U diag(lambda / (lambda + beta)) U^H, whose power follows by
       Parseval, and one Y @ (diag(1 / (lambda + beta)) U^H, stacked over
@@ -366,12 +387,13 @@ class DrawFactors:
              ).reshape(n, L, K, L, K)
         matched, zf = (next((f for f in family if f in self.stacks), None)
                        for family in (MATCHED, ZERO_FORCING))
+        # the (l, l')-ordered copy of F that the matched taps and G read
+        Fll = F.transpose(0, 1, 3, 2, 4).reshape(n, L * L, K * K)
         if matched is not None:
             sign = 1 if self.downlink else -1
             A = _tap_placement(tuple(sign * (l - lp) for l in range(L)
                                      for lp in range(L)), dims.T)
-            c = (A @ F.transpose(0, 1, 3, 2, 4).reshape(
-                n, L * L, K * K)).reshape(n, -1, K, K) / np.sqrt(M * K)
+            c = (A @ Fll).reshape(n, -1, K, K) / np.sqrt(M * K)
             awgn = np.ones((n, K)) if self.downlink else np.real(
                 np.einsum("nlklk->nk", F)) / (M * K)
             for dst, src in zip(self.stacks[matched],
@@ -379,22 +401,18 @@ class DrawFactors:
                 dst[lo:hi] = src
         if zf is None and not self.ridge:
             return
-        # P[:, nu, l] = Hhat_l^H B_nu / N with B_nu = sum_l' E[nu, l'] Hhat_l'
-        # (downlink), or (Hhat_nu^H Hhat_l)^T / N with Hhat_nu = sum_l'
-        # conj(E[nu, l']) Hhat_l' (uplink): one (N x L) @ (L x L K^2)
-        # product per draw
-        E = _bin_kernel(N, L)
-        P = ((E / N) @ F.transpose((0, 3, 1, 2, 4) if self.downlink
-                                   else (0, 1, 3, 4, 2)).reshape(n, L, -1)
-             ).reshape(n, N, L, K * K)
-        # in place, P[:, nu, d] <- sum_{l <= d} E[nu, d - l] P[:, nu, l] by
-        # Horner's rule in E[nu, 1]: the last sum is the Gram matrix G_nu
-        # (uplink: its transpose) times E[nu, L - 1] / N, and for d < L - 1
-        # it is P_nu,d
-        for d in range(1, L):
-            P[:, :, d] += E[:, 1:2] * P[:, :, d - 1]
-        G = (P[:, :, -1] * (N * np.conj(E[:, -1:]))).reshape(n, N, K, K)
-        low = P[:, :, :-1].reshape(n, N, -1, K)             # rows (d, k)
+        # G_nu = sum_{l, l'} E[nu, l' - l] F'[l, l'], one (N x L^2) @
+        # (L^2 x K^2) product per draw, with F' = F on the downlink and
+        # F'[l, l'] = conj(F[l, l']) = F[l', l]^T on the uplink, which swaps
+        # (l, l') in the kernel and (k, q) in the product. rows[:, l, :, l']
+        # is F'[l, l'], a view of F.
+        if self.downlink:
+            G = (_lag_kernel(N, L, 1) @ Fll).reshape(n, N, K, K)
+            rows = F
+        else:
+            G = np.swapaxes((_lag_kernel(N, L, -1) @ Fll).reshape(
+                n, N, K, K), -1, -2)
+            rows = F.transpose(0, 3, 4, 1, 2)
         if zf is not None:
             Ginv, rcond = _gram_inverse(G)
             bad = np.flatnonzero(
@@ -403,13 +421,22 @@ class DrawFactors:
                 check_gram_conditioning(rcond[bad[0]], where=self._where(
                     lo + int(bad[0]), zf))
             for dst, src in zip(self.stacks[zf],
-                                self._zero_forcing_buckets(low, Ginv)):
+                                self._zero_forcing_buckets(rows, Ginv)):
                 dst[lo:hi] = src
         if self.ridge:
             lam, U = np.linalg.eigh(G)
             self.lam[lo:hi] = lam
             self.Uh[lo:hi] = np.conj(np.swapaxes(U, -1, -2))
-            np.matmul(low, U, out=self.Y[lo:hi].reshape(
+            # P[:, nu, l] = sum_l' E[nu, l'] F'[l, l'] / N for l < L - 1: one
+            # (N x L) @ (L x (L - 1) K^2) product per draw; then in place,
+            # P[:, nu, d] <- sum_{l <= d} E[nu, d - l] P[:, nu, l] = P_nu,d by
+            # Horner's rule in E[nu, 1]
+            E = _bin_kernel(N, L)
+            P = ((E / N) @ rows.transpose(0, 3, 1, 2, 4)[:, :, :L - 1].reshape(
+                n, L, -1)).reshape(n, N, L - 1, K * K)
+            for d in range(1, L - 1):
+                P[:, :, d] += E[:, 1:2] * P[:, :, d - 1]
+            np.matmul(P.reshape(n, N, -1, K), U, out=self.Y[lo:hi].reshape(
                 n, -1, N, K).transpose(0, 2, 1, 3))
 
     def buckets(self, filt, beta, n=None):
@@ -437,22 +464,33 @@ class DrawFactors:
             self.stacks[key] = out
         return tuple(s[:n] for s in self.stacks[key])
 
-    def _zero_forcing_buckets(self, low, Ginv):
+    def _zero_forcing_buckets(self, rows, Ginv):
         """(g, isi_u, mui_u, awgn) of the zero-forcing filter from the bin
-        inverses Ginv (n, N, K, K) and `low` (n, N, (L - 1) K, K), whose
-        rows (d, k) at bin nu hold P_nu,d."""
+        inverses Ginv (n, N, K, K) and the tap products `rows` (n, L, K, L,
+        K), whose block [:, l, :, l'] is F'[l, l']."""
         n, N, K = Ginv.shape[:3]
-        # the linear cascade's taps c[d] = sum_nu P_nu,d G_nu^-1, d < L - 1:
-        # one ((L - 1) K x N K) @ (N K x K) product per draw
-        c = (low.transpose(0, 2, 1, 3).reshape(n, -1, N * K)
-             @ Ginv.reshape(n, N * K, K)).reshape(n, -1, K, K)
+        L = rows.shape[1]
+        # the linear cascade's taps c[d] = sum_nu P_nu,d G_nu^-1, d < L - 1,
+        # are c[d] = sum_{l <= d} sum_l' F'[l, l'] Ghat[d - l + l'] with
+        # Ghat[m] = (1/N) sum_nu E[nu, m] G_nu^-1, m < 2 L - 2: one
+        # ((2 L - 2) x N) @ (N x K^2) product per draw, then for each
+        # s = d - l one product of rows l < L - 1 - s of F' with the Hankel
+        # block (Ghat[s], ..., Ghat[s + L - 1]) stacked, (L - 1 - s) K x L K
+        # times L K x K
+        Ghat = ((_bin_kernel(N, 2 * L - 2).T / N)
+                @ Ginv.reshape(n, N, K * K)).reshape(n, -1, K, K)
+        c = np.zeros((n, L - 1, K, K), dtype=complex)
+        for s in range(L - 1):
+            c[:, s:] += (rows[:, :L - 1 - s].reshape(n, -1, L * K)
+                         @ Ghat[:, s:s + L].reshape(n, L * K, K)
+                         ).reshape(n, -1, K, K)
         # every bin of the cascade folded mod N is zeta_nu = I, so
         # chat[d] = delta_d I and the folded power is I
-        chat = np.zeros((n, max(c.shape[1], 1), K, K), dtype=complex)
+        chat = np.zeros((n, max(L - 1, 1), K, K), dtype=complex)
         chat[:, 0] = np.eye(K)
         inv_diag = np.real(np.diagonal(Ginv, axis1=-2, axis2=-1))
         return self._fold_buckets(
-            chat, c if c.shape[1] else None, np.ones((n, 1, K)),
+            chat, c if L > 1 else None, np.ones((n, 1, K)),
             np.broadcast_to(np.eye(K), (n, K, K)),
             inv_diag.sum(axis=(1, 2)) if self.downlink
             else inv_diag.sum(axis=1) / N)

@@ -342,9 +342,11 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
         raise ValueError(f"rho_f: power must be finite and > 0, got {rho_f}")
     analysis._check_trials(trials)
     dims = scenario.dims
-    rho_db = 10.0 * math.log10(rho_f)
-    base = dataclasses.replace(
-        scenario, dims=dataclasses.replace(dims, rho_f_db=rho_db))
+    # a scenario already at rho_f is rated as it is: a dB round trip can
+    # move the power by an ulp
+    base = scenario if dims.rho_f == rho_f else dataclasses.replace(
+        scenario, dims=dataclasses.replace(
+            dims, rho_f_db=10.0 * math.log10(rho_f)))
     if factors is None:
         factors = analysis.factor_draws(scenario, trials)
 
@@ -890,6 +892,25 @@ def _validate_zero_forcing(rep):
               1e-6, kind="abs")
     rep.check("zfe measured ISI+MUI at rho=1 (CP framing)", 0.0,
               worst_isi_ul, 1e-6, kind="abs")
+
+    # An oracle independent of the banks, through the bucket core at paper
+    # size: at alpha = 0 each bin's Gram matrix is complex Wishart
+    # W_K(M, I), as the PDP rows sum to 1, and E[W^-1] = I / (M - K), so
+    # the ZFE AWGN bucket has mean 1 / (M - K) and ZFP at T = N has
+    # E[1 / |g_k|^2] = K / (M - K). Each sample mean must lie within 3
+    # standard errors of its per-draw values.
+    M, K, trials = 64, 10, 500
+    for link, filt, exact in (("downlink", "zfp", K / (M - K)),
+                              ("uplink", "zfe", 1 / (M - K))):
+        cfg = _quick_cfg(link, [filt], M=M, K=K, T=N, trials=trials)
+        g, _, _, awgn = mc_buckets(_scenario(cfg, filt, 0.0, 0.0), trials)
+        per_draw = (1 / np.abs(g) ** 2 if filt == "zfp" else awgn).mean(
+            axis=1)
+        name = "1/|g|^2 (T=N)" if filt == "zfp" else "AWGN"
+        rep.check(f"{filt} {name} vs Wishart mean (M={M}, alpha=0)",
+                  exact, float(per_draw.mean()),
+                  3 * float(per_draw.std(ddof=1)) / math.sqrt(trials),
+                  kind="abs")
 
 
 def _validate_figures(rep):

@@ -169,11 +169,11 @@ def test_core_matches_decompose_with_one_or_two_taps(link, filt, beta, L, T):
 
 
 def test_core_matches_decompose_on_random_small_dims():
-    """Random valid dims (K <= M <= 12, L = 1 .. 4, N <= 8, T one of N,
-    N + L - 1 and N + L + 2), correlations and ridge parameters, all six
-    filters: either both paths raise, or the core's gains, ISI and MUI
-    match the probe measurement to 1e-10 + K kappa eps of the draw's
-    scale.
+    """Random valid dims (K <= M <= 12, L = 1 .. 4, N <= 8, T any integer
+    from N to N + L + 2, the partial folds N < T < N + L - 1 included),
+    correlations and ridge parameters, all six filters: either both
+    paths raise, or the core's gains, ISI and MUI match the probe
+    measurement to 1e-10 + K kappa eps of the draw's scale.
 
     The scale is the largest per-user cascade energy, since a gain can
     be a thousandth of it (K = 1, T > N). kappa is the spread of the
@@ -190,7 +190,7 @@ def test_core_matches_decompose_on_random_small_dims():
         K = draw(st.integers(1, M))
         L = draw(st.integers(1, 4))
         N = draw(st.integers(L + 1, 8))
-        T = draw(st.sampled_from([N, N + L - 1, N + L + 2]))
+        T = draw(st.integers(N, N + L + 2))
         dims = SimulationDims(M=M, K=K, L=L, N=N, T=T,
                               T_c=draw(st.integers(L + 1, T)),
                               seed=draw(st.integers(0, 2 ** 32)))
@@ -512,6 +512,52 @@ def _bin_grams(link, Hhat, N):
     return np.conj(V).transpose(0, 2, 1) @ V
 
 
+@pytest.mark.parametrize("N", [20, 5])
+@pytest.mark.parametrize("link,filt", [("downlink", "zfp"),
+                                       ("uplink", "zfe")])
+def test_lag_sum_grams_and_low_taps_match_the_bins(monkeypatch, link, filt,
+                                                   N):
+    """The zero-forcing bin transform at paper size (M = 64, K = 10,
+    L = 4, N = 20) and at N = L + 1, where the taps Ghat[m] of G^-1,
+    m < 2 L - 2, wrap mod N: each bin's Gram matrix from the lag sums of
+    the tap products equals the direct V_nu^H V_nu (uplink: its
+    transpose) to 1e-12 of its largest entry, and the low taps equal
+    c[d] = sum_nu P_nu,d G_nu^-1, with every P_nu,d built from the bins,
+    to 1e-12 of the largest tap."""
+    L = 4
+    scn = scenario(link=link, filt=filt, M=64, K=10, L=L, N=N, T=N + L - 1,
+                   T_c=N, alpha=0.7)
+    chans = [draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
+             for t in range(3)]
+    grams, taps = [], []
+    inverse, fold = analysis._gram_inverse, analysis.DrawFactors._fold_buckets
+    monkeypatch.setattr(analysis, "_gram_inverse",
+                        lambda G: grams.append(G) or inverse(G))
+    monkeypatch.setattr(analysis.DrawFactors, "_fold_buckets",
+                        lambda self, chat, c, *rest:
+                        taps.append(c) or fold(self, chat, c, *rest))
+    factors = analysis.DrawFactors(scn, len(chans))
+    factors.fill(0, np.stack([ch.Hhat for ch in chans]))
+    [G], [c] = grams, taps
+    E = np.exp(2j * np.pi * np.outer(np.arange(N), np.arange(L)) / N)
+    for i, ch in enumerate(chans):
+        want = _bin_grams(link, ch.Hhat, N)
+        if link == "downlink":
+            # Hhat_l^H B_nu, shape (N, L, K, K)
+            Z = np.conj(ch.Hhat).transpose(0, 2, 1) @ np.tensordot(
+                E, ch.Hhat, 1)[:, None]
+        else:
+            want = want.transpose(0, 2, 1)
+            # (Hhat_nu^H Hhat_l)^T
+            Z = (np.conj(np.tensordot(np.conj(E), ch.Hhat, 1)).transpose(
+                0, 2, 1)[:, None] @ ch.Hhat).transpose(0, 1, 3, 2)
+        assert_allclose(G[i], want, rtol=0,
+                        atol=1e-12 * np.abs(want).max())
+        ref = np.array([
+            (sum(E[:, d, None, None] * np.conj(E[:, l, None, None]) / N
+                 * Z[:, l] for l in range(d + 1))
+             @ np.linalg.inv(want)).sum(axis=0) for d in range(L - 1)])
+        assert_allclose(c[i], ref, rtol=0, atol=1e-12 * np.abs(ref).max())
 @pytest.mark.parametrize("link,filt", [("downlink", "zfp"),
                                        ("uplink", "zfe")])
 def test_zero_forcing_conditioning_threshold_is_exact(monkeypatch, link,

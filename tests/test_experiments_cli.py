@@ -436,6 +436,27 @@ def test_optimize_beta_refinement_matches_dense_scan(link, filt, rho_db):
     assert rate(beta_star) >= rates[best]
 
 
+def test_sweep_search_rates_the_rows_own_power(tmp_path, monkeypatch):
+    """A grid_opt cell at 2.5 dB rates every beta at the row's linear
+    power 10 ** 0.25 bit for bit: the search does not rebuild its
+    scenario through 10 log10(rho_f), which lands an ulp away."""
+    cfg = load_config(cfg_file(tmp_path, CELL_CFG.format(
+        link="downlink", filters="rzfp")), ["beta.mode=grid_opt",
+                                            "corr.alpha=0.7",
+                                            "grid.rho_db=2.5"])
+    powers = []
+    aggregate = analysis._aggregate
+
+    def recorded(scenario, *stacks):
+        powers.append(scenario.dims.rho_f)
+        return aggregate(scenario, *stacks)
+
+    monkeypatch.setattr(analysis, "_aggregate", recorded)
+    _sweep_group(cfg, cfg.corr_params)
+    assert len(powers) > 2
+    assert all(rho == 10 ** 0.25 for rho in powers), set(powers)
+
+
 GRID = [0.0] + [10.0 ** k for k in range(-6, 7)]
 
 
@@ -1373,10 +1394,14 @@ def test_validate_unknown_suite():
 
 
 def test_validate_zero_forcing_passes():
+    """Every check passes, the paper-size Wishart oracle of both
+    zero-forcing filters among them."""
     ok, lines = validate("zero_forcing")
     assert ok
-    assert len(lines) == 4
+    assert len(lines) == 6
     assert all(line.endswith("PASS") for line in lines)
+    assert [line.split(" vs ")[0] for line in lines
+            if "vs Wishart" in line] == ["zfp 1/|g|^2 (T=N)", "zfe AWGN"]
 
 
 def test_validate_closed_forms_passes():
