@@ -18,28 +18,32 @@ in the tap domain and averages over draws. Every draw comes from one
 loop (`_fading_chunks`): CHUNK draws' fading at a time, then one
 `composite_taps` call per chunk and correlation, so a group of
 correlations shares each draw's fading (`mc_buckets_group`). Each draw is
-factored once (`DrawFactors`) from its tap products Hhat_l^H Hhat_l', for
-every filter of its link at once. A matched filter's cascade taps are
-those products placed at their delays mod T (`_tap_placement`), and its
-gains and interference energies are c[0] and the summed squared taps. A
-bank filter's bin Gram matrices are lag sums of the tap products, one
-product with a cached kernel (`_lag_kernel`) per draw. It never places
-its N + L - 1 cascade taps: the cascade folded mod N has bin nu equal to
-the identity for zero forcing, and to U diag(lambda / (lambda + beta))
-U^H, from a Gram eigendecomposition per bin, for a ridge filter, so
-Parseval gives its power from the N bins, and only the L - 1 low delays
-where the linear cascade aliases mod N, and the block of T folds it
-back, need explicit taps: for zero forcing from the 2L - 2 taps of the
-bin Gram inverses against the tap products, for a ridge filter from the
-eigenpairs at each beta. Both match the probes to rounding; a beta
-search re-evaluates the cached factors instead of rebuilding banks, and
-zero forcing needs no eigendecomposition.
+factored once (`DrawFactors`) from its tap products Hhat_l^H Hhat_l', one
+product of its antenna-major composite taps, for every filter of its link
+at once. A matched filter's cascade taps are those products placed at
+their delays mod T (`_tap_placement`), and its gains and interference
+energies are c[0] and the summed squared taps. A bank filter's bin Gram
+matrices are lag sums of the tap products, one product with a cached
+kernel (`_lag_kernel`) per draw. It never places its N + L - 1 cascade
+taps: the cascade folded mod N has bin nu equal to the identity for zero
+forcing, and to U diag(lambda / (lambda + beta)) U^H, from a Gram
+eigendecomposition per bin, for a ridge filter, so Parseval gives its
+power from the N bins, and only the L - 1 low delays where the linear
+cascade aliases mod N, and the block of T folds it back, need explicit
+taps: for zero forcing from the 2L - 2 taps of the bin Gram inverses
+against the tap products, for a ridge filter from the eigenpairs at each
+beta. Both match the probes to rounding; a beta search re-evaluates the
+cached factors instead of rebuilding banks, and zero forcing needs no
+eigendecomposition.
 
 Rates are (1/2) log2(1 + SINR) per user, in bits per channel use.
 """
 
+import contextlib
+import ctypes
 import functools
 import numbers
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,6 +223,90 @@ def decompose(link, filt, ch, rho_f, T, noise=None, beta=0.0):
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads
+
+# OpenBLAS's (thread-count getter, setter) symbol names, in the order
+# they are looked for: SciPy's wheels prefix them, ILP64 builds suffix them
+_OPENBLAS_THREAD_SYMBOLS = [
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
+
+# held across each one-thread scope's read-and-set and check-and-restore
+_BLAS_THREADS_LOCK = threading.Lock()
+
+
+def _load_library(path):
+    """The shared library at path (None: the process's own symbols), or
+    None where it cannot be loaded."""
+    try:
+        return ctypes.CDLL(path)
+    except (OSError, TypeError):
+        return None
+
+
+def _blas_threads(n=None):
+    """The thread count of the OpenBLAS that NumPy's linalg module links,
+    read before this call; with n, it then runs on n threads. Returns
+    None, and changes nothing, where no such library loads or it lacks
+    the thread-count getter and setter pair: any other BLAS is left as it
+    is. Never raises.
+
+    Sets the count only where it differs from n: OpenBLAS's setter starts
+    its thread server where none runs, so in a process forked with a count
+    of 1 it would start a helper thread that no call uses. The count is
+    process-wide: every thread of the process shares it.
+    """
+    try:
+        blas = _load_library(np.linalg._umath_linalg.__file__)
+    except AttributeError:
+        return None
+    for names in _OPENBLAS_THREAD_SYMBOLS:
+        getter, setter = (getattr(blas, name, None) for name in names)
+        if getter is not None and setter is not None:
+            break
+    else:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    previous = getter()
+    if n is not None and previous != n:
+        setter(n)
+    return previous
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread (`_blas_threads`). When
+    the block ends or raises, restore the count it found if the count is
+    still the 1 set here; any other count belongs to whoever set it.
+
+    The bucket core's entries (`factor_draws`, `mc_buckets_group`, and
+    through them `mc_buckets`, `sum_rate_mc` and every sweep) run in this
+    scope, and so does the beta search. Their BLAS calls are all small, so
+    a second OpenBLAS thread does no useful work and only takes CPU from
+    the process's neighbours: on a 2-CPU box, two serial sweeps side by
+    side ran about a fifth faster on one thread than on OpenBLAS's default
+    two, and a draw's (40 x 64) @ (64 x 40) tap-product GEMM took 12 us on
+    one thread but 2.8 ms on two beside a second such process. The count
+    is process-wide, so blocks that nest or overlap, in one thread or
+    several, share it: only the block that found the caller's count
+    restores it, and a block still running then runs on that count. One
+    lock makes each read-and-set on entry, and each check-and-restore on
+    exit, a single step, so two threads that enter or leave at once still
+    end on the caller's count.
+    """
+    with _BLAS_THREADS_LOCK:
+        previous = _blas_threads(1)
+    try:
+        yield
+    finally:
+        if previous is not None:
+            with _BLAS_THREADS_LOCK:
+                if _blas_threads() == 1:
+                    _blas_threads(previous)
+
+
+# ---------------------------------------------------------------------------
 # tap-domain bucket core
 
 CHUNK = 8       # draws factored or evaluated together; bounds the working set
@@ -373,18 +461,19 @@ class DrawFactors:
         """Factor the composite taps Hhat (n, L, M, K) of n channel draws
         into slots lo, lo + 1, ...: their tap products F once, then from F
         the matched buckets, the zero-forcing buckets and the ridge
-        eigenpairs, each only if a filter served needs it."""
+        eigenpairs, each only if a filter served needs it. Hhat is read
+        fastest as composite_taps returns it, a view of antenna-major
+        memory; taps in any other memory are copied into that order."""
         dims = self.scenario.dims
         M, K, L, N = dims.M, dims.K, dims.L, dims.N
         n = Hhat.shape[0]
         hi = lo + n
         # F[:, l, :, l', :] = Hhat_l^H Hhat_l', every bin product below
-        # is an N-point transform of it. One product per tap l keeps each
-        # BLAS call under OpenBLAS's threading threshold: a threaded call
-        # this small runs many times slower when processes share the CPUs.
-        F = (np.conj(Hhat).transpose(0, 1, 3, 2)
-             @ Hhat.transpose(0, 2, 1, 3).reshape(n, 1, M, L * K)
-             ).reshape(n, L, K, L, K)
+        # is an N-point transform of it: one (L K x M) @ (M x L K) product
+        # per draw of Hc, the taps side by side. Hhat from composite_taps
+        # is a view of antenna-major memory, so Hc is a view too.
+        Hc = Hhat.transpose(0, 2, 1, 3).reshape(n, M, L * K)
+        F = (np.conj(Hc).transpose(0, 2, 1) @ Hc).reshape(n, L, K, L, K)
         matched, zf = (next((f for f in family if f in self.stacks), None)
                        for family in (MATCHED, ZERO_FORCING))
         # the (l, l')-ordered copy of F that the matched taps and G read
@@ -598,14 +687,23 @@ def _gram_inverse(G):
             raise
         return None, rcond
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        rcond = 1.0 / np.sqrt((G.real ** 2 + G.imag ** 2).sum(axis=(-2, -1))
-                              * (Ginv.real ** 2 + Ginv.imag ** 2).sum(
-                                  axis=(-2, -1)))
+        rcond = 1.0 / np.sqrt(_frobenius_sq(G) * _frobenius_sq(Ginv))
     # the bound's own rounding must not accept a bin the exact test rejects
     loose = ~(rcond >= 2 * dl_precoding.RCOND_MIN)
     if loose.any():
         rcond[loose] = gram_rcond(G[loose])
     return Ginv, rcond
+
+
+def _frobenius_sq(X):
+    """||X||_F^2 of each matrix of a complex stack X (..., K, K), by one
+    einsum over a float64 view of X; where X's last axis is strided (the
+    uplink's G, a transposed view), over one of its transpose, which has
+    the same norm."""
+    if X.strides[-1] != X.itemsize:
+        X = np.swapaxes(X, -1, -2)
+    x = X.view(np.float64)
+    return np.einsum("...ij,...ij->...", x, x)
 
 
 def _draw_buckets(scenario, ch):
@@ -633,10 +731,12 @@ def _fading_chunks(dims, lo, hi):
                            for t in range(a, min(a + CHUNK, hi))])
 
 
+@_one_blas_thread()
 def factor_draws(scenario, trials, filters=None):
     """Draw trials 0 .. trials - 1 of the scenario's seed and factor them,
     a chunk at a time (`_fading_chunks`), into one DrawFactors serving
-    `filters` (default: the scenario's filter)."""
+    `filters` (default: the scenario's filter), with OpenBLAS on one
+    thread (`_one_blas_thread`)."""
     factors = DrawFactors(scenario, trials, 0, filters)
     for lo, H in _fading_chunks(scenario.dims, 0, trials):
         factors.fill(lo, composite_taps(H, scenario.pdp, scenario.corr))
@@ -651,6 +751,7 @@ def _read(out, requests, factors, lo, hi):
             dst[lo:hi] = part
 
 
+@_one_blas_thread()
 def mc_buckets_group(cells, trials):
     """Bucket stacks of draws 0 .. trials - 1 for each (scenario, requests,
     factors) cell of a group whose scenarios share their seed and
@@ -664,7 +765,8 @@ def mc_buckets_group(cells, trials):
     released. Each later chunk of draws has its fading drawn once for the
     group (`_fading_chunks`), then is composited and factored per
     scenario, so a draw's stacks depend only on (seed, t) and its own
-    scenario.
+    scenario. All of it, the iterator of cells included, runs with
+    OpenBLAS on one thread (`_one_blas_thread`).
     """
     group, out, shared = [], [], set()
     for scenario, requests, factors in cells:

@@ -190,6 +190,13 @@ def composite_taps(H, pdp, corr):
     shape (..., L, M, K): one draw or a stack of them, each draw's taps
     the same bits either way.
 
+    The result is a view of an antenna-major buffer, whose memory is
+    ordered (..., M, L, K): per draw, the buffer read as one (M, L K)
+    matrix holds every tap side by side, so the bucket core forms all the
+    tap products Hhat_l^H Hhat_l' of a draw in one product. Each tap is
+    still its own product sqrt_A @ H_l, written in place into the buffer,
+    so the layout changes no bit of Hhat.
+
     A real sqrt_A multiplies the real and imaginary parts of H in one real
     product per tap, with half the flops of the complex one and no complex
     copy of sqrt_A; that moves Hhat by rounding only. A complex sqrt_A
@@ -201,12 +208,16 @@ def composite_taps(H, pdp, corr):
     if corr.A.shape[0] != M:
         raise ValueError(f"correlation matrix is {corr.A.shape[0]}x..., "
                          f"expected {M}")
-    # (L, 1, K) broadcast of sqrt(d_l[k]) over antennas
-    amp = np.sqrt(pdp.d.T)[:, None, :]
+    out = np.empty(H.shape[:-3] + (M, L, K), dtype=complex)
+    taps = np.swapaxes(out, -3, -2)             # (..., L, M, K) view
     if np.isrealobj(corr.sqrt_A):
-        # (..., L, M, 2K) float view, real and imaginary parts interleaved
-        return (corr.sqrt_A @ H.view(np.float64)).view(complex) * amp
-    return (corr.sqrt_A @ H) * amp
+        # (..., L, M, 2K) float views, real and imaginary parts interleaved
+        np.matmul(corr.sqrt_A, H.view(np.float64), out=taps.view(np.float64))
+    else:
+        np.matmul(corr.sqrt_A, H, out=taps)
+    # times sqrt(d_l[k]), broadcast over antennas
+    out *= np.sqrt(pdp.d.T)
+    return taps
 
 
 def draw_channel(dims, pdp, corr, rng_stream):

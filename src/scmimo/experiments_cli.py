@@ -19,7 +19,6 @@ variable, else 12345.
 """
 
 import argparse
-import contextlib
 import csv
 import ctypes
 import dataclasses
@@ -30,7 +29,8 @@ import os
 import numpy as np
 
 from . import analysis
-from .analysis import (Scenario, buckets_to_result, cmfe_rate_closed,
+from .analysis import (Scenario, _blas_threads, _load_library,
+                       _one_blas_thread, buckets_to_result, cmfe_rate_closed,
                        cmfp_rate_closed, coop_capacity, mc_buckets,
                        sum_rate_mc)
 from .channel import (DEFAULT_SEED, SimulationDims, composite_taps,
@@ -310,6 +310,7 @@ def _brent_min(f, a, b, tol):
     return x, fx
 
 
+@_one_blas_thread()
 def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
     """Ridge parameter maximizing the Monte Carlo sum rate at power rho_f.
 
@@ -334,7 +335,8 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
     `factors` supplies them for draws 0 .. trials - 1 of the scenario
     (from analysis.factor_draws); by default they are built here. They
     keep the stacks of every beta evaluated, so a later search or a
-    reporting pass on them evaluates none of those again.
+    reporting pass on them evaluates none of those again. The search runs
+    with OpenBLAS on one thread (`analysis._one_blas_thread`).
     """
     if scenario.filt not in BETA_FILTERS:
         raise ValueError(f"filter {scenario.filt!r} has no ridge parameter")
@@ -466,79 +468,11 @@ def _result_row(result):
     }
 
 
-# OpenBLAS's (thread-count getter, setter) symbol names, in the order
-# they are looked for: SciPy's wheels prefix them, ILP64 builds suffix them
-_OPENBLAS_THREAD_SYMBOLS = [
-    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
-    for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
-
 # glibc's mallopt parameter numbers, and the thresholds pool workers set:
 # well above the 3-4 MB a bucket-core chunk allocates and frees, and 32 MB
 # is the largest mmap threshold glibc accepts on 64-bit.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _WORKER_MMAP_THRESHOLD, _WORKER_TRIM_THRESHOLD = 32 << 20, 64 << 20
-
-
-def _load_library(path):
-    """The shared library at path (None: the process's own symbols), or
-    None where it cannot be loaded."""
-    try:
-        return ctypes.CDLL(path)
-    except (OSError, TypeError):
-        return None
-
-
-def _blas_threads(n=None):
-    """The thread count of the OpenBLAS that NumPy's linalg module links,
-    read before this call; with n, it then runs on n threads. Returns
-    None, and changes nothing, where no such library loads or it lacks
-    the thread-count getter and setter pair: any other BLAS is left as it
-    is. Never raises.
-
-    Sets the count only where it differs from n: OpenBLAS's setter starts
-    its thread server where none runs, so in a process forked with a count
-    of 1 it would start a helper thread that no call uses. The count is
-    process-wide: every thread of the process shares it.
-    """
-    try:
-        blas = _load_library(np.linalg._umath_linalg.__file__)
-    except AttributeError:
-        return None
-    for names in _OPENBLAS_THREAD_SYMBOLS:
-        getter, setter = (getattr(blas, name, None) for name in names)
-        if getter is not None and setter is not None:
-            break
-    else:
-        return None
-    getter.argtypes, getter.restype = [], ctypes.c_int
-    setter.argtypes, setter.restype = [ctypes.c_int], None
-    previous = getter()
-    if n is not None and previous != n:
-        setter(n)
-    return previous
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread (`_blas_threads`). When
-    the block ends or raises, restore the count it found if the count is
-    still the 1 set here; any other count belongs to whoever set it.
-
-    The bucket core's BLAS calls are all small, so a second OpenBLAS
-    thread does no useful work and only takes CPU from the process's
-    neighbours: on a 2-CPU box, two serial sweeps side by side (perfbench's
-    beta_grid workload) ran about a fifth faster on one thread than on
-    OpenBLAS's default two. The count is process-wide, so blocks that
-    nest or overlap, in one thread or several, share it: only the block
-    that found the caller's count restores it, and a block still running
-    then runs on that count.
-    """
-    previous = _blas_threads(1)
-    try:
-        yield
-    finally:
-        if previous is not None and _blas_threads() == 1:
-            _blas_threads(previous)
 
 
 def _init_worker():

@@ -15,8 +15,9 @@ from scmimo.analysis import (NoiseBreakdown, Scenario,
                              factor_draws, mc_buckets, mc_buckets_group,
                              sum_rate_mc)
 from scmimo.channel import (ChannelRealization, PowerDelayProfile,
-                            SimulationDims, draw_channel, exponential_pdp,
-                            taps_to_freq, trial_rng)
+                            SimulationDims, composite_taps, draw_channel,
+                            draw_fading, exponential_pdp, taps_to_freq,
+                            trial_rng)
 from scmimo.corr_models import (CorrelationMatrix, exponential_correlation,
                                 identity_correlation, ula)
 from scmimo.dl_precoding import downlink_receive, precoded_transmit, zfp_bank
@@ -403,6 +404,97 @@ def test_buckets_bit_identical_across_chunk_sizes(monkeypatch, link, filt):
                 assert np.array_equal(again, want)
             for got, want in zip(stacks[0], zero):
                 assert np.array_equal(got, want)
+
+
+def test_buckets_do_not_depend_on_chunk_and_are_nonnegative(monkeypatch):
+    """Random valid dims, correlations, draw counts and ridge parameters,
+    all six filters: the bucket stacks of a group are the same bits with
+    CHUNK at 1, 3 and 8 draws, or every chunk size raises the same error,
+    and every ISI, MUI and AWGN bucket is nonnegative."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        M = draw(st.integers(2, 10))
+        K = draw(st.integers(1, M - 1))
+        L = draw(st.integers(1, 4))
+        N = draw(st.integers(L + 1, 8))
+        T = draw(st.integers(N, N + L + 2))
+        dims = SimulationDims(M=M, K=K, L=L, N=N, T=T,
+                              T_c=draw(st.integers(L + 1, T)),
+                              seed=draw(st.integers(0, 2 ** 32)))
+        corr = exponential_correlation(
+            ula(M), draw(st.sampled_from([0.0, 0.5, 0.9])))
+        beta = draw(st.sampled_from([1e-4, 1.0, 1e4]))
+        return dims, corr, beta, draw(st.integers(1, 12))
+
+    def stacks(scn, requests, trials, chunk):
+        monkeypatch.setattr(analysis, "CHUNK", chunk)
+        try:
+            return mc_buckets_group([(scn, requests, None)], trials)[0]
+        except (ValueError, np.linalg.LinAlgError) as err:
+            return f"{type(err).__name__}: {err}"
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=5000,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(case):
+        dims, corr, beta, trials = case
+        for link, filters in (("downlink", analysis.DL_FILTERS),
+                              ("uplink", analysis.UL_FILTERS)):
+            scn = Scenario(link=link, filt=filters[0], dims=dims, corr=corr,
+                           pdp=exponential_pdp(dims.K, dims.L))
+            requests = [(f, beta) for f in filters]
+            ref = stacks(scn, requests, trials, 1)
+            for chunk in (3, 8):
+                got = stacks(scn, requests, trials, chunk)
+                if isinstance(ref, str):
+                    assert got == ref
+                    continue
+                for want_filt, got_filt in zip(ref, got):
+                    for want, have in zip(want_filt, got_filt):
+                        assert np.array_equal(have, want)
+            if not isinstance(ref, str):
+                for _, isi_u, mui_u, awgn in ref:
+                    for bucket in (isi_u, mui_u, awgn):
+                        assert np.all(bucket >= 0.0)
+
+    check()
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "zfp"),
+                                       ("uplink", "zfe")])
+def test_tap_products_are_one_product_per_draw(monkeypatch, link, filt):
+    """fill forms every draw's tap products F[l, l'] = Hhat_l^H Hhat_l' in
+    one product; F, as the zero-forcing buckets read it, is bit for bit
+    the per-tap products Hhat_l^H (Hhat_0, ..., Hhat_{L-1}) of the old
+    layout, whether Hhat is composite_taps' antenna-major view or
+    contiguous (L, M, K) memory."""
+    scn = scenario(link=link, filt=filt, M=16, K=4, L=3, N=8, T=16, T_c=8,
+                   alpha=0.7)
+    M, K, L = scn.dims.M, scn.dims.K, scn.dims.L
+    Hhat = composite_taps(np.stack([draw_fading(scn.dims,
+                                                trial_rng(scn.dims.seed, t))
+                                    for t in range(5)]), scn.pdp, scn.corr)
+    n = Hhat.shape[0]
+    F = (np.conj(Hhat).transpose(0, 1, 3, 2)
+         @ Hhat.transpose(0, 2, 1, 3).reshape(n, 1, M, L * K)
+         ).reshape(n, L, K, L, K)
+    want = F if link == "downlink" else F.transpose(0, 3, 4, 1, 2)
+    seen = []
+    zero_forcing = analysis.DrawFactors._zero_forcing_buckets
+
+    def captured(self, rows, Ginv):
+        seen.append(rows.copy())
+        return zero_forcing(self, rows, Ginv)
+
+    monkeypatch.setattr(analysis.DrawFactors, "_zero_forcing_buckets",
+                        captured)
+    assert not Hhat.flags.c_contiguous
+    for taps in (Hhat, np.ascontiguousarray(Hhat)):
+        analysis.DrawFactors(scn, n).fill(0, taps)
+        assert seen.pop().tobytes() == want.tobytes()
 
 
 def _rank_one_scenario(link, filt, beta=0.0, seed=3):

@@ -219,6 +219,30 @@ def test_fading_draw_and_composite_step_are_draw_channel(mu):
         assert ch.Hhat.tobytes() == stacked[t].tobytes()
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.4])
+def test_composite_taps_are_antenna_major_per_tap_products(mu):
+    """composite_taps returns an (..., L, M, K) view of memory ordered
+    (..., M, L, K), on a stack of draws and on one draw, and its taps are
+    bit for bit the per-tap products sqrt_A @ H_l times sqrt(d_l) taken
+    tap by tap into contiguous (L, M, K) memory: one real product of the
+    interleaved parts for a real sqrt_A (mu = 0), a complex one else."""
+    M, K, L = 16, 4, 3
+    dims = small_dims(M=M, K=K, L=L, N=8, T=16, T_c=8)
+    pdp = exponential_pdp(K, L)
+    corr = bessel_correlation(ula(M, 0.5), 3.0, mu)
+    amp = np.sqrt(pdp.d.T)[:, None, :]
+    H = np.stack([draw_fading(dims, trial_rng(29, t)) for t in range(5)])
+    for fading in (H, H[2]):
+        if mu == 0.0:
+            want = (corr.sqrt_A @ fading.view(np.float64)).view(complex) * amp
+        else:
+            want = (corr.sqrt_A @ fading) * amp
+        got = composite_taps(fading, pdp, corr)
+        assert got.shape == fading.shape
+        assert np.swapaxes(got, -3, -2).flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 def test_fading_shared_across_correlation_models():
     # the raw taps depend only on the seed, not on A
     dims = small_dims()

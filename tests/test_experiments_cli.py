@@ -14,6 +14,8 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import types
 
 import numpy as np
@@ -1185,6 +1187,110 @@ def test_overlapping_one_thread_scopes_end_on_the_callers_count():
     finally:
         set_(previous)
     assert ends == [(1, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_one_thread_scopes_entered_and_left_at_once_end_on_the_callers_count(
+        monkeypatch, workers):
+    """Threads that enter one-thread scopes at the same instant, and leave
+    them at the same instant, all run their blocks on one thread and leave
+    the process on the caller's count, even when every read of the count
+    yields to another thread before the count is set, with more threads
+    than a 2-CPU box has and a short switch interval.
+
+    Each thread but the first to read the count reads it slower: left
+    unlocked, its exit would read the count once the first thread's exit
+    restored it, and set one thread again."""
+    state, readers = {"count": 2}, []
+
+    def get_num_threads():
+        count = state["count"]
+        if threading.get_ident() not in readers:
+            readers.append(threading.get_ident())
+        # other threads run between this read and the set after it
+        time.sleep(3e-3 if readers.index(threading.get_ident()) else 1e-3)
+        return count
+
+    def set_num_threads(n):
+        state["count"] = n
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace(
+        openblas_get_num_threads=get_num_threads,
+        openblas_set_num_threads=set_num_threads))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            entered, leaving = (threading.Barrier(workers, timeout=10)
+                                for _ in range(2))
+            inside, errors = [], []
+            readers.clear()
+
+            def scope():
+                try:
+                    entered.wait()
+                    with cli._one_blas_thread():
+                        leaving.wait()
+                        inside.append(state["count"])
+                        leaving.wait()
+                except Exception as err:   # a thread's error fails the test
+                    errors.append(err)
+
+            threads = [threading.Thread(target=scope) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert inside == [1] * workers
+            assert state["count"] == 2
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
+                                       ("uplink", "mmsee")])
+@pytest.mark.parametrize("entry", ["sum_rate_mc", "mc_buckets",
+                                   "factor_draws", "optimize_beta"])
+def test_bucket_core_entries_own_one_blas_thread(monkeypatch, entry, link,
+                                                 filt):
+    """sum_rate_mc, mc_buckets, factor_draws and optimize_beta without
+    factors factor their draws, and rate their ridge parameters, with
+    OpenBLAS on one thread, although the caller runs it on two, and leave
+    the caller's count behind."""
+    openblas = _openblas_thread_calls()
+    if openblas is None:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    get, set_ = openblas
+    seen = []
+    for name in ("fill", "_ridge_buckets"):
+        method = getattr(analysis.DrawFactors, name)
+
+        def checked(*args, method=method):
+            seen.append(get())
+            return method(*args)
+
+        monkeypatch.setattr(analysis.DrawFactors, name, checked)
+    scn = Scenario(link=link, filt=filt, beta=0.1,
+                   dims=SimulationDims(M=8, K=2, L=2, N=4, T=8, T_c=4,
+                                       seed=7),
+                   corr=exponential_correlation(ula(8), 0.5),
+                   pdp=exponential_pdp(2, 2))
+    call = {"sum_rate_mc": lambda: sum_rate_mc(scn, 10),
+            "mc_buckets": lambda: analysis.mc_buckets(scn, 10),
+            "factor_draws": lambda: analysis.factor_draws(scn, 10),
+            "optimize_beta": lambda: optimize_beta(scn, 1.0, trials=10)}
+    previous = get()
+    set_(2)  # a caller's count that the bucket core must not run on
+    caller = get()
+    try:
+        call[entry]()
+        after = get()
+    finally:
+        set_(previous)
+    assert after == caller
+    assert seen and set(seen) == {1}
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
