@@ -19,8 +19,9 @@ loop (`_fading_chunks`): CHUNK draws' fading at a time, then one
 `composite_taps` call per chunk and correlation, so a group of
 correlations shares each draw's fading (`mc_buckets_group`). Each draw is
 factored once (`DrawFactors`) from its tap products Hhat_l^H Hhat_l', one
-product of its antenna-major composite taps, for every filter of its link
-at once. A matched filter's cascade taps are those products placed at
+product of its antenna-major composite taps (`_tap_products`, whose
+moments the appendix validation suite also checks), for every filter of
+its link at once. A matched filter's cascade taps are those products placed at
 their delays mod T (`_tap_placement`), and its gains and interference
 energies are c[0] and the summed squared taps. A bank filter's bin Gram
 matrices are lag sums of the tap products, one product with a cached
@@ -60,6 +61,7 @@ from .ul_equalization import (apply_equalizer_bank, cmfe_apply,
 
 DL_FILTERS = ("cmfp", "zfp", "rzfp")
 UL_FILTERS = ("cmfe", "zfe", "mmsee")
+LINK_FILTERS = {"downlink": DL_FILTERS, "uplink": UL_FILTERS}
 JACKKNIFE_BLOCKS = 10   # contiguous draw blocks of the rate's stderr
 
 
@@ -137,16 +139,11 @@ class Scenario:
 
 
 def _check_combo(link, filt):
-    if link == "downlink":
-        if filt not in DL_FILTERS:
-            raise ValueError(f"unknown downlink filter {filt!r} "
-                             f"(expected one of {DL_FILTERS})")
-    elif link == "uplink":
-        if filt not in UL_FILTERS:
-            raise ValueError(f"unknown uplink filter {filt!r} "
-                             f"(expected one of {UL_FILTERS})")
-    else:
+    if link not in LINK_FILTERS:
         raise ValueError(f"unknown link {link!r}")
+    if filt not in LINK_FILTERS[link]:
+        raise ValueError(f"{filt!r} is not a {link} filter "
+                         f"(expected one of {LINK_FILTERS[link]})")
 
 
 def _make_pipeline(link, filt, ch, beta):
@@ -312,6 +309,7 @@ def _one_blas_thread():
 CHUNK = 8       # draws factored or evaluated together; bounds the working set
 MATCHED = ("cmfp", "cmfe")
 ZERO_FORCING = ("zfp", "zfe")
+RIDGE = ("rzfp", "mmsee")
 
 
 def _stacks(n, K):
@@ -351,6 +349,17 @@ def _lag_kernel(N, L, sign):
     W = np.exp(2j * np.pi * np.outer(np.arange(N), lag) / N)
     W.flags.writeable = False
     return W
+
+
+def _tap_products(Hhat):
+    """The tap products F[:, l, :, l', :] = Hhat_l^H Hhat_l' of composite
+    taps Hhat (n, L, M, K), shape (n, L, K, L, K): one (L K x M) @
+    (M x L K) product per draw of Hc, the taps side by side. Hhat from
+    composite_taps is a view of antenna-major memory, so Hc is a view
+    too; taps in any other memory are copied into that order."""
+    n, L, M, K = Hhat.shape
+    Hc = Hhat.transpose(0, 2, 1, 3).reshape(n, M, L * K)
+    return (np.conj(Hc).transpose(0, 2, 1) @ Hc).reshape(n, L, K, L, K)
 
 
 def _cascade_buckets(c):
@@ -437,9 +446,8 @@ class DrawFactors:
         # the parameterless filters' stacks, by filter, and the ridge
         # filter's kept ones, by beta
         self.stacks = {f: _stacks(n, K) for f in self.filters
-                       if f in MATCHED + ZERO_FORCING}
-        self.ridge = any(f not in MATCHED + ZERO_FORCING
-                         for f in self.filters)
+                       if f not in RIDGE}
+        self.ridge = any(f in RIDGE for f in self.filters)
         if self.ridge:
             self.lam = np.empty((n, N, K))
             self.Uh = np.empty((n, N, K, K), dtype=complex)
@@ -462,18 +470,13 @@ class DrawFactors:
         into slots lo, lo + 1, ...: their tap products F once, then from F
         the matched buckets, the zero-forcing buckets and the ridge
         eigenpairs, each only if a filter served needs it. Hhat is read
-        fastest as composite_taps returns it, a view of antenna-major
-        memory; taps in any other memory are copied into that order."""
+        fastest as composite_taps returns it (`_tap_products`)."""
         dims = self.scenario.dims
         M, K, L, N = dims.M, dims.K, dims.L, dims.N
         n = Hhat.shape[0]
         hi = lo + n
-        # F[:, l, :, l', :] = Hhat_l^H Hhat_l', every bin product below
-        # is an N-point transform of it: one (L K x M) @ (M x L K) product
-        # per draw of Hc, the taps side by side. Hhat from composite_taps
-        # is a view of antenna-major memory, so Hc is a view too.
-        Hc = Hhat.transpose(0, 2, 1, 3).reshape(n, M, L * K)
-        F = (np.conj(Hc).transpose(0, 2, 1) @ Hc).reshape(n, L, K, L, K)
+        # every bin product below is an N-point transform of F
+        F = _tap_products(Hhat)
         matched, zf = (next((f for f in family if f in self.stacks), None)
                        for family in (MATCHED, ZERO_FORCING))
         # the (l, l')-ordered copy of F that the matched taps and G read
@@ -783,6 +786,8 @@ def mc_buckets_group(cells, trials):
         group.append((scenario, requests,
                       tuple(dict.fromkeys(f for f, _ in requests))))
         out.append(stacks)
+    if not group:
+        return out
     for lo, H in _fading_chunks(dims, cached, trials):
         hi = lo + H.shape[0]
         for (scenario, requests, filters), stacks in zip(group, out):

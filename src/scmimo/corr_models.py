@@ -169,6 +169,8 @@ def bessel_correlation(geometry, eta, mu=0.0):
 
     if eta < 0 or not np.isfinite(eta):
         raise ValueError(f"eta must be finite and >= 0, got {eta}")
+    if not np.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     if geometry.kind == "ula":
         idx = np.arange(geometry.M)
         D = (idx[:, None] - idx[None, :]) * geometry.spacing_d

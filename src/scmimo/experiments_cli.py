@@ -42,7 +42,7 @@ from .corr_models import (ArrayGeometry, bessel_correlation,
 CSV_HEADER = ("link,filter,corr_model,corr_param,mu,rho_f_db,rate_bpcu,"
               "desired,if,isi,mui,awgn,trials,seed")
 
-BETA_FILTERS = ("rzfp", "mmsee")
+BETA_FILTERS = analysis.RIDGE
 
 RHO_GRID_DEFAULT = [-10.0 + 2.5 * i for i in range(13)]
 
@@ -150,16 +150,15 @@ def load_config(path, overrides=()):
                        else kv.get(key, default), kind)
 
     link = need("link")
-    if link not in ("downlink", "uplink"):
+    if link not in analysis.LINK_FILTERS:
         raise ValueError(f"link: expected downlink or uplink, got {link!r}")
     filters = _distinct("filters", [f.strip().lower()
                                     for f in need("filters").split(",")])
-    expected = analysis.DL_FILTERS if link == "downlink" \
-        else analysis.UL_FILTERS
     for f in filters:
-        if f not in expected:
-            raise ValueError(f"filters: {f!r} is not a {link} filter "
-                             f"(expected a subset of {expected})")
+        try:
+            analysis._check_combo(link, f)
+        except ValueError as err:
+            raise ValueError(f"filters: {err}") from None
 
     corr_model = need("corr.model")
     if corr_model == "exponential":
@@ -528,6 +527,9 @@ def run_sweep(cfg, workers=None):
     process, whose malloc settings are left as they are.
     """
     params = cfg.corr_params
+    if not params:
+        raise ValueError("corr_params: a sweep needs at least one "
+                         "correlation parameter")
     if workers is None:
         workers = os.cpu_count() or 1
     elif workers < 1:
@@ -761,13 +763,9 @@ def _validate_appendix(rep):
         rng = trial_rng(seed, 10_000 + ci)
         H = (rng.standard_normal((n, L, M, K))
              + 1j * rng.standard_normal((n, L, M, K))) / np.sqrt(2)
-        Hhat = composite_taps(H, pdp, corr)
+        F = analysis._tap_products(composite_taps(H, pdp, corr))
         for name, (l, lp, b, k, q) in cases:
-            f1 = np.einsum("nm,nm->n", np.conj(Hhat[:, l, :, k]),
-                           Hhat[:, l - b, :, q])
-            f2 = np.einsum("nm,nm->n", np.conj(Hhat[:, lp, :, k]),
-                           Hhat[:, lp - b, :, q])
-            z = f1 * np.conj(f2)
+            z = F[:, l, k, l - b, q] * np.conj(F[:, lp, k, lp - b, q])
             sums[name] += z.sum()
             sqsums[name] += float(np.sum(np.abs(z) ** 2))
         done += n
@@ -800,18 +798,14 @@ def _validate_zero_forcing(rep):
     for t in range(5):
         ch = draw_channel(dims, pdp, corr, rekey(rng, dims.seed, t))
         wb = zfp_bank(ch)
-        B = synthesis_bins(ch.Hhat, N)
-        for nu in range(N):
-            prod = np.conj(B[nu].T) @ (wb.norm * wb.freq[nu])
-            a = np.trace(prod).real / K
-            worst_dl = max(worst_dl,
-                           float(np.max(np.abs(prod - a * np.eye(K)))) / a)
-        qb = zfe_bank(ch)
-        Hnu = taps_to_freq(ch.Hhat, N)
-        for nu in range(N):
-            prod = qb.freq[nu] @ Hnu[nu]
-            worst_ul = max(worst_ul,
-                           float(np.max(np.abs(prod - np.eye(K)))))
+        # every bin at once: B_nu^H (a W_nu), and Q_nu Hhat_nu
+        prod = np.conj(np.swapaxes(synthesis_bins(ch.Hhat, N), -1, -2)) \
+            @ (wb.norm * wb.freq)
+        a = np.trace(prod, axis1=-2, axis2=-1).real / K
+        worst_dl = max(worst_dl, float(np.max(
+            np.abs(prod - a[:, None, None] * np.eye(K)).max(axis=(1, 2)) / a)))
+        prod = zfe_bank(ch).freq @ taps_to_freq(ch.Hhat, N)
+        worst_ul = max(worst_ul, float(np.max(np.abs(prod - np.eye(K)))))
         bd_dl = analysis.decompose("downlink", "zfp", ch, 1.0, N)
         bd_ul = analysis.decompose("uplink", "zfe", ch, 1.0, N)
         worst_isi_dl = max(worst_isi_dl,

@@ -1,5 +1,7 @@
 """Correlation-model tests: geometries, exponential/Bessel matrices, sqrt."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -234,6 +236,17 @@ def test_bessel_rejects_bad_eta():
         bessel_correlation(ula(4, 0.5), -1.0, 0.0)
     with pytest.raises(ValueError):
         bessel_correlation(ula(4, 0.5), np.inf, 0.0)
+
+
+@pytest.mark.parametrize("mu", [np.nan, np.inf, -np.inf])
+def test_bessel_rejects_non_finite_mu(mu):
+    """A mean angle that is not finite is rejected by name, before any
+    matrix is built (and before sin(mu) warns)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^mu must be finite, got "
+                                             rf"{mu}$"):
+            bessel_correlation(ula(4, 0.5), 20.0, mu)
 
 
 def test_bessel_upa_off_broadside_rejected():

@@ -1618,6 +1618,18 @@ def test_run_sweep_rejects_fewer_than_one_worker(tmp_path, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", [1, None])
+def test_run_sweep_rejects_a_config_without_correlation_parameters(
+        tmp_path, workers):
+    out = tmp_path / "out.csv"
+    cfg = dataclasses.replace(
+        load_config(cfg_file(tmp_path, BASE_CFG), [f"output={out}"]),
+        corr_params=[])
+    with pytest.raises(ValueError, match=r"^corr_params: "):
+        run_sweep(cfg, workers=workers)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-2"])
 def test_main_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     out = tmp_path / "out.csv"
@@ -1760,3 +1772,56 @@ def test_grid_opt_rows_never_below_beta_zero(tmp_path, link, filt):
     assert len(opt) == len(zero) == 15
     for row, row0 in zip(opt, zero):
         assert float(row["rate_bpcu"]) >= float(row0["rate_bpcu"])
+
+
+def test_searched_ridge_rows_never_below_beta_zero_on_random_configs(
+        tmp_path):
+    """On small random configs of either link, every row of a ridge
+    filter's beta search (beta.mode = grid_opt) rates at least the row of
+    the same config at beta.mode = fixed, beta.value = 0, exactly: the
+    row keeps the better of beta* and 0 on the same reporting draws.
+    Where one run raises, the other raises the same type."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def configs(draw):
+        M = draw(st.integers(2, 8))
+        L = draw(st.integers(1, 3))
+        N = draw(st.integers(L + 1, 6))
+        T = draw(st.integers(N, N + L))
+        link = draw(st.sampled_from(["downlink", "uplink"]))
+        return cli.ScenarioConfig(
+            link=link, filters=["rzfp" if link == "downlink" else "mmsee"],
+            corr_model="exponential",
+            corr_params=draw(st.lists(st.sampled_from([0.0, 0.5, 0.9]),
+                                      min_size=1, max_size=2, unique=True)),
+            geometry=ula(M), K=draw(st.integers(1, M)), L=L, N=N, T=T,
+            T_c=draw(st.integers(L + 1, T)),
+            rho_grid=draw(st.lists(st.sampled_from([-10.0, 0.0, 10.0, 30.0]),
+                                   min_size=1, max_size=3, unique=True)),
+            trials=draw(st.integers(1, 24)), seed=draw(st.integers(0, 2 ** 32)),
+            beta_trials=draw(st.integers(1, 12)),
+            output=str(tmp_path / "out.csv"))
+
+    def rows(cfg):
+        try:
+            return run_sweep(cfg, workers=1)
+        except (ValueError, np.linalg.LinAlgError) as err:
+            return type(err)
+
+    @hypothesis.settings(derandomize=True, max_examples=25, deadline=5000,
+                         database=None)
+    @hypothesis.given(configs())
+    def check(cfg):
+        searched = rows(cfg)
+        zero = rows(dataclasses.replace(cfg, beta_mode="fixed",
+                                        beta_value=0.0))
+        if not isinstance(searched, list) or not isinstance(zero, list):
+            assert searched is zero
+            return
+        assert len(searched) == len(zero)
+        for row, row0 in zip(searched, zero):
+            assert float(row["rate_bpcu"]) >= float(row0["rate_bpcu"])
+
+    check()
