@@ -241,18 +241,12 @@ def _load_library(path):
         return None
 
 
-def _blas_threads(n=None):
-    """The thread count of the OpenBLAS that NumPy's linalg module links,
-    read before this call; with n, it then runs on n threads. Returns
-    None, and changes nothing, where no such library loads or it lacks
-    the thread-count getter and setter pair: any other BLAS is left as it
-    is. Never raises.
-
-    Sets the count only where it differs from n: OpenBLAS's setter starts
-    its thread server where none runs, so in a process forked with a count
-    of 1 it would start a helper thread that no call uses. The count is
-    process-wide: every thread of the process shares it.
-    """
+@functools.lru_cache(maxsize=None)
+def _blas_thread_calls():
+    """The thread-count (getter, setter) pair of the OpenBLAS that NumPy's
+    linalg module links, or None where no such library loads or it lacks
+    the pair. Resolved once per process: a forked child inherits the
+    pair, a spawned one resolves its own."""
     try:
         blas = _load_library(np.linalg._umath_linalg.__file__)
     except AttributeError:
@@ -265,6 +259,24 @@ def _blas_threads(n=None):
         return None
     getter.argtypes, getter.restype = [], ctypes.c_int
     setter.argtypes, setter.restype = [ctypes.c_int], None
+    return getter, setter
+
+
+def _blas_threads(n=None):
+    """The thread count of the OpenBLAS that NumPy's linalg module links,
+    read before this call; with n, it then runs on n threads. Returns
+    None, and changes nothing, where `_blas_thread_calls` finds no such
+    library: any other BLAS is left as it is. Never raises.
+
+    Sets the count only where it differs from n: OpenBLAS's setter starts
+    its thread server where none runs, so in a process forked with a count
+    of 1 it would start a helper thread that no call uses. The count is
+    process-wide: every thread of the process shares it.
+    """
+    calls = _blas_thread_calls()
+    if calls is None:
+        return None
+    getter, setter = calls
     previous = getter()
     if n is not None and previous != n:
         setter(n)
@@ -279,7 +291,8 @@ def _one_blas_thread():
 
     The bucket core's entries (`factor_draws`, `mc_buckets_group`, and
     through them `mc_buckets`, `sum_rate_mc` and every sweep) run in this
-    scope, and so does the beta search. Their BLAS calls are all small, so
+    scope, and so do the beta search and each new ridge parameter that
+    `DrawFactors.buckets` evaluates. Their BLAS calls are all small, so
     a second OpenBLAS thread does no useful work and only takes CPU from
     the process's neighbours: on a 2-CPU box, two serial sweeps side by
     side ran about a fifth faster on one thread than on OpenBLAS's default
@@ -535,8 +548,8 @@ class DrawFactors:
         """(g, isi_u, mui_u, awgn) stacks of slots 0 .. n - 1 (default:
         all) for any filter the slots serve, at ridge parameter beta
         (ignored by the matched and zero-forcing filters). A new beta is
-        evaluated over every slot, CHUNK at a time, and kept once all of
-        them succeed."""
+        evaluated over every slot, CHUNK at a time, with OpenBLAS on one
+        thread (`_one_blas_thread`), and kept once all of them succeed."""
         n = self.n if n is None else n
         if filt not in self.filters:
             raise ValueError(f"filter {filt!r} is not served by these "
@@ -548,11 +561,12 @@ class DrawFactors:
         key = filt if filt in self.stacks else ridge_beta(beta)
         if key not in self.stacks:          # key is the ridge filter's beta
             out = _stacks(self.n, self.scenario.dims.K)
-            for a in range(0, self.n, CHUNK):
-                b = min(a + CHUNK, self.n)
-                for dst, src in zip(out, self._ridge_buckets(key, a, b,
-                                                             filt)):
-                    dst[a:b] = src
+            with _one_blas_thread():
+                for a in range(0, self.n, CHUNK):
+                    b = min(a + CHUNK, self.n)
+                    for dst, src in zip(out, self._ridge_buckets(key, a, b,
+                                                                 filt)):
+                        dst[a:b] = src
             self.stacks[key] = out
         return tuple(s[:n] for s in self.stacks[key])
 

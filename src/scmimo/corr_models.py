@@ -73,6 +73,12 @@ class CorrelationMatrix:
     trace_A: float
     trace_A2: float
 
+    def __post_init__(self):
+        shape, root = np.shape(self.A), np.shape(self.sqrt_A)
+        if len(shape) != 2 or shape[0] != shape[1] or root != shape:
+            raise ValueError(f"need a square A and a sqrt_A of its shape, "
+                             f"got A {shape} and sqrt_A {root}")
+
 
 def distance_matrix(geometry):
     """All pairwise distances as an M x M array (vectorized)."""

@@ -14,8 +14,7 @@ Subcommands:
 
 Config files are flat ``key = value`` text with dotted keys ('#' starts
 a comment); every value can be overridden from the command line. The
-default seed comes from the config, else the SCMIMO_SEED environment
-variable, else 12345.
+seed is the config's ``seed``, else 12345; ``--override seed=N`` reseeds.
 """
 
 import argparse
@@ -37,7 +36,10 @@ from .channel import (DEFAULT_SEED, SimulationDims, composite_taps,
                       draw_channel, exponential_pdp, positive_finite_power,
                       rekey, taps_to_freq, trial_rng)
 from .corr_models import (ArrayGeometry, bessel_correlation,
-                          exponential_correlation, identity_correlation, ula)
+                          exponential_correlation, ula)
+# perfbench traces every correlation build under this module's names
+from .corr_models import identity_correlation  # noqa: F401
+from .dl_precoding import ridge_beta
 
 CSV_HEADER = ("link,filter,corr_model,corr_param,mu,rho_f_db,rate_bpcu,"
               "desired,if,isi,mui,awgn,trials,seed")
@@ -182,8 +184,6 @@ def load_config(path, overrides=()):
                                  f"finite mu, got {pair!r}")
             params.append((eta_mu[0], eta_mu[1]))
         _distinct("corr.pairs", params)
-    elif corr_model == "identity":
-        params = [None]
     else:
         raise ValueError(f"corr.model: unknown model {corr_model!r}")
     for key, model in (("corr.alpha", "exponential"),
@@ -192,10 +192,6 @@ def load_config(path, overrides=()):
             raise ValueError(f"{key}: only the {model} model reads it, "
                              f"but corr.model is {corr_model}")
 
-    if "seed" in kv or "SCMIMO_SEED" not in os.environ:
-        seed = number("seed", int, str(DEFAULT_SEED))
-    else:
-        seed = _number("SCMIMO_SEED", os.environ["SCMIMO_SEED"], int)
     M = number("geometry.m", int)
     M_x = number("geometry.m_x", int, str(M))
     spacing = number("geometry.spacing", float, "0.5")
@@ -217,7 +213,7 @@ def load_config(path, overrides=()):
             "grid.rho_db",
             kv.get("grid.rho_db", ",".join(map(str, RHO_GRID_DEFAULT))))),
         trials=number("trials", int, "500"),
-        seed=seed,
+        seed=number("seed", int, str(DEFAULT_SEED)),
         beta_mode=kv.get("beta.mode", "grid_opt"),
         beta_value=number("beta.value", float, "0"),
         beta_trials=number("beta.trials", int, "100"),
@@ -233,9 +229,10 @@ def load_config(path, overrides=()):
         raise ValueError("trials: must be >= 1")
     if cfg.beta_trials < 1:
         raise ValueError("beta.trials: must be >= 1")
-    if not (math.isfinite(cfg.beta_value) and cfg.beta_value >= 0):
-        raise ValueError(f"beta.value: must be finite and >= 0, "
-                         f"got {cfg.beta_value}")
+    try:
+        ridge_beta(cfg.beta_value)
+    except ValueError as err:
+        raise ValueError(f"beta.value: {err}") from None
     if cfg.beta_mode not in ("grid_opt", "fixed"):
         raise ValueError(f"beta.mode: expected grid_opt or fixed, "
                          f"got {cfg.beta_mode!r}")
@@ -248,9 +245,6 @@ def _scenario(cfg, filt, param, rho_db):
     if cfg.corr_model == "bessel":
         corr_param, mu = param
         corr = bessel_correlation(cfg.geometry, corr_param, mu)
-    elif cfg.corr_model == "identity":
-        corr_param, mu = None, None
-        corr = identity_correlation(cfg.M)
     else:
         corr_param, mu = param, None
         corr = exponential_correlation(cfg.geometry, param)
@@ -423,10 +417,10 @@ def _sweep_group(cfg, params):
             factors = analysis.factor_draws(
                 at(scn0, search, cfg.rho_grid[0], 0.0), cfg.beta_trials,
                 filters=cfg.filters)
-            betas = [optimize_beta(at(scn0, search, rho_db, 0.0),
-                                   10.0 ** (rho_db / 10.0),
+            betas = [optimize_beta(scn, scn.dims.rho_f,
                                    trials=cfg.beta_trials, factors=factors)
-                     for rho_db in cfg.rho_grid]
+                     for scn in (at(scn0, search, rho_db, 0.0)
+                                 for rho_db in cfg.rho_grid)]
             requests += [(search, b) for b in sorted(set(betas) | {0.0})]
         cells.append((scn0, requests, betas))
         return scn0, requests, factors
@@ -452,8 +446,7 @@ def _result_row(result):
         "link": meta["link"],
         "filter": meta["filter"].upper(),
         "corr_model": meta["corr_model"],
-        "corr_param": "" if meta["corr_param"] is None
-                      else repr(float(meta["corr_param"])),
+        "corr_param": repr(float(meta["corr_param"])),
         "mu": "" if meta["mu"] is None else repr(float(meta["mu"])),
         "rho_f_db": repr(float(meta["rho_f_db"])),
         "rate_bpcu": repr(float(result.rate_bpcu)),
@@ -1003,13 +996,9 @@ def main(argv=None):
         for param, cell in zip(cfg.corr_params, per_cell):
             result = cell[0][0][0]
             beta, rate = result.meta["beta"], result.rate_bpcu
-            if cfg.corr_model == "exponential":
-                label = f", exponential alpha={param!r}"
-            elif cfg.corr_model == "bessel":
-                label = f", bessel eta={param[0]!r} mu={param[1]!r}"
-            else:
-                label = ""
+            label = (f"exponential alpha={param!r}"
+                     if cfg.corr_model == "exponential"
+                     else f"bessel eta={param[0]!r} mu={param[1]!r}")
             print(f"beta* = {beta!r}  (sum rate {rate:.4f} bpcu at "
-                  f"{args.rho_db:+.1f} dB, filter {filt}{label})")
+                  f"{args.rho_db:+.1f} dB, filter {filt}, {label})")
         return 0
-    return 2

@@ -18,8 +18,9 @@ from scmimo.channel import (ChannelRealization, PowerDelayProfile,
                             SimulationDims, composite_taps, draw_channel,
                             draw_fading, exponential_pdp, taps_to_freq,
                             trial_rng)
-from scmimo.corr_models import (CorrelationMatrix, exponential_correlation,
-                                identity_correlation, ula)
+from scmimo.corr_models import (CorrelationMatrix, bessel_correlation,
+                                exponential_correlation, identity_correlation,
+                                ula, upa)
 from scmimo.dl_precoding import downlink_receive, precoded_transmit, zfp_bank
 
 
@@ -169,12 +170,29 @@ def test_core_matches_decompose_with_one_or_two_taps(link, filt, beta, L, T):
         assert_allclose(awgn, want, rtol=1e-10)
 
 
-def test_core_matches_decompose_on_random_small_dims():
-    """Random valid dims (K <= M <= 12, L = 1 .. 4, N <= 8, T any integer
-    from N to N + L + 2, the partial folds N < T < N + L - 1 included),
-    correlations and ridge parameters, all six filters: either both
-    paths raise, or the core's gains, ISI and MUI match the probe
-    measurement to 1e-10 + K kappa eps of the draw's scale.
+def _draw_small_case(draw, st, M):
+    """Random valid small dims for M antennas (K <= M, L = 1 .. 4, N <= 8,
+    T any integer from N to N + L + 2, the partial folds N < T < N + L - 1
+    included), a filter of either link and, for a ridge filter, a ridge
+    parameter: the Scenario fields but the correlation."""
+    K = draw(st.integers(1, M))
+    L = draw(st.integers(1, 4))
+    N = draw(st.integers(L + 1, 8))
+    T = draw(st.integers(N, N + L + 2))
+    dims = SimulationDims(M=M, K=K, L=L, N=N, T=T,
+                          T_c=draw(st.integers(L + 1, T)),
+                          seed=draw(st.integers(0, 2 ** 32)))
+    link, filt = draw(st.sampled_from(SIX_FILTERS))
+    beta = draw(st.sampled_from([0.0, 1e-4, 1.0, 1e4])) \
+        if filt in ("rzfp", "mmsee") else 0.0
+    return dict(link=link, filt=filt, dims=dims, pdp=exponential_pdp(K, L),
+                beta=beta)
+
+
+def _assert_core_matches_decompose(scn):
+    """Either both paths raise, or the core's gains, ISI and MUI on trial 0
+    match the probe measurement to 1e-10 + K kappa eps of the draw's
+    scale.
 
     The scale is the largest per-user cascade energy, since a gain can
     be a thousandth of it (K = 1, T > N). kappa is the spread of the
@@ -182,57 +200,99 @@ def test_core_matches_decompose_on_random_small_dims():
     filters invert (1 for the matched ones): both paths carry the
     inverse's forward error, of order K kappa eps (kappa reaches 1e7 at
     K = M, alpha = 0.9, where the paths differ by up to 5e-10)."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @st.composite
-    def cases(draw):
-        M = draw(st.integers(1, 12))
-        K = draw(st.integers(1, M))
-        L = draw(st.integers(1, 4))
-        N = draw(st.integers(L + 1, 8))
-        T = draw(st.integers(N, N + L + 2))
-        dims = SimulationDims(M=M, K=K, L=L, N=N, T=T,
-                              T_c=draw(st.integers(L + 1, T)),
-                              seed=draw(st.integers(0, 2 ** 32)))
-        link, filt = draw(st.sampled_from(SIX_FILTERS))
-        beta = draw(st.sampled_from([0.0, 1e-4, 1.0, 1e4])) \
-            if filt in ("rzfp", "mmsee") else 0.0
-        corr = exponential_correlation(
-            ula(M), draw(st.sampled_from([0.0, 0.5, 0.9])))
-        return Scenario(link=link, filt=filt, dims=dims, corr=corr,
-                        pdp=exponential_pdp(K, L), beta=beta)
-
     def outcome(path):
         try:
             return path()
         except (ValueError, np.linalg.LinAlgError) as err:
             return err
 
+    dims = scn.dims
+    ch = draw_channel(dims, scn.pdp, scn.corr, trial_rng(dims.seed, 0))
+    core = outcome(lambda: _draw_buckets(scn, ch))
+    bd = outcome(lambda: decompose(scn.link, scn.filt, ch, 1.0, dims.T,
+                                   beta=scn.beta))
+    if isinstance(core, Exception) or isinstance(bd, Exception):
+        assert type(core) is type(bd), (core, bd)
+        return
+    g, isi_u, mui_u, _ = core
+    energy = np.max(np.abs(bd.gains) ** 2 + bd.isi_k + bd.mui_k)
+    kappa = 1.0
+    if scn.filt not in analysis.MATCHED:
+        Hnu = taps_to_freq(ch.Hhat, dims.N)
+        lam = np.linalg.eigvalsh(np.conj(np.swapaxes(Hnu, -1, -2)) @ Hnu)
+        kappa = (lam.max() + scn.beta) / (lam.min() + scn.beta)
+    tol = 1e-10 + dims.K * kappa * np.finfo(float).eps
+    for got, want, power in ((g, bd.gains, 0.5), (isi_u, bd.isi_k, 1),
+                             (mui_u, bd.mui_k, 1)):
+        assert_allclose(got / energy ** power, want / energy ** power,
+                        rtol=0, atol=tol)
+
+
+def test_core_matches_decompose_on_random_small_dims():
+    """Random valid dims (`_draw_small_case`, M <= 12) on a linear array,
+    exponential correlations and ridge parameters, all six filters: the
+    core matches the probes (`_assert_core_matches_decompose`)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        M = draw(st.integers(1, 12))
+        case = _draw_small_case(draw, st, M)
+        corr = exponential_correlation(
+            ula(M), draw(st.sampled_from([0.0, 0.5, 0.9])))
+        return Scenario(corr=corr, **case)
+
     @hypothesis.settings(derandomize=True, max_examples=500, deadline=None,
                          database=None)
     @hypothesis.given(cases())
     def check(scn):
-        dims = scn.dims
-        ch = draw_channel(dims, scn.pdp, scn.corr, trial_rng(dims.seed, 0))
-        core = outcome(lambda: _draw_buckets(scn, ch))
-        bd = outcome(lambda: decompose(scn.link, scn.filt, ch, 1.0, dims.T,
-                                       beta=scn.beta))
-        if isinstance(core, Exception) or isinstance(bd, Exception):
-            assert type(core) is type(bd), (core, bd)
-            return
-        g, isi_u, mui_u, _ = core
-        energy = np.max(np.abs(bd.gains) ** 2 + bd.isi_k + bd.mui_k)
-        kappa = 1.0
-        if scn.filt not in analysis.MATCHED:
-            Hnu = taps_to_freq(ch.Hhat, dims.N)
-            lam = np.linalg.eigvalsh(np.conj(np.swapaxes(Hnu, -1, -2)) @ Hnu)
-            kappa = (lam.max() + scn.beta) / (lam.min() + scn.beta)
-        tol = 1e-10 + dims.K * kappa * np.finfo(float).eps
-        for got, want, power in ((g, bd.gains, 0.5), (isi_u, bd.isi_k, 1),
-                                 (mui_u, bd.mui_k, 1)):
-            assert_allclose(got / energy ** power, want / energy ** power,
-                            rtol=0, atol=tol)
+        _assert_core_matches_decompose(scn)
+
+    check()
+
+
+def test_core_matches_decompose_on_bessel_and_planar_arrays():
+    """The property above on the correlations it leaves out: Bessel
+    correlations (eta in {0, 20}, mu in {0, pi/4}) on linear arrays, where
+    eta = 20, mu = pi/4 gives a complex sqrt_A, and exponential or Bessel
+    correlations on planar arrays of 2 or 3 rows (M <= 12). A planar
+    Bessel matrix that is not PSD is rejected by its constructor and has
+    no buckets to compare. Both paths read composite_taps, so its taps
+    are also checked against the plain product sqrt_A H_l D_l^{1/2}."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def cases(draw):
+        if draw(st.booleans()):
+            M_x = draw(st.integers(1, 4))
+            geometry = upa(M_x * draw(st.integers(2, 3)), M_x)
+            bessel = draw(st.booleans())
+        else:
+            geometry, bessel = ula(draw(st.integers(1, 12))), True
+        case = _draw_small_case(draw, st, geometry.M)
+        if not bessel:
+            corr = exponential_correlation(
+                geometry, draw(st.sampled_from([0.0, 0.5, 0.9])))
+        else:
+            try:
+                corr = bessel_correlation(
+                    geometry, draw(st.sampled_from([0.0, 20.0])),
+                    draw(st.sampled_from([0.0, math.pi / 4])))
+            except ValueError:
+                hypothesis.reject()
+        return Scenario(corr=corr, **case)
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=1000,
+                         database=None)
+    @hypothesis.given(cases())
+    def check(scn):
+        H = draw_fading(scn.dims, trial_rng(scn.dims.seed, 0))
+        assert_allclose(composite_taps(H, scn.pdp, scn.corr),
+                        scn.corr.sqrt_A @ H * np.sqrt(scn.pdp.d.T)[:, None],
+                        rtol=1e-12, atol=1e-12)
+        _assert_core_matches_decompose(scn)
 
     check()
 

@@ -7,10 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import j0
 
-from scmimo.corr_models import (ArrayGeometry, bessel_correlation,
-                                distance_matrix, exponential_correlation,
-                                hermitian_sqrt, identity_correlation, ula,
-                                upa)
+from scmimo.corr_models import (ArrayGeometry, CorrelationMatrix,
+                                bessel_correlation, distance_matrix,
+                                exponential_correlation, hermitian_sqrt,
+                                identity_correlation, ula, upa)
 
 
 def test_ula_geometry_fields():
@@ -134,6 +134,19 @@ def test_identity_correlation():
     assert_allclose(c.sqrt_A, np.eye(8))
     assert c.trace_A == pytest.approx(8.0)
     assert c.trace_A2 == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("A,sqrt_A,shapes", [
+    (np.eye(4, 5), np.eye(4), r"A \(4, 5\) and sqrt_A \(4, 4\)"),
+    (np.ones(4), np.ones(4), r"A \(4,\) and sqrt_A \(4,\)"),
+    (np.eye(4), np.eye(5), r"A \(4, 4\) and sqrt_A \(5, 5\)"),
+    (np.eye(4), np.eye(4, 3), r"A \(4, 4\) and sqrt_A \(4, 3\)")],
+    ids=["non-square", "vector", "root-larger", "root-non-square"])
+def test_correlation_matrix_rejects_mismatched_shapes(A, sqrt_A, shapes):
+    """A hand-built matrix needs a square A and a root of the same shape,
+    which the constructors always give; both shapes are named."""
+    with pytest.raises(ValueError, match=shapes):
+        CorrelationMatrix(A=A, sqrt_A=sqrt_A, trace_A=4.0, trace_A2=4.0)
 
 
 def test_exponential_alpha_zero_is_identity():

@@ -106,6 +106,8 @@ def test_load_config_bad_values(tmp_path):
             ("link=sidelink", "link"),
             ("filters=cmfe", "not a downlink filter"),
             ("corr.model=gaussian", "corr.model"),
+            # the uncorrelated array is the exponential model at alpha = 0
+            ("corr.model=identity", "^corr.model: unknown model 'identity'$"),
             ("trials=0", "trials"),
             ("grid.rho_db=", "non-empty"),
             ("corr.alpha=", "^corr.alpha: "),
@@ -177,28 +179,22 @@ def test_load_config_rejects_repeated_entries(tmp_path, overrides, match):
         load_config(cfg_file(tmp_path, BASE_CFG), overrides=overrides)
 
 
-@pytest.mark.parametrize("override,seed_env,match", [
-    ("trials=abc", None, r"^trials: expected int, got 'abc'$"),
-    ("dims.k=2.5", None, r"^dims\.k: expected int, got '2\.5'$"),
-    ("grid.rho_db=1,a", None, r"^grid\.rho_db: expected float, got 'a'$"),
-    ("corr.alpha=0.5,z", None, r"^corr\.alpha: expected float, got 'z'$"),
-    ("geometry.m_x=four", None, r"^geometry\.m_x: expected int"),
-    ("beta.value=1e", None, r"^beta\.value: expected float"),
-    ("seed=abc", "7", r"^seed: expected int, got 'abc'$"),
-    (None, "abc", r"^SCMIMO_SEED: expected int, got 'abc'$")],
+@pytest.mark.parametrize("override,match", [
+    ("trials=abc", r"^trials: expected int, got 'abc'$"),
+    ("dims.k=2.5", r"^dims\.k: expected int, got '2\.5'$"),
+    ("grid.rho_db=1,a", r"^grid\.rho_db: expected float, got 'a'$"),
+    ("corr.alpha=0.5,z", r"^corr\.alpha: expected float, got 'z'$"),
+    ("geometry.m_x=four", r"^geometry\.m_x: expected int"),
+    ("beta.value=1e", r"^beta\.value: expected float"),
+    ("seed=abc", r"^seed: expected int, got 'abc'$")],
     ids=["trials", "dims.k", "grid.rho_db", "corr.alpha", "geometry.m_x",
-         "beta.value", "seed", "SCMIMO_SEED"])
-def test_load_config_names_the_key_of_a_bad_number(tmp_path, monkeypatch,
-                                                  override, seed_env, match):
-    """A number that does not parse is reported with its key, or with
-    SCMIMO_SEED when the seed came from the environment."""
-    if seed_env is None:
-        monkeypatch.delenv("SCMIMO_SEED", raising=False)
-    else:
-        monkeypatch.setenv("SCMIMO_SEED", seed_env)
+         "beta.value", "seed"])
+def test_load_config_names_the_key_of_a_bad_number(tmp_path, override,
+                                                  match):
+    """A number that does not parse is reported with its key."""
     path = cfg_file(tmp_path, BASE_CFG.replace("seed = 99", ""))
     with pytest.raises(ValueError, match=match):
-        load_config(path, overrides=[override] if override else [])
+        load_config(path, overrides=[override])
 
 
 def test_load_config_rejects_row_length_on_ula(tmp_path):
@@ -231,16 +227,8 @@ def test_load_config_bessel_pairs(tmp_path):
         load_config(cfg_file(tmp_path, bad, name="bad.cfg"))
 
 
-def test_load_config_identity_model(tmp_path):
-    text = BASE_CFG.replace("corr.model = exponential", "corr.model = identity")
-    text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99\n", "")
-    cfg = load_config(cfg_file(tmp_path, text))
-    assert cfg.corr_params == [None]
-
-
 @pytest.mark.parametrize("model,override", [
-    ("bessel", "corr.alpha=0.5"), ("identity", "corr.alpha=0.5"),
-    ("exponential", "corr.pairs=20,0"), ("identity", "corr.pairs=20,0")])
+    ("bessel", "corr.alpha=0.5"), ("exponential", "corr.pairs=20,0")])
 def test_load_config_rejects_a_correlation_key_its_model_ignores(
         tmp_path, model, override):
     """corr.alpha is read only by the exponential model and corr.pairs
@@ -250,23 +238,28 @@ def test_load_config_rejects_a_correlation_key_its_model_ignores(
                             f"corr.model = {model}")
     text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99", {
         "bessel": "corr.pairs = 20,0 ; 40,1.5708",
-        "identity": "", "exponential": "corr.alpha = 0.0,0.5"}[model])
+        "exponential": "corr.alpha = 0.0,0.5"}[model])
     key = override.split("=")[0]
     with pytest.raises(ValueError, match=rf"^{re.escape(key)}: only the "
                                          rf".* model reads it"):
         load_config(cfg_file(tmp_path, text), overrides=[override])
 
 
-def test_seed_priority(tmp_path, monkeypatch):
-    """Config seed beats the environment, which beats the default."""
+def test_seed_priority(tmp_path):
+    """The config's seed, else the default."""
     with_seed = cfg_file(tmp_path, BASE_CFG, name="seeded.cfg")
     without = cfg_file(tmp_path, BASE_CFG.replace("seed = 99", ""),
                        name="unseeded.cfg")
-    monkeypatch.setenv("SCMIMO_SEED", "777")
     assert load_config(with_seed).seed == 99
-    assert load_config(without).seed == 777
-    monkeypatch.delenv("SCMIMO_SEED")
     assert load_config(without).seed == DEFAULT_SEED
+
+
+def test_override_reseeds(tmp_path, monkeypatch):
+    """--override seed=N reseeds; the environment is never read."""
+    monkeypatch.setenv("SCMIMO_SEED", "777")
+    path = cfg_file(tmp_path, BASE_CFG.replace("seed = 99", ""))
+    assert load_config(path).seed == DEFAULT_SEED
+    assert load_config(path, overrides=["seed=5"]).seed == 5
 
 
 def test_sweep_rejects_negative_seed_before_writing(tmp_path):
@@ -1134,9 +1127,19 @@ def test_forked_pool_workers_start_no_blas_helper_thread():
         pytest.skip("NumPy's BLAS is not OpenBLAS")
 
 
+@pytest.fixture
+def unresolved_blas_threads():
+    """Forget the OpenBLAS thread-count pair this process resolved, before
+    and after the test, so that the test's own `ctypes.CDLL` resolves it
+    and later tests resolve the real one again."""
+    analysis._blas_thread_calls.cache_clear()
+    yield
+    analysis._blas_thread_calls.cache_clear()
+
+
 @pytest.mark.parametrize("library", ["missing", "bare", "setter only"])
-def test_worker_initializer_is_quiet_without_its_libraries(monkeypatch,
-                                                            library):
+def test_worker_initializer_is_quiet_without_its_libraries(
+        monkeypatch, unresolved_blas_threads, library):
     """Where no library can be loaded, or one has neither mallopt nor
     OpenBLAS's thread-count getter and setter pair (a setter alone is not
     the pair), the pool-worker initializer does nothing and raises
@@ -1191,7 +1194,7 @@ def test_overlapping_one_thread_scopes_end_on_the_callers_count():
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_one_thread_scopes_entered_and_left_at_once_end_on_the_callers_count(
-        monkeypatch, workers):
+        monkeypatch, unresolved_blas_threads, workers):
     """Threads that enter one-thread scopes at the same instant, and leave
     them at the same instant, all run their blocks on one thread and leave
     the process on the caller's count, even when every read of the count
@@ -1286,6 +1289,42 @@ def test_bucket_core_entries_own_one_blas_thread(monkeypatch, entry, link,
     caller = get()
     try:
         call[entry]()
+        after = get()
+    finally:
+        set_(previous)
+    assert after == caller
+    assert seen and set(seen) == {1}
+
+
+@pytest.mark.parametrize("link,filt", [("downlink", "rzfp"),
+                                       ("uplink", "mmsee")])
+def test_held_factors_rate_a_new_ridge_parameter_on_one_blas_thread(
+        monkeypatch, link, filt):
+    """Factors a caller holds (from factor_draws) rate each new ridge
+    parameter with OpenBLAS on one thread, although the caller runs it on
+    two, and leave the caller's count behind."""
+    openblas = _openblas_thread_calls()
+    if openblas is None:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    get, set_ = openblas
+    scn = Scenario(link=link, filt=filt,
+                   dims=SimulationDims(M=8, K=2, L=2, N=4, T=8, T_c=4,
+                                       seed=7),
+                   corr=exponential_correlation(ula(8), 0.5),
+                   pdp=exponential_pdp(2, 2))
+    factors = analysis.factor_draws(scn, 10)
+    seen, ridge = [], analysis.DrawFactors._ridge_buckets
+
+    def checked(*args):
+        seen.append(get())
+        return ridge(*args)
+
+    monkeypatch.setattr(analysis.DrawFactors, "_ridge_buckets", checked)
+    previous = get()
+    set_(2)  # a caller's count that the evaluation must not run on
+    caller = get()
+    try:
+        factors.buckets(filt, 0.3)
         after = get()
     finally:
         set_(previous)
@@ -1411,17 +1450,6 @@ def test_sweep_grid_opt_rerun_byte_identical(tmp_path):
     run_sweep(load_config(path, overrides=[f"output={out2}"]))
     with open(out1, "rb") as f1, open(out2, "rb") as f2:
         assert f1.read() == f2.read()
-
-
-def test_identity_rows_leave_param_blank(tmp_path):
-    text = BASE_CFG.replace("corr.model = exponential", "corr.model = identity")
-    text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99", "")
-    out = str(tmp_path / "ident.csv")
-    cfg = load_config(cfg_file(tmp_path, text),
-                      overrides=[f"output={out}", "filters=cmfp",
-                                 "grid.rho_db=0"])
-    rows = run_sweep(cfg)
-    assert rows[0]["corr_param"] == "" and rows[0]["mu"] == ""
 
 
 # ---------------------------------------------------------------------------
@@ -1698,13 +1726,12 @@ def test_main_runs_cells_on_one_blas_thread(tmp_path, monkeypatch, command):
      [", exponential alpha=0.5", ", exponential alpha=0.9"]),
     ("corr.model = bessel\ncorr.pairs = 0.2,0.0;0.4,0.25",
      [(0.2, 0.0), (0.4, 0.25)],
-     [", bessel eta=0.2 mu=0.0", ", bessel eta=0.4 mu=0.25"]),
-    ("corr.model = identity", [None], [""])])
+     [", bessel eta=0.2 mu=0.0", ", bessel eta=0.4 mu=0.25"])])
 def test_main_beta_prints_one_labelled_line_per_parameter(tmp_path, capsys,
                                                           corr, params,
                                                           labels):
     """Each correlation parameter of the config gets its own search and
-    line, which names the parameter (identity has none to name)."""
+    line, which names the parameter."""
     text = BASE_CFG.replace("filters = cmfp,zfp,rzfp", "filters = rzfp")
     text = text.replace("corr.model = exponential\n", "")
     text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99", corr)
