@@ -130,9 +130,6 @@ class Scenario:
     corr: object
     pdp: object
     beta: float = 0.0
-    corr_model: str = ""
-    corr_param: float = None
-    mu: float = None
 
     def __post_init__(self):
         _check_combo(self.link, self.filt)
@@ -468,13 +465,7 @@ class DrawFactors:
 
     def _where(self, i, filt):
         scn = self.scenario
-        corr = [scn.corr_model] if scn.corr_model else []
-        if scn.corr_param is not None:
-            name = "eta" if scn.corr_model == "bessel" else "alpha"
-            corr.append(f"{name}={scn.corr_param:g}")
-        if scn.mu is not None:
-            corr.append(f"mu={scn.mu:g}")
-        corr = f"{' '.join(corr)}, " if corr else ""
+        corr = f"{scn.corr.label}, " if scn.corr.label else ""
         trial = "" if self.first is None else f", trial {self.first + i}"
         return f" ({corr}{filt}, seed {scn.dims.seed}{trial})"
 
@@ -886,10 +877,9 @@ def buckets_to_result(scenario, trials, g, isi_u, mui_u, awgn):
     stderr = float("nan")
     if g.shape[0] >= 20:
         stderr = _jackknife_rate_stderr(scenario, g, isi_u, mui_u, awgn)
-    dims = scenario.dims
+    dims, corr = scenario.dims, scenario.corr
     meta = dict(link=scenario.link, filter=scenario.filt,
-                corr_model=scenario.corr_model,
-                corr_param=scenario.corr_param, mu=scenario.mu,
+                corr_model=corr.model, corr_param=corr.param, mu=corr.mu,
                 rho_f_db=dims.rho_f_db, trials=trials, seed=dims.seed,
                 beta=scenario.beta)
     return SumRateResult(rate_bpcu=rate, per_user_rates=per_user,

@@ -22,6 +22,8 @@ import numpy as np
 # Eigenvalues may dip slightly negative from rounding; anything below
 # -EIG_CLAMP_REL * lambda_max is treated as a genuinely invalid matrix.
 EIG_CLAMP_REL = 1e-9
+# largest |A - A^H| entry that rounding may leave in a Hermitian matrix
+HERMITIAN_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,22 +64,40 @@ def upa(M, M_x, spacing_d=0.5):
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Correlation matrix A with cached Hermitian square root and traces.
-
-    trace_A equals M exactly (unit diagonal); trace_A2 is tr(A @ A) =
-    sum |A[i,j]|^2, the quantity that drives the interference floor.
-    """
+    """Correlation matrix A with its Hermitian square root, and the model
+    and parameters it was built from ("" and None if built by hand).
+    trace_A2 = tr(A @ A) = sum |A[i,j]|^2 drives the interference floor."""
 
     A: np.ndarray
     sqrt_A: np.ndarray
-    trace_A: float
-    trace_A2: float
+    model: str = ""
+    param: float = None
+    mu: float = None
 
     def __post_init__(self):
         shape, root = np.shape(self.A), np.shape(self.sqrt_A)
         if len(shape) != 2 or shape[0] != shape[1] or root != shape:
             raise ValueError(f"need a square A and a sqrt_A of its shape, "
                              f"got A {shape} and sqrt_A {root}")
+
+    @property
+    def trace_A(self):
+        return float(np.trace(self.A).real)
+
+    @property
+    def trace_A2(self):
+        return float(np.sum(np.abs(self.A) ** 2))
+
+    @property
+    def label(self):
+        return correlation_label(self.model, self.param, self.mu)
+
+
+def correlation_label(model, param, mu=None):
+    """'exponential alpha=0.7', 'bessel eta=20.0 mu=0.5', or '' for none."""
+    if model == "bessel":
+        return f"bessel eta={param!r} mu={mu!r}"
+    return f"{model} alpha={param!r}" if model else ""
 
 
 def distance_matrix(geometry):
@@ -100,7 +120,7 @@ def hermitian_sqrt(A):
     A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.allclose(A, A.conj().T, rtol=0, atol=1e-12):
+    if not np.allclose(A, A.conj().T, rtol=0, atol=HERMITIAN_ATOL):
         raise ValueError("matrix is not Hermitian")
     w, V = np.linalg.eigh(A)
     floor = -EIG_CLAMP_REL * max(w[-1], 1.0)
@@ -112,8 +132,16 @@ def hermitian_sqrt(A):
     return 0.5 * (S + S.conj().T)
 
 
-def _finalize(A):
-    """Validate and package a correlation matrix (unit diagonal, PSD)."""
+def _finalize(A, **label):
+    """Validate and label a correlation matrix (Hermitian, unit diagonal,
+    PSD). Only rounding is symmetrized away: a model whose raw matrix is
+    not Hermitian raises."""
+    skew = float(np.max(np.abs(A - A.conj().T)))
+    if skew > HERMITIAN_ATOL:
+        raise ValueError(
+            f"{correlation_label(**label)}: the correlation matrix is not "
+            f"Hermitian (|A - A^H| reaches {skew:.3g}, tolerance "
+            f"{HERMITIAN_ATOL:g})")
     A = 0.5 * (A + A.conj().T)
     np.fill_diagonal(A, 1.0)
     if np.isrealobj(A) or np.allclose(A.imag, 0, atol=1e-15):
@@ -124,15 +152,13 @@ def _finalize(A):
         raise ValueError(
             f"correlation matrix failed PSD validation ({err}); "
             "this signals an invalid parameter regime") from None
-    trace_A2 = float(np.sum(np.abs(A) ** 2))
-    return CorrelationMatrix(A=A, sqrt_A=sqrt_A,
-                             trace_A=float(A.shape[0]), trace_A2=trace_A2)
+    return CorrelationMatrix(A=A, sqrt_A=sqrt_A, **label)
 
 
 def identity_correlation(M):
-    """Uncorrelated array: A = I (the alpha = 0 / eta-free baseline)."""
+    """Uncorrelated array: A = I, the exponential model at alpha = 0."""
     return CorrelationMatrix(A=np.eye(M), sqrt_A=np.eye(M),
-                             trace_A=float(M), trace_A2=float(M))
+                             model="exponential", param=0.0)
 
 
 def exponential_correlation(geometry, alpha):
@@ -147,7 +173,7 @@ def exponential_correlation(geometry, alpha):
     if alpha == 0:
         return identity_correlation(geometry.M)
     A = alpha ** distance_matrix(geometry)
-    return _finalize(A)
+    return _finalize(A, model="exponential", param=float(alpha))
 
 
 def bessel_correlation(geometry, eta, mu=0.0):
@@ -166,9 +192,9 @@ def bessel_correlation(geometry, eta, mu=0.0):
     imaginary term odd in (i, j) and the matrix Hermitian by construction
     (it is the characteristic function of the angular density, hence PSD
     for every eta, mu). A planar array has no scalar signed separation,
-    so it uses the unsigned element distance; mu far from 0 can then
-    produce a genuinely indefinite matrix, which raises rather than being
-    silently repaired.
+    so it uses the unsigned element distance: the matrix is then real at
+    eta = 0 or mu = 0, and complex symmetric, not Hermitian, otherwise,
+    which raises rather than being silently repaired.
     """
     # imported here: scipy.special doubles the package's import time and RSS
     from scipy.special import ive
@@ -186,4 +212,4 @@ def bessel_correlation(geometry, eta, mu=0.0):
         + 4j * np.pi * eta * np.sin(mu) * D
     kappa = np.sqrt(kappa2.astype(complex))
     A = ive(0, kappa) / ive(0, eta) * np.exp(np.abs(kappa.real) - eta)
-    return _finalize(A)
+    return _finalize(A, model="bessel", param=float(eta), mu=float(mu))

@@ -36,7 +36,7 @@ from .channel import (DEFAULT_SEED, SimulationDims, composite_taps,
                       draw_channel, exponential_pdp, positive_finite_power,
                       rekey, taps_to_freq, trial_rng)
 from .corr_models import (ArrayGeometry, bessel_correlation,
-                          exponential_correlation, ula)
+                          correlation_label, exponential_correlation, ula)
 # perfbench traces every correlation build under this module's names
 from .corr_models import identity_correlation  # noqa: F401
 from .dl_precoding import ridge_beta
@@ -236,22 +236,20 @@ def load_config(path, overrides=()):
     if cfg.beta_mode not in ("grid_opt", "fixed"):
         raise ValueError(f"beta.mode: expected grid_opt or fixed, "
                          f"got {cfg.beta_mode!r}")
+    if "beta.value" in kv and cfg.beta_mode != "fixed":
+        raise ValueError(f"beta.value: only beta.mode = fixed reads it, "
+                         f"but beta.mode is {cfg.beta_mode}")
     return cfg
 
 
 def _scenario(cfg, filt, param, rho_db):
     dims = SimulationDims(M=cfg.M, K=cfg.K, L=cfg.L, N=cfg.N, T=cfg.T,
                           T_c=cfg.T_c, rho_f_db=rho_db, seed=cfg.seed)
-    if cfg.corr_model == "bessel":
-        corr_param, mu = param
-        corr = bessel_correlation(cfg.geometry, corr_param, mu)
-    else:
-        corr_param, mu = param, None
-        corr = exponential_correlation(cfg.geometry, param)
+    corr = (bessel_correlation(cfg.geometry, *param)
+            if cfg.corr_model == "bessel"
+            else exponential_correlation(cfg.geometry, param))
     return Scenario(link=cfg.link, filt=filt, dims=dims, corr=corr,
-                    pdp=exponential_pdp(cfg.K, cfg.L),
-                    corr_model=cfg.corr_model,
-                    corr_param=corr_param, mu=mu)
+                    pdp=exponential_pdp(cfg.K, cfg.L))
 
 
 # ---------------------------------------------------------------------------
@@ -993,12 +991,11 @@ def main(argv=None):
                                   rho_grid=[args.rho_db], beta_mode="grid_opt")
         with _one_blas_thread():
             per_cell = _sweep_group(cfg, cfg.corr_params)
-        for param, cell in zip(cfg.corr_params, per_cell):
+        for cell in per_cell:
             result = cell[0][0][0]
-            beta, rate = result.meta["beta"], result.rate_bpcu
-            label = (f"exponential alpha={param!r}"
-                     if cfg.corr_model == "exponential"
-                     else f"bessel eta={param[0]!r} mu={param[1]!r}")
-            print(f"beta* = {beta!r}  (sum rate {rate:.4f} bpcu at "
+            meta, rate = result.meta, result.rate_bpcu
+            label = correlation_label(meta["corr_model"], meta["corr_param"],
+                                      meta["mu"])
+            print(f"beta* = {meta['beta']!r}  (sum rate {rate:.4f} bpcu at "
                   f"{args.rho_db:+.1f} dB, filter {filt}, {label})")
         return 0

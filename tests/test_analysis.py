@@ -252,37 +252,41 @@ def test_core_matches_decompose_on_random_small_dims():
     check()
 
 
+def _draw_bessel_or_planar(draw, st, hypothesis, M_min=1):
+    """A correlation that the exponential linear-array properties leave
+    out: Bessel (eta in {0, 20}, mu in {0, pi/4}) on a linear array of
+    M_min .. 12 elements, where eta = 20, mu = pi/4 gives a complex sqrt_A,
+    or exponential or Bessel on a planar array of 2 or 3 rows (M <= 12). A
+    planar Bessel matrix that its constructor rejects (not Hermitian at
+    eta sin(mu) != 0) is a rejected example."""
+    if draw(st.booleans()):
+        M_x = draw(st.integers(1, 4))
+        geometry = upa(M_x * draw(st.integers(2, 3)), M_x)
+        if not draw(st.booleans()):
+            return exponential_correlation(
+                geometry, draw(st.sampled_from([0.0, 0.5, 0.9])))
+    else:
+        geometry = ula(draw(st.integers(M_min, 12)))
+    try:
+        return bessel_correlation(geometry,
+                                  draw(st.sampled_from([0.0, 20.0])),
+                                  draw(st.sampled_from([0.0, math.pi / 4])))
+    except ValueError:
+        hypothesis.reject()
+
+
 def test_core_matches_decompose_on_bessel_and_planar_arrays():
-    """The property above on the correlations it leaves out: Bessel
-    correlations (eta in {0, 20}, mu in {0, pi/4}) on linear arrays, where
-    eta = 20, mu = pi/4 gives a complex sqrt_A, and exponential or Bessel
-    correlations on planar arrays of 2 or 3 rows (M <= 12). A planar
-    Bessel matrix that is not PSD is rejected by its constructor and has
-    no buckets to compare. Both paths read composite_taps, so its taps
-    are also checked against the plain product sqrt_A H_l D_l^{1/2}."""
+    """The property above on the correlations it leaves out
+    (`_draw_bessel_or_planar`). Both paths read composite_taps, so its
+    taps are also checked against the plain product sqrt_A H_l D_l^{1/2}."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @st.composite
     def cases(draw):
-        if draw(st.booleans()):
-            M_x = draw(st.integers(1, 4))
-            geometry = upa(M_x * draw(st.integers(2, 3)), M_x)
-            bessel = draw(st.booleans())
-        else:
-            geometry, bessel = ula(draw(st.integers(1, 12))), True
-        case = _draw_small_case(draw, st, geometry.M)
-        if not bessel:
-            corr = exponential_correlation(
-                geometry, draw(st.sampled_from([0.0, 0.5, 0.9])))
-        else:
-            try:
-                corr = bessel_correlation(
-                    geometry, draw(st.sampled_from([0.0, 20.0])),
-                    draw(st.sampled_from([0.0, math.pi / 4])))
-            except ValueError:
-                hypothesis.reject()
-        return Scenario(corr=corr, **case)
+        corr = _draw_bessel_or_planar(draw, st, hypothesis)
+        return Scenario(corr=corr, **_draw_small_case(draw, st,
+                                                      corr.A.shape[0]))
 
     @hypothesis.settings(derandomize=True, max_examples=200, deadline=1000,
                          database=None)
@@ -378,8 +382,7 @@ def test_core_rejects_what_the_reference_rejects_at_the_edges():
         pdp = exponential_pdp(K, L)
         if edge == "zero_taps":
             zero = np.zeros((M, M))
-            corr = CorrelationMatrix(A=zero, sqrt_A=zero, trace_A=0.0,
-                                     trace_A2=0.0)
+            corr = CorrelationMatrix(A=zero, sqrt_A=zero)
         elif edge == "pdp_shape":
             pdp = exponential_pdp(*draw(st.sampled_from(
                 [(K + 1, L), (K, L + 1)])))
@@ -617,16 +620,23 @@ def test_buckets_bit_identical_across_chunk_sizes(monkeypatch, link, filt):
 
 
 def test_buckets_do_not_depend_on_chunk_and_are_nonnegative(monkeypatch):
-    """Random valid dims, correlations, draw counts and ridge parameters,
-    all six filters: the bucket stacks of a group are the same bits with
-    CHUNK at 1, 3 and 8 draws, or every chunk size raises the same error,
-    and every ISI, MUI and AWGN bucket is nonnegative."""
+    """Random valid dims, correlations (exponential on linear arrays, or
+    `_draw_bessel_or_planar`), draw counts and ridge parameters, all six
+    filters: the bucket stacks of a group are the same bits with CHUNK at
+    1, 3 and 8 draws, or every chunk size raises the same error, and every
+    ISI, MUI and AWGN bucket is nonnegative."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @st.composite
     def cases(draw):
-        M = draw(st.integers(2, 10))
+        if draw(st.booleans()):
+            corr = exponential_correlation(
+                ula(draw(st.integers(2, 10))),
+                draw(st.sampled_from([0.0, 0.5, 0.9])))
+        else:
+            corr = _draw_bessel_or_planar(draw, st, hypothesis, M_min=2)
+        M = corr.A.shape[0]
         K = draw(st.integers(1, M - 1))
         L = draw(st.integers(1, 4))
         N = draw(st.integers(L + 1, 8))
@@ -634,8 +644,6 @@ def test_buckets_do_not_depend_on_chunk_and_are_nonnegative(monkeypatch):
         dims = SimulationDims(M=M, K=K, L=L, N=N, T=T,
                               T_c=draw(st.integers(L + 1, T)),
                               seed=draw(st.integers(0, 2 ** 32)))
-        corr = exponential_correlation(
-            ula(M), draw(st.sampled_from([0.0, 0.5, 0.9])))
         beta = draw(st.sampled_from([1e-4, 1.0, 1e4]))
         return dims, corr, beta, draw(st.integers(1, 12))
 
@@ -717,8 +725,7 @@ def _rank_one_scenario(link, filt, beta=0.0, seed=3):
     K = 2 users every bin Gram matrix is singular."""
     M = 4
     ones = np.ones((M, M))
-    corr = CorrelationMatrix(A=ones, sqrt_A=ones / np.sqrt(M),
-                             trace_A=float(M), trace_A2=float(M * M))
+    corr = CorrelationMatrix(A=ones, sqrt_A=ones / np.sqrt(M))
     scn = scenario(link=link, filt=filt, M=M, K=2, L=2, N=4, T=8, T_c=4,
                    seed=seed, beta=beta)
     return dataclasses.replace(scn, corr=corr)
@@ -737,16 +744,16 @@ def test_rank_deficient_draw_names_filter_seed_trial_and_bin(link, filt):
                        match=rf"\({filt}, seed 3\): Gram matrix at bin \d+"):
         decompose(link, filt, ch, 1.0, 8)
     # the all-ones correlation is the exponential model at alpha = 1
-    labelled = dataclasses.replace(scn, corr_model="exponential",
-                                   corr_param=1.0)
+    labelled = dataclasses.replace(scn, corr=dataclasses.replace(
+        scn.corr, model="exponential", param=1.0))
     with pytest.raises(np.linalg.LinAlgError,
-                       match=rf"\(exponential alpha=1, {filt}, seed 3, "
+                       match=rf"\(exponential alpha=1.0, {filt}, seed 3, "
                              rf"trial 0\): .*bin \d+"):
         mc_buckets(labelled, 5)
-    labelled = dataclasses.replace(scn, corr_model="bessel", corr_param=0.0,
-                                   mu=0.25)
+    labelled = dataclasses.replace(scn, corr=dataclasses.replace(
+        scn.corr, model="bessel", param=0.0, mu=0.25))
     with pytest.raises(np.linalg.LinAlgError,
-                       match=rf"\(bessel eta=0 mu=0.25, {filt}, seed 3, "
+                       match=rf"\(bessel eta=0.0 mu=0.25, {filt}, seed 3, "
                              rf"trial 0\): .*bin \d+"):
         mc_buckets(labelled, 5)
 
@@ -895,7 +902,8 @@ def test_zero_forcing_conditioning_threshold_is_exact(monkeypatch, link,
     above = rcond[t, nu] * (1 + 1e-9)
     monkeypatch.setattr(dl_precoding, "RCOND_MIN", above)
     with pytest.raises(np.linalg.LinAlgError,
-                       match=rf"\({filt}, seed 51, trial {t}\): Gram matrix "
+                       match=rf"\(exponential alpha=0.7, {filt}, seed 51, "
+                             rf"trial {t}\): Gram matrix "
                              rf"at bin {nu} has reciprocal condition"):
         mc_buckets(scn, 4)
 
@@ -909,7 +917,8 @@ def test_zero_forcing_reads_the_one_rank_threshold(monkeypatch, link, filt):
     scn = scenario(link=link, filt=filt, alpha=0.7)
     monkeypatch.setattr(dl_precoding, "RCOND_MIN", 1.0)
     with pytest.raises(np.linalg.LinAlgError,
-                       match=rf"\({filt}, seed 51, trial 0\): Gram matrix "
+                       match=rf"\(exponential alpha=0.7, {filt}, seed 51, "
+                             rf"trial 0\): Gram matrix "
                              rf"at bin \d+ has reciprocal condition"):
         mc_buckets(scn, 4)
 
@@ -929,7 +938,8 @@ def test_singular_draw_is_rejected_when_factored(link, filt):
     chans[1] = dataclasses.replace(chans[1], Hhat=Hhat)
     factors = analysis.DrawFactors(scn, 3, first=0)
     with pytest.raises(np.linalg.LinAlgError,
-                       match=rf"\({filt}, seed 51, trial 1\): Gram matrix "
+                       match=rf"\(exponential alpha=0.7, {filt}, seed 51, "
+                             rf"trial 1\): Gram matrix "
                              rf"at bin \d+ has reciprocal condition"):
         factors.fill(0, np.stack([ch.Hhat for ch in chans]))
 
@@ -981,7 +991,8 @@ def test_zero_energy_ridge_draw_names_filter_seed_and_trial():
     Hhat = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(7, 4)).Hhat
     factors.fill(0, np.stack([Hhat, np.zeros_like(Hhat)]))
     with pytest.raises(ValueError, match=r"zero-energy filter bank "
-                                         r"\(rzfp, seed 7, trial 5\)"):
+                                         r"\(exponential alpha=0.0, rzfp, "
+                                         r"seed 7, trial 5\)"):
         factors.buckets("rzfp", 0.1)
 
 
@@ -1181,8 +1192,7 @@ def test_cmfp_rate_matches_closed_form_large_array():
 
 
 def test_meta_describes_scenario():
-    scn = scenario(filt="cmfp", alpha=0.7, rho_db=2.5,
-                   corr_model="exponential", corr_param=0.7)
+    scn = scenario(filt="cmfp", alpha=0.7, rho_db=2.5)
     res = sum_rate_mc(scn, 5)
     assert res.meta["link"] == "downlink"
     assert res.meta["filter"] == "cmfp"
@@ -1190,6 +1200,24 @@ def test_meta_describes_scenario():
     assert res.meta["rho_f_db"] == 2.5
     assert res.meta["trials"] == 5
     assert res.meta["seed"] == 51
+
+
+def test_library_meta_names_the_correlation():
+    """A library Scenario's meta names its correlation from the matrix
+    alone: the model and parameters its constructor was given, and none
+    for a matrix built by hand."""
+    dims = SimulationDims(M=8, K=2, L=2, N=4, T=16, T_c=4, rho_f_db=0.0,
+                          seed=51)
+    for corr, want in [
+            (exponential_correlation(ula(8), 0.7), ("exponential", 0.7, None)),
+            (identity_correlation(8), ("exponential", 0.0, None)),
+            (bessel_correlation(ula(8), 20.0, 0.5), ("bessel", 20.0, 0.5)),
+            (CorrelationMatrix(A=np.eye(8), sqrt_A=np.eye(8)),
+             ("", None, None))]:
+        scn = Scenario(link="downlink", filt="cmfp", dims=dims, corr=corr,
+                       pdp=exponential_pdp(2, 2))
+        meta = sum_rate_mc(scn, 3).meta
+        assert (meta["corr_model"], meta["corr_param"], meta["mu"]) == want
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,44 @@ def test_identity_correlation():
     assert c.trace_A2 == pytest.approx(8.0)
 
 
+def test_label_names_model_and_parameters():
+    """Each constructor keeps its model and parameters as Python floats,
+    and the label names them the way the CSV prints them; a matrix built
+    by hand has no label."""
+    cases = [
+        (exponential_correlation(ula(4), np.float64(0.7)),
+         ("exponential", 0.7, None), "exponential alpha=0.7"),
+        (exponential_correlation(ula(4), 0), ("exponential", 0.0, None),
+         "exponential alpha=0.0"),
+        (identity_correlation(4), ("exponential", 0.0, None),
+         "exponential alpha=0.0"),
+        (bessel_correlation(ula(4), 20, 0.5), ("bessel", 20.0, 0.5),
+         "bessel eta=20.0 mu=0.5"),
+        (bessel_correlation(upa(4, 2), 50.0), ("bessel", 50.0, 0.0),
+         "bessel eta=50.0 mu=0.0"),
+        (CorrelationMatrix(A=np.eye(4), sqrt_A=np.eye(4)), ("", None, None),
+         "")]
+    for c, (model, param, mu), label in cases:
+        assert (c.model, c.param, c.mu) == (model, param, mu)
+        assert all(type(v) is float for v in (c.param, c.mu) if v is not None)
+        assert c.label == label
+
+
+def test_traces_follow_from_a():
+    """tr(A) and sum |A_ij|^2, for a matrix built by hand as for one a
+    constructor built."""
+    ones = np.ones((4, 4))
+    c = CorrelationMatrix(A=ones, sqrt_A=ones / 2.0)
+    assert (c.trace_A, c.trace_A2) == (4.0, 16.0)
+    zero = np.zeros((3, 3))
+    c = CorrelationMatrix(A=zero, sqrt_A=zero)
+    assert (c.trace_A, c.trace_A2) == (0.0, 0.0)
+    c = bessel_correlation(ula(8), 20.0, 0.7)
+    assert c.trace_A == 8.0
+    assert c.trace_A2 == pytest.approx(float(np.trace(c.A @ c.A).real),
+                                       rel=1e-12)
+
+
 @pytest.mark.parametrize("A,sqrt_A,shapes", [
     (np.eye(4, 5), np.eye(4), r"A \(4, 5\) and sqrt_A \(4, 4\)"),
     (np.ones(4), np.ones(4), r"A \(4,\) and sqrt_A \(4,\)"),
@@ -146,7 +184,7 @@ def test_correlation_matrix_rejects_mismatched_shapes(A, sqrt_A, shapes):
     """A hand-built matrix needs a square A and a root of the same shape,
     which the constructors always give; both shapes are named."""
     with pytest.raises(ValueError, match=shapes):
-        CorrelationMatrix(A=A, sqrt_A=sqrt_A, trace_A=4.0, trace_A2=4.0)
+        CorrelationMatrix(A=A, sqrt_A=sqrt_A)
 
 
 def test_exponential_alpha_zero_is_identity():
@@ -263,9 +301,22 @@ def test_bessel_rejects_non_finite_mu(mu):
 
 
 def test_bessel_upa_off_broadside_rejected():
-    # the scalar-distance planar model is indefinite away from mu=0
+    # the scalar-distance planar model is not Hermitian away from mu=0
     with pytest.raises(ValueError):
         bessel_correlation(upa(64, 8, 0.5), 20.0, np.pi / 2)
+
+
+@pytest.mark.parametrize("geometry,eta,mu", [
+    (upa(4, 4), 20.0, np.pi / 4), (upa(8, 2), 5.0, 0.3)],
+    ids=["1x4-eta20-mu_pi4", "4x2-eta5-mu0.3"])
+def test_bessel_upa_rejects_a_complex_symmetric_matrix(geometry, eta, mu):
+    """At eta sin(mu) != 0 the planar matrix is complex symmetric, not
+    Hermitian: it raises, naming the model, instead of keeping only the
+    real part of the model."""
+    with pytest.raises(ValueError, match=rf"^bessel eta={eta!r} mu={mu!r}: "
+                                         rf"the correlation matrix is not "
+                                         rf"Hermitian"):
+        bessel_correlation(geometry, eta, mu)
 
 
 def test_bessel_large_eta_no_overflow():

@@ -125,6 +125,9 @@ def test_load_config_bad_values(tmp_path):
             ("beta.value=nan", "^beta.value: "),
             ("beta.value=-1", "^beta.value: "),
             ("beta.value=inf", "^beta.value: "),
+            # the search ignores a fixed value: reading it is an error
+            ("beta.mode=grid_opt", "^beta.value: only beta.mode = fixed "
+                                   "reads it, but beta.mode is grid_opt$"),
             ("dims.n=2", "^dims: need N > L"),
             ("dims.t=3", "^dims: need T >= N"),
             ("dims.t_c=2", "^dims: need T_c > L"),
@@ -276,8 +279,8 @@ def test_scenario_meta_split(tmp_path):
     text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99", "corr.pairs = 20,0.5")
     cfg = load_config(cfg_file(tmp_path, text))
     scn = _scenario(cfg, "cmfp", cfg.corr_params[0], 0.0)
-    assert scn.corr_model == "bessel"
-    assert scn.corr_param == 20.0 and scn.mu == 0.5
+    assert scn.corr.model == "bessel"
+    assert scn.corr.param == 20.0 and scn.corr.mu == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +681,6 @@ dims.t = 8
 dims.t_c = 4
 trials = 30
 beta.trials = 10
-beta.value = 0.05
 grid.rho_db = 0,10,20
 seed = 5
 """
@@ -697,6 +699,8 @@ def test_sweep_cell_draws_each_trial_once(tmp_path, monkeypatch, link,
     filter, concatenated."""
     path = cfg_file(tmp_path, CELL_CFG.format(link=link, filters=filters))
     overrides = [f"beta.mode={mode}", f"output={tmp_path / 'all.csv'}"]
+    if mode == "fixed":
+        overrides.append("beta.value=0.05")
     calls = []
     draw = channel.draw_fading
     for module in (channel, analysis):
@@ -737,7 +741,8 @@ def test_sweep_csv_does_not_depend_on_the_grouping(tmp_path, link, filters,
     out = []
     for workers in (1, 2, 3, 4, 5):
         cfg = load_config(path, [f"beta.mode={mode}",
-                                 f"output={tmp_path / f'{workers}.csv'}"])
+                                 f"output={tmp_path / f'{workers}.csv'}"]
+                          + (["beta.value=0.05"] if mode == "fixed" else []))
         run_sweep(cfg, workers=workers)
         out.append((tmp_path / f"{workers}.csv").read_bytes())
     assert len(out[0].splitlines()) == 1 + 3 * 4 * 3
@@ -1347,7 +1352,7 @@ def test_pool_passes_errors_through_and_leaves_no_workers(tmp_path,
     # a rank threshold no Gram matrix meets: every draw fails its check
     monkeypatch.setattr(dl_precoding, "RCOND_MIN", 1.0)
     with pytest.raises(np.linalg.LinAlgError,
-                       match=r"\(exponential alpha=0, zfp, seed 5, "
+                       match=r"\(exponential alpha=0.0, zfp, seed 5, "
                              r"trial 0\): .*bin \d+"):
         run_sweep(cfg, workers=2)
     assert multiprocessing.active_children() == []
@@ -1444,6 +1449,7 @@ def test_sweep_grid_opt_rerun_byte_identical(tmp_path):
     text = BASE_CFG.replace("filters = cmfp,zfp,rzfp", "filters = rzfp")
     text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99", "corr.alpha = 0.7")
     text = text.replace("beta.mode = fixed", "beta.mode = grid_opt")
+    text = text.replace("beta.value = 0.01\n", "")
     path = cfg_file(tmp_path, text + "beta.trials = 3\ngrid.rho_db = 0,10\n")
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     run_sweep(load_config(path, overrides=[f"output={out1}"]))
