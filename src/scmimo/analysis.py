@@ -11,10 +11,12 @@ The received-signal power at user k splits into five buckets:
 * MUI — cross-user energy at all delays,
 * AWGN — the noise-only path.
 
-`decompose` measures the buckets by driving isolated unit probes through
-the actual transmit/receive operations — one reference implementation
-that serves all six filters. `sum_rate_mc` evaluates the same quantities
-in the tap domain and averages over draws. Every draw comes from one
+`decompose(scenario, ch)` is the probe oracle of one draw's four
+unit-power buckets (g, isi_u, mui_u, awgn): it drives unit symbol and
+noise impulses through the actual transmit/receive operations, one
+reference implementation for all six filters, and returns what the
+core's `_draw_buckets(scenario, ch)` computes. `sum_rate_mc` evaluates
+the same quantities in the tap domain and averages over draws. Every draw comes from one
 loop (`_fading_chunks`): CHUNK draws' fading at a time, then one
 `composite_taps` call per chunk and correlation, so a group of
 correlations shares each draw's fading (`mc_buckets_group`). Each draw is
@@ -143,10 +145,10 @@ def _check_combo(link, filt):
                          f"(expected one of {LINK_FILTERS[link]})")
 
 
-def _make_pipeline(link, filt, ch, beta):
+def _make_pipeline(scenario, ch):
     """Return run(symbols, noise) -> output block, through the real ops."""
-    _check_combo(link, filt)
-    if link == "downlink":
+    filt, beta = scenario.filt, scenario.beta
+    if scenario.link == "downlink":
         if filt == "cmfp":
             tx = lambda s: cmfp_transmit(ch, s)
         else:
@@ -165,55 +167,38 @@ def _make_pipeline(link, filt, ch, beta):
     return run
 
 
-def _cmfp_reference_gains(dims, pdp):
-    """Analytic CMFP mean same-symbol gain per user, sqrt(M/K) sum_l d_l[k]."""
-    return np.sqrt(dims.M / dims.K) * pdp.d.sum(axis=1)
+def decompose(scenario, ch):
+    """Unit-power buckets (g, isi_u, mui_u, awgn) of the draw ch, measured
+    through the actual signal path of the scenario's link, filter, beta
+    and T: the probe oracle of `_draw_buckets`, with its contract.
 
-
-def decompose(link, filt, ch, rho_f, T, noise=None, beta=0.0):
-    """Probe-based power decomposition through the actual signal path.
-
-    Sends one unit impulse per user (zero noise) at symbol 0 of a T-symbol
-    block to measure the full circular cascade tap response, and scales
-    the signal buckets by the per-symbol variance rho_f. The AWGN bucket
-    is the mean output power of `noise`, a noise-only block shaped like
-    the link's receive input (K x T downlink, M x T uplink) sent through
-    the same path; with noise=None it comes out exactly zero. beta is the
-    ridge filters' regularizer. The reference gain is the analytic mean
-    gain for downlink CMFP and the realized per-draw gain for every other
-    filter (which makes their IF bucket exactly zero).
+    One unit symbol impulse per user at symbol 0 of a T-symbol block,
+    without noise, measures the full circular cascade: g is its delay-0
+    diagonal, isi_u and mui_u its same-user and cross-user energies
+    beyond that. One unit noise impulse per receive input (K on the
+    downlink, M on the uplink), without symbols, measures awgn: each
+    user's output energy summed over the impulses.
     """
-    dims = ch.dims
-    K = dims.K
-    run = _make_pipeline(link, filt, ch, beta)
+    K, T = ch.dims.K, scenario.dims.T
+    inputs = K if scenario.link == "downlink" else ch.dims.M
+    run = _make_pipeline(scenario, ch)
+
+    def impulses(rows):
+        x = np.zeros((rows, rows, T), dtype=complex)
+        x[np.arange(rows), np.arange(rows), 0] = 1.0
+        return x
 
     C = np.zeros((T, K, K), dtype=complex)
-    zero_noise = np.zeros((K if link == "downlink" else dims.M, T))
-    for q in range(K):
-        s = np.zeros((K, T), dtype=complex)
-        s[q, 0] = 1.0
-        C[:, :, q] = run(s, zero_noise).T
+    for q, s in enumerate(impulses(K)):
+        C[:, :, q] = run(s, np.zeros((inputs, T))).T
+    awgn = sum((np.abs(run(np.zeros((K, T)), n)) ** 2).sum(axis=1)
+               for n in impulses(inputs))
 
     g = np.diagonal(C[0]).copy()
-    gbar = _cmfp_reference_gains(dims, ch.pdp) \
-        if link == "downlink" and filt == "cmfp" else g
-
     tot = (np.abs(C) ** 2).sum(axis=0)          # (K, K) over all delays
-    isi_k = rho_f * (np.diagonal(tot) - np.abs(g) ** 2)
-    mui_k = rho_f * (tot.sum(axis=1) - np.diagonal(tot))
-    desired_k = rho_f * np.abs(gbar) ** 2
-    if_k = rho_f * np.abs(g - gbar) ** 2
-
-    if noise is None:
-        awgn_k = np.zeros(K)
-    else:
-        y_n = run(np.zeros((K, T), dtype=complex), noise)
-        awgn_k = (np.abs(y_n) ** 2).mean(axis=1)
-
-    return NoiseBreakdown(desired_k=desired_k, if_k=if_k,
-                          isi_k=np.maximum(isi_k, 0.0),
-                          mui_k=np.maximum(mui_k, 0.0),
-                          awgn_k=awgn_k, gains=g)
+    own = np.diagonal(tot)
+    return (g, np.maximum(own - np.abs(g) ** 2, 0.0),
+            np.maximum(tot.sum(axis=1) - own, 0.0), awgn)
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +821,8 @@ def _user_buckets(scenario, mean_g, mean_g2, isi, mui, awgn):
     dims = scenario.dims
     rho = dims.rho_f
     if scenario.link == "downlink":
-        ref = _cmfp_reference_gains(dims, scenario.pdp) \
+        # CMFP's reference is its analytic mean gain sqrt(M/K) sum_l d_l[k]
+        ref = np.sqrt(dims.M / dims.K) * scenario.pdp.d.sum(axis=1) \
             if scenario.filt == "cmfp" else mean_g
         desired_k = rho * np.abs(ref) ** 2
         if_k = rho * np.maximum(

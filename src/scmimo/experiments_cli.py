@@ -780,6 +780,9 @@ def _validate_zero_forcing(rep):
                           rho_f_db=0.0, seed=DEFAULT_SEED)
     corr = exponential_correlation(ula(M, 0.5), 0.7)
     pdp = exponential_pdp(K, L)
+    zfp = Scenario(link="downlink", filt="zfp", dims=dims, corr=corr,
+                   pdp=pdp)
+    zfe = dataclasses.replace(zfp, link="uplink", filt="zfe")
     from .dl_precoding import synthesis_bins, zfp_bank
     from .ul_equalization import zfe_bank
 
@@ -797,12 +800,10 @@ def _validate_zero_forcing(rep):
             np.abs(prod - a[:, None, None] * np.eye(K)).max(axis=(1, 2)) / a)))
         prod = zfe_bank(ch).freq @ taps_to_freq(ch.Hhat, N)
         worst_ul = max(worst_ul, float(np.max(np.abs(prod - np.eye(K)))))
-        bd_dl = analysis.decompose("downlink", "zfp", ch, 1.0, N)
-        bd_ul = analysis.decompose("uplink", "zfe", ch, 1.0, N)
-        worst_isi_dl = max(worst_isi_dl,
-                           float((bd_dl.isi_k + bd_dl.mui_k).max()))
-        worst_isi_ul = max(worst_isi_ul,
-                           float((bd_ul.isi_k + bd_ul.mui_k).max()))
+        _, isi, mui, _ = analysis.decompose(zfp, ch)
+        worst_isi_dl = max(worst_isi_dl, float((isi + mui).max()))
+        _, isi, mui, _ = analysis.decompose(zfe, ch)
+        worst_isi_ul = max(worst_isi_ul, float((isi + mui).max()))
     rep.check("zfp per-bin cascade is scaled identity", 0.0, worst_dl,
               1e-8, kind="abs")
     rep.check("zfe per-bin cascade is identity", 0.0, worst_ul,

@@ -38,25 +38,25 @@ def scenario(link="downlink", filt="cmfp", M=8, K=2, L=2, N=4, T=16,
 # decompose
 
 
-def test_decompose_rejects_unknown_combo():
-    scn = scenario()
-    ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, 0))
-    with pytest.raises(ValueError):
-        decompose("downlink", "cmfe", ch, 1.0, 16)
-    with pytest.raises(ValueError):
-        decompose("uplink", "zfp", ch, 1.0, 16)
-    with pytest.raises(ValueError):
-        decompose("sidelink", "cmfp", ch, 1.0, 16)
+def test_scenario_rejects_unknown_combo():
+    for link, filt in (("downlink", "cmfe"), ("uplink", "zfp"),
+                       ("sidelink", "cmfp")):
+        with pytest.raises(ValueError):
+            scenario(link=link, filt=filt)
 
 
-def test_decompose_zero_noise_gives_zero_awgn():
-    scn = scenario()
+@pytest.mark.parametrize("filt", ["cmfp", "zfp", "rzfp"])
+def test_decompose_measures_unit_downlink_awgn(filt):
+    """Downlink noise enters after the channel and the precoder, so each
+    user's unit noise impulse comes out unchanged: the AWGN bucket is
+    exactly 1, and no bucket is negative."""
+    scn = scenario(filt=filt, beta=0.5 if filt == "rzfp" else 0.0)
     ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, 0))
-    bd = decompose("downlink", "cmfp", ch, 1.0, 16)
-    assert np.all(bd.awgn_k == 0.0)
-    assert np.all(bd.desired_k >= 0.0)
-    assert np.all(bd.isi_k >= 0.0)
-    assert np.all(bd.mui_k >= 0.0)
+    g, isi_u, mui_u, awgn = decompose(scn, ch)
+    assert np.all(awgn == 1.0)
+    assert np.all(isi_u >= 0.0)
+    assert np.all(mui_u >= 0.0)
+    assert g.shape == isi_u.shape == mui_u.shape == awgn.shape == (2,)
 
 
 def test_decompose_buckets_match_fast_cascade():
@@ -70,11 +70,11 @@ def test_decompose_buckets_match_fast_cascade():
         scn = scenario(link=link, filt=filt, M=8, K=3, L=3, N=5, T=15,
                        alpha=0.7, beta=beta)
         ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, 2))
-        bd = decompose(link, filt, ch, 1.0, 15, beta=beta)
-        g, isi_u, mui_u, _ = _draw_buckets(scn, ch)
-        assert_allclose(bd.gains, g, atol=1e-10)
-        assert_allclose(bd.isi_k, isi_u, atol=1e-10)
-        assert_allclose(bd.mui_k, mui_u, atol=1e-10)
+        *core, awgn = _draw_buckets(scn, ch)
+        *probe, want = decompose(scn, ch)
+        for got, ref in zip(core, probe):
+            assert_allclose(got, ref, atol=1e-10)
+        assert_allclose(awgn, want, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -87,16 +87,15 @@ CORE_CASES = [(link, filt, beta) for link, filt in SIX_FILTERS
                            if filt in ("rzfp", "mmsee") else (0.0,))]
 
 
-def _exact_uplink_awgn(filt, ch, T, beta):
-    """Post-filter noise power per user for unit white noise, from one
-    noise impulse per antenna through decompose."""
-    total = 0.0
-    for m in range(ch.dims.M):
-        impulse = np.zeros((ch.dims.M, T), dtype=complex)
-        impulse[m, 0] = 1.0
-        total = total + T * decompose("uplink", filt, ch, 1.0, T, impulse,
-                                      beta=beta).awgn_k
-    return total
+def _assert_buckets_match(got, want):
+    """The core's (g, isi_u, mui_u, awgn) match the probes' to 1e-10 of
+    the largest probe gain for g, of its square for ISI and MUI, and to
+    rtol 1e-10 for AWGN."""
+    scale = np.max(np.abs(want[0]))
+    for have, ref, power in zip(got, want, (1, 2, 2)):
+        assert_allclose(have / scale ** power, ref / scale ** power,
+                        rtol=0, atol=1e-10)
+    assert_allclose(got[3], want[3], rtol=1e-10)
 
 
 @pytest.mark.parametrize("T", [5, 7, 12])       # N, N + L - 1, beyond
@@ -110,17 +109,7 @@ def test_core_matches_decompose(link, filt, beta, T):
                    alpha=0.7, beta=beta)
     for t in range(2):
         ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
-        bd = decompose(link, filt, ch, 1.0, T, beta=beta)
-        g, isi_u, mui_u, awgn = _draw_buckets(scn, ch)
-        scale = np.max(np.abs(bd.gains))
-        assert_allclose(g / scale, bd.gains / scale, rtol=0, atol=1e-10)
-        assert_allclose(isi_u / scale ** 2, bd.isi_k / scale ** 2,
-                        rtol=0, atol=1e-10)
-        assert_allclose(mui_u / scale ** 2, bd.mui_k / scale ** 2,
-                        rtol=0, atol=1e-10)
-        want = np.ones(3) if link == "downlink" \
-            else _exact_uplink_awgn(filt, ch, T, beta)
-        assert_allclose(awgn, want, rtol=1e-10)
+        _assert_buckets_match(_draw_buckets(scn, ch), decompose(scn, ch))
 
 
 @pytest.mark.parametrize("L,T", [(3, 6), (4, 5), (4, 6)])
@@ -134,16 +123,7 @@ def test_core_matches_decompose_when_delays_fold(link, filt, beta, L, T):
                    alpha=0.7, beta=beta)
     for t in range(2):
         ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
-        bd = decompose(link, filt, ch, 1.0, T, beta=beta)
-        g, isi_u, mui_u, awgn = _draw_buckets(scn, ch)
-        scale = np.max(np.abs(bd.gains))
-        for got, want, power in ((g, bd.gains, 1), (isi_u, bd.isi_k, 2),
-                                 (mui_u, bd.mui_k, 2)):
-            assert_allclose(got / scale ** power, want / scale ** power,
-                            rtol=0, atol=1e-10)
-        want = np.ones(3) if link == "downlink" \
-            else _exact_uplink_awgn(filt, ch, T, beta)
-        assert_allclose(awgn, want, rtol=1e-10)
+        _assert_buckets_match(_draw_buckets(scn, ch), decompose(scn, ch))
 
 
 @pytest.mark.parametrize("L,T", [(1, 5), (1, 7), (2, 5), (2, 6), (2, 9)])
@@ -158,16 +138,7 @@ def test_core_matches_decompose_with_one_or_two_taps(link, filt, beta, L, T):
                    alpha=0.7, beta=beta)
     for t in range(2):
         ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
-        bd = decompose(link, filt, ch, 1.0, T, beta=beta)
-        g, isi_u, mui_u, awgn = _draw_buckets(scn, ch)
-        scale = np.max(np.abs(bd.gains))
-        for got, want, power in ((g, bd.gains, 1), (isi_u, bd.isi_k, 2),
-                                 (mui_u, bd.mui_k, 2)):
-            assert_allclose(got / scale ** power, want / scale ** power,
-                            rtol=0, atol=1e-10)
-        want = np.ones(3) if link == "downlink" \
-            else _exact_uplink_awgn(filt, ch, T, beta)
-        assert_allclose(awgn, want, rtol=1e-10)
+        _assert_buckets_match(_draw_buckets(scn, ch), decompose(scn, ch))
 
 
 def _draw_small_case(draw, st, M):
@@ -190,9 +161,9 @@ def _draw_small_case(draw, st, M):
 
 
 def _assert_core_matches_decompose(scn):
-    """Either both paths raise, or the core's gains, ISI and MUI on trial 0
-    match the probe measurement to 1e-10 + K kappa eps of the draw's
-    scale.
+    """Either both paths raise, or the core's four buckets on trial 0
+    match the probe measurement: gains, ISI and MUI to 1e-10 + K kappa eps
+    of the draw's scale, the AWGN bucket to that relative tolerance.
 
     The scale is the largest per-user cascade energy, since a gain can
     be a thousandth of it (K = 1, T > N). kappa is the spread of the
@@ -209,23 +180,21 @@ def _assert_core_matches_decompose(scn):
     dims = scn.dims
     ch = draw_channel(dims, scn.pdp, scn.corr, trial_rng(dims.seed, 0))
     core = outcome(lambda: _draw_buckets(scn, ch))
-    bd = outcome(lambda: decompose(scn.link, scn.filt, ch, 1.0, dims.T,
-                                   beta=scn.beta))
-    if isinstance(core, Exception) or isinstance(bd, Exception):
-        assert type(core) is type(bd), (core, bd)
+    probe = outcome(lambda: decompose(scn, ch))
+    if isinstance(core, Exception) or isinstance(probe, Exception):
+        assert type(core) is type(probe), (core, probe)
         return
-    g, isi_u, mui_u, _ = core
-    energy = np.max(np.abs(bd.gains) ** 2 + bd.isi_k + bd.mui_k)
+    energy = np.max(np.abs(probe[0]) ** 2 + probe[1] + probe[2])
     kappa = 1.0
     if scn.filt not in analysis.MATCHED:
         Hnu = taps_to_freq(ch.Hhat, dims.N)
         lam = np.linalg.eigvalsh(np.conj(np.swapaxes(Hnu, -1, -2)) @ Hnu)
         kappa = (lam.max() + scn.beta) / (lam.min() + scn.beta)
     tol = 1e-10 + dims.K * kappa * np.finfo(float).eps
-    for got, want, power in ((g, bd.gains, 0.5), (isi_u, bd.isi_k, 1),
-                             (mui_u, bd.mui_k, 1)):
+    for got, want, power in zip(core, probe, (0.5, 1, 1)):
         assert_allclose(got / energy ** power, want / energy ** power,
                         rtol=0, atol=tol)
+    assert_allclose(core[3], probe[3], rtol=tol)
 
 
 def test_core_matches_decompose_on_random_small_dims():
@@ -403,10 +372,8 @@ def test_core_rejects_what_the_reference_rejects_at_the_edges():
     @hypothesis.given(cases())
     def check(scn):
         dims = scn.dims
-        ref = outcome(lambda: decompose(
-            scn.link, scn.filt,
-            draw_channel(dims, scn.pdp, scn.corr, trial_rng(dims.seed, 0)),
-            1.0, dims.T, beta=scn.beta))
+        ref = outcome(lambda: decompose(scn, draw_channel(
+            dims, scn.pdp, scn.corr, trial_rng(dims.seed, 0))))
         assert outcome(lambda: mc_buckets(scn, 1)) is ref
 
     check()
@@ -742,7 +709,7 @@ def test_rank_deficient_draw_names_filter_seed_trial_and_bin(link, filt):
     ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(3, 0))
     with pytest.raises(np.linalg.LinAlgError,
                        match=rf"\({filt}, seed 3\): Gram matrix at bin \d+"):
-        decompose(link, filt, ch, 1.0, 8)
+        decompose(scn, ch)
     # the all-ones correlation is the exponential model at alpha = 1
     labelled = dataclasses.replace(scn, corr=dataclasses.replace(
         scn.corr, model="exponential", param=1.0))
@@ -805,16 +772,7 @@ def test_zero_forcing_only_cell_skips_the_eigendecomposition(monkeypatch,
     monkeypatch.undo()
     for t in range(5):
         ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
-        bd = decompose(link, filt, ch, 1.0, 6)
-        g, isi_u, mui_u, awgn = (s[t] for s in stacks)
-        scale = np.max(np.abs(bd.gains))
-        for got, want, power in ((g, bd.gains, 1), (isi_u, bd.isi_k, 2),
-                                 (mui_u, bd.mui_k, 2)):
-            assert_allclose(got / scale ** power, want / scale ** power,
-                            rtol=0, atol=1e-10)
-        want = np.ones(3) if link == "downlink" \
-            else _exact_uplink_awgn(filt, ch, 6, 0.0)
-        assert_allclose(awgn, want, rtol=1e-10)
+        _assert_buckets_match([s[t] for s in stacks], decompose(scn, ch))
 
 
 def _bin_grams(link, Hhat, N):
@@ -999,7 +957,7 @@ def test_zero_energy_ridge_draw_names_filter_seed_and_trial():
 @pytest.mark.parametrize("link,ridge,other", [
     ("downlink", "rzfp", "cmfp"), ("downlink", "rzfp", "zfp"),
     ("uplink", "mmsee", "cmfe"), ("uplink", "mmsee", "zfe")])
-def test_mc_buckets_at_rejects_factors_that_do_not_serve_a_filter(
+def test_mc_buckets_group_rejects_factors_that_do_not_serve_a_filter(
         link, ridge, other):
     """Factors built for the ridge filter alone hold neither the matched
     nor the zero-forcing stacks: a request for those names the filter and
@@ -1067,7 +1025,7 @@ def test_ridge_rejects_non_finite_beta(link, filt, beta, path):
                        match=rf"^beta must be finite and >= 0, got {beta}$"):
         if path == "decompose":
             ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, 0))
-            decompose(link, filt, ch, 1.0, 16, beta=beta)
+            decompose(scn, ch)
         else:
             sum_rate_mc(scn, 3)
 

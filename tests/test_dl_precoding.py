@@ -16,14 +16,20 @@ from scmimo.dl_precoding import (FrequencyFilterBank, cmfp_transmit,
                                  synthesis_bins, zfp_bank)
 
 
-def make_channel(M=16, K=4, L=4, N=20, T=40, T_c=20, seed=11, trial=0,
-                 alpha=0.7):
+def make_scenario(filt="zfp", M=16, K=4, L=4, N=20, T=40, T_c=20, seed=11,
+                  alpha=0.7, beta=0.0):
     dims = SimulationDims(M=M, K=K, L=L, N=N, T=T, T_c=T_c,
                           rho_f_db=0.0, seed=seed)
-    pdp = exponential_pdp(K, L)
     corr = identity_correlation(M) if alpha == 0.0 \
         else exponential_correlation(ula(M, 0.5), alpha)
-    return draw_channel(dims, pdp, corr, trial_rng(seed, trial))
+    return Scenario(link="downlink", filt=filt, dims=dims, corr=corr,
+                    pdp=exponential_pdp(K, L), beta=beta)
+
+
+def make_channel(trial=0, **kw):
+    scn = make_scenario(**kw)
+    return draw_channel(scn.dims, scn.pdp, scn.corr,
+                        trial_rng(scn.dims.seed, trial))
 
 
 def bin_response(ch, nu):
@@ -372,6 +378,7 @@ def test_cmfp_end_to_end_sinr_uncorrelated():
 
 def test_zfp_no_interference_when_block_matches_bank():
     """At T = N the designed bins cover the whole grid: ZFP is exact."""
+    scn = make_scenario(T=20, N=20)
     ch = make_channel(T=20, N=20)
-    bd = decompose("downlink", "zfp", ch, 1.0, 20)
-    assert float(np.max(bd.isi_k + bd.mui_k)) < 1e-6
+    _, isi_u, mui_u, _ = decompose(scn, ch)
+    assert float(np.max(isi_u + mui_u)) < 1e-6

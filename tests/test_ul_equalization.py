@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from scmimo.analysis import Scenario, decompose
+from scmimo.analysis import Scenario, decompose, sum_rate_mc
 from scmimo.channel import (ChannelRealization, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
 from scmimo.corr_models import exponential_correlation, identity_correlation, ula
@@ -14,14 +14,20 @@ from scmimo.ul_equalization import (apply_equalizer_bank, cmfe_apply,
                                     uplink_receive, zfe_bank)
 
 
-def make_channel(M=16, K=4, L=4, N=20, T=40, T_c=20, seed=17, trial=0,
-                 alpha=0.7):
+def make_scenario(filt="zfe", M=16, K=4, L=4, N=20, T=40, T_c=20, seed=17,
+                  alpha=0.7, beta=0.0):
     dims = SimulationDims(M=M, K=K, L=L, N=N, T=T, T_c=T_c,
                           rho_f_db=0.0, seed=seed)
-    pdp = exponential_pdp(K, L)
     corr = identity_correlation(M) if alpha == 0.0 \
         else exponential_correlation(ula(M, 0.5), alpha)
-    return draw_channel(dims, pdp, corr, trial_rng(seed, trial))
+    return Scenario(link="uplink", filt=filt, dims=dims, corr=corr,
+                    pdp=exponential_pdp(K, L), beta=beta)
+
+
+def make_channel(trial=0, **kw):
+    scn = make_scenario(**kw)
+    return draw_channel(scn.dims, scn.pdp, scn.corr,
+                        trial_rng(scn.dims.seed, trial))
 
 
 def analysis_bin(ch, nu):
@@ -220,10 +226,10 @@ def test_zfe_singular_names_bin():
 
 
 def test_zfe_interference_free_under_cp():
+    scn = make_scenario(T=20, N=20)
     ch = make_channel(T=20, N=20)
-    bd = decompose("uplink", "zfe", ch, 1.0, 20)
-    assert float(np.max(bd.isi_k + bd.mui_k)) < 1e-6
-    assert np.all(bd.if_k == 0.0)
+    _, isi_u, mui_u, _ = decompose(scn, ch)
+    assert float(np.max(isi_u + mui_u)) < 1e-6
 
 
 def test_mmsee_beta_zero_matches_zfe():
@@ -293,18 +299,20 @@ def test_apply_bank_rejects_short_block():
 
 
 # ---------------------------------------------------------------------------
-# decomposition-level properties
+# sum-rate-level properties
 
 
 def test_uplink_reports_zero_if_power():
-    ch = make_channel(T=20, N=20)
+    """The uplink receiver knows the draw, so its reference gain is the
+    realized one and the IF bucket is exactly zero for every equalizer."""
     for filt in ("cmfe", "zfe", "mmsee"):
-        bd = decompose("uplink", filt, ch, 2.0, 20, beta=0.1)
-        assert np.all(bd.if_k == 0.0)
+        scn = make_scenario(filt=filt, T=20, N=20, beta=0.1)
+        res = sum_rate_mc(scn, 5)
+        assert np.all(res.breakdown.if_k == 0.0)
+        assert np.all(res.breakdown.desired_k > 0.0)
 
 
 def test_mmsee_never_below_zfe_with_optimized_beta():
-    from scmimo.analysis import sum_rate_mc
     from scmimo.experiments_cli import optimize_beta
     dims = SimulationDims(M=16, K=4, L=4, N=20, T=40, T_c=20,
                           rho_f_db=20.0, seed=37)
