@@ -14,30 +14,30 @@ The received-signal power at user k splits into five buckets:
 `decompose(scenario, ch)` is the probe oracle of one draw's four
 unit-power buckets (g, isi_u, mui_u, awgn): it drives unit symbol and
 noise impulses through the actual transmit/receive operations, one
-reference implementation for all six filters, and returns what the
-core's `_draw_buckets(scenario, ch)` computes. `sum_rate_mc` evaluates
-the same quantities in the tap domain and averages over draws. Every draw comes from one
-loop (`_fading_chunks`): CHUNK draws' fading at a time, then one
+reference implementation for all six filters, and returns what the core's
+`_draw_buckets(scenario, ch)` computes. `sum_rate_mc` evaluates the same
+quantities in the tap domain and averages over draws. Every draw comes
+from one loop (`_fading_chunks`): CHUNK draws' fading at a time, then one
 `composite_taps` call per chunk and correlation, so a group of
 correlations shares each draw's fading (`mc_buckets_group`). Each draw is
 factored once (`DrawFactors`) from its tap products Hhat_l^H Hhat_l', one
 product of its antenna-major composite taps (`_tap_products`, whose
 moments the appendix validation suite also checks), for every filter of
-its link at once. A matched filter's cascade taps are those products placed at
-their delays mod T (`_tap_placement`), and its gains and interference
-energies are c[0] and the summed squared taps. A bank filter's bin Gram
-matrices are lag sums of the tap products, one product with a cached
-kernel (`_lag_kernel`) per draw. It never places its N + L - 1 cascade
-taps: the cascade folded mod N has bin nu equal to the identity for zero
-forcing, and to U diag(lambda / (lambda + beta)) U^H, from a Gram
-eigendecomposition per bin, for a ridge filter, so Parseval gives its
-power from the N bins, and only the L - 1 low delays where the linear
-cascade aliases mod N, and the block of T folds it back, need explicit
-taps: for zero forcing from the 2L - 2 taps of the bin Gram inverses
-against the tap products, for a ridge filter from the eigenpairs at each
-beta. Both match the probes to rounding; a beta search re-evaluates the
-cached factors instead of rebuilding banks, and zero forcing needs no
-eigendecomposition.
+its link at once. A matched filter's cascade taps are those products
+placed at their delays mod T (`_tap_placement`), and its gains and
+interference energies are c[0] and the summed squared taps. A bank
+filter's bin Gram matrices are lag sums of the tap products, one product
+with a cached kernel (`_lag_kernel`) per draw. It never places its
+N + L - 1 cascade taps: the cascade folded mod N has bin nu equal to the
+identity for zero forcing, and to U diag(lambda / (lambda + beta)) U^H,
+from a Gram eigendecomposition per bin, for a ridge filter, so Parseval
+gives its power from the N bins, and only the L - 1 low delays where the
+linear cascade aliases mod N, and the block of T folds it back, need
+explicit taps: for zero forcing from the 2L - 2 taps of the bin Gram
+inverses against the tap products, for a ridge filter from the eigenpairs
+at each beta. Both match the probes to rounding; a beta search
+re-evaluates the cached factors instead of rebuilding banks, and zero
+forcing needs no eigendecomposition.
 
 Rates are (1/2) log2(1 + SINR) per user, in bits per channel use.
 """
@@ -730,6 +730,7 @@ def factor_draws(scenario, trials, filters=None):
     a chunk at a time (`_fading_chunks`), into one DrawFactors serving
     `filters` (default: the scenario's filter), with OpenBLAS on one
     thread (`_one_blas_thread`)."""
+    _check_trials(trials)
     factors = DrawFactors(scenario, trials, 0, filters)
     for lo, H in _fading_chunks(scenario.dims, 0, trials):
         factors.fill(lo, composite_taps(H, scenario.pdp, scenario.corr))
@@ -761,6 +762,7 @@ def mc_buckets_group(cells, trials):
     scenario. All of it, the iterator of cells included, runs with
     OpenBLAS on one thread (`_one_blas_thread`).
     """
+    _check_trials(trials)
     group, out, shared = [], [], set()
     for scenario, requests, factors in cells:
         dims = scenario.dims
@@ -889,7 +891,6 @@ def sum_rate_mc(scenario, trials):
     pairwise summation. The result's rate always equals the rate
     recomputed from its own breakdown.
     """
-    _check_trials(trials)
     g, isi_u, mui_u, awgn = mc_buckets(scenario, trials)
     return buckets_to_result(scenario, trials, g, isi_u, mui_u, awgn)
 

@@ -28,15 +28,25 @@ def positive_finite_power(rho_db):
         return False
 
 
+def _check_integer(name, value):
+    """Raise TypeError unless value is an integer (operator.index takes
+    it: an int or a NumPy integer, not a float)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got "
+                        f"{name}={value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimulationDims:
     """Static scenario dimensions.
 
-    M antennas, K users, L channel taps, N filter-bank bins (N > L),
-    T-symbol blocks (T >= N), cyclic prefix L < T_c <= T, a power
-    rho_f_db whose linear value rho_f is a positive finite float, and an
-    integer seed in [0, 2**64), the key range of the per-trial Philox
-    streams.
+    Integer sizes, each >= 1: M antennas, K users, L channel taps, N
+    filter-bank bins (N > L), T-symbol blocks (T >= N), cyclic prefix
+    L < T_c <= T; a power rho_f_db whose linear value rho_f is a positive
+    finite float, and an integer seed in [0, 2**64), the key range of the
+    per-trial Philox streams.
     """
 
     M: int
@@ -49,6 +59,11 @@ class SimulationDims:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name in ("M", "K", "L", "N", "T", "T_c"):
+            size = getattr(self, name)
+            _check_integer(name, size)
+            if size < 1:
+                raise ValueError(f"need {name} >= 1, got {name}={size}")
         if self.N <= self.L:
             raise ValueError(f"need N > L, got N={self.N}, L={self.L}")
         if self.T < self.N:
@@ -67,11 +82,7 @@ class SimulationDims:
             raise ValueError(f"need a finite rho_f_db whose linear power "
                              f"is a positive finite float, got "
                              f"rho_f_db={self.rho_f_db}")
-        try:
-            operator.index(self.seed)
-        except TypeError:
-            raise TypeError(f"seed must be an integer, got "
-                            f"seed={self.seed!r}") from None
+        _check_integer("seed", self.seed)
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must lie in [0, 2**64), got "
                              f"seed={self.seed}")
@@ -110,6 +121,8 @@ def exponential_pdp(K, L):
     The decay constant is theta = (K - 1) / 5, identical for all users;
     K = 1 degenerates to a uniform profile.
     """
+    _check_integer("K", K)
+    _check_integer("L", L)
     if K < 1 or L < 1:
         raise ValueError("K and L must be >= 1")
     theta = (K - 1) / 5.0

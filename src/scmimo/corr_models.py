@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _check_integer
+
 # Eigenvalues may dip slightly negative from rounding; anything below
 # -EIG_CLAMP_REL * lambda_max is treated as a genuinely invalid matrix.
 EIG_CLAMP_REL = 1e-9
@@ -32,6 +34,7 @@ class ArrayGeometry:
 
     For a UPA the M antennas form an (M // M_x) x M_x grid indexed row-major:
     element m sits at row m // M_x, column m % M_x. For a ULA, M_x == M.
+    Both counts are integers >= 1.
     """
 
     kind: str
@@ -42,6 +45,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.kind not in ("ula", "upa"):
             raise ValueError(f"unknown geometry kind {self.kind!r}")
+        for name in ("M", "M_x"):
+            _check_integer(name, getattr(self, name))
         if self.M <= 0 or self.M_x <= 0:
             raise ValueError("antenna counts must be positive")
         if not (np.isfinite(self.spacing_d) and self.spacing_d > 0):

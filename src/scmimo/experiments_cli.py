@@ -110,8 +110,14 @@ def _number(key, text, kind):
 
 
 def _floats(key, text):
-    return [_number(key, tok, float) for tok in text.split(",")
-            if tok.strip()]
+    """The comma-separated numbers of text, [] for a blank text; an empty
+    entry (',,' or a trailing comma) is an error that names the key."""
+    if not text.strip():
+        return []
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise ValueError(f"{key}: empty entry in {text!r}")
+    return [_number(key, tok, float) for tok in tokens]
 
 
 def _distinct(key, values):
@@ -225,14 +231,14 @@ def load_config(path, overrides=()):
         if not positive_finite_power(rho_db):
             raise ValueError(f"grid.rho_db: powers must be finite with a "
                              f"positive finite linear value, got {rho_db}")
-    if cfg.trials < 1:
-        raise ValueError("trials: must be >= 1")
-    if cfg.beta_trials < 1:
-        raise ValueError("beta.trials: must be >= 1")
-    try:
-        ridge_beta(cfg.beta_value)
-    except ValueError as err:
-        raise ValueError(f"beta.value: {err}") from None
+    for key, check, value in (("trials", analysis._check_trials, cfg.trials),
+                              ("beta.trials", analysis._check_trials,
+                               cfg.beta_trials),
+                              ("beta.value", ridge_beta, cfg.beta_value)):
+        try:
+            check(value)
+        except ValueError as err:
+            raise ValueError(f"{key}: {err}") from None
     if cfg.beta_mode not in ("grid_opt", "fixed"):
         raise ValueError(f"beta.mode: expected grid_opt or fixed, "
                          f"got {cfg.beta_mode!r}")

@@ -45,18 +45,18 @@ def test_scenario_rejects_unknown_combo():
             scenario(link=link, filt=filt)
 
 
-@pytest.mark.parametrize("filt", ["cmfp", "zfp", "rzfp"])
-def test_decompose_measures_unit_downlink_awgn(filt):
+def test_decompose_measures_unit_downlink_awgn():
     """Downlink noise enters after the channel and the precoder, so each
-    user's unit noise impulse comes out unchanged: the AWGN bucket is
-    exactly 1, and no bucket is negative."""
-    scn = scenario(filt=filt, beta=0.5 if filt == "rzfp" else 0.0)
-    ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, 0))
-    g, isi_u, mui_u, awgn = decompose(scn, ch)
-    assert np.all(awgn == 1.0)
-    assert np.all(isi_u >= 0.0)
-    assert np.all(mui_u >= 0.0)
-    assert g.shape == isi_u.shape == mui_u.shape == awgn.shape == (2,)
+    user's unit noise impulse comes out unchanged: for every precoder the
+    AWGN bucket is exactly 1, and no bucket is negative."""
+    for filt, beta in (("cmfp", 0.0), ("zfp", 0.0), ("rzfp", 0.5)):
+        scn = scenario(filt=filt, beta=beta)
+        ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, 0))
+        g, isi_u, mui_u, awgn = decompose(scn, ch)
+        assert g.shape == isi_u.shape == mui_u.shape == awgn.shape == (2,)
+        assert np.all(awgn == 1.0)
+        assert np.all(isi_u >= 0.0)
+        assert np.all(mui_u >= 0.0)
 
 
 def test_decompose_buckets_match_fast_cascade():
@@ -271,25 +271,30 @@ def test_core_matches_decompose_on_bessel_and_planar_arrays():
 
 
 def test_zero_forcing_is_exact_at_t_equal_n():
-    """Over the random domain of the parity property above at T = N, the
-    zero-forcing filters, and the ridge filters at beta = 0, which are
-    zero forcing, leave no ISI or MUI on either link: both stay within
-    1e-10 + K kappa eps of the draw's largest per-user cascade energy, with
-    kappa the spread of the bin Gram eigenvalues. A draw the rank check
-    rejects has no buckets to check."""
+    """Over the random domain of the parity properties above at T = N,
+    half of it on Bessel correlations or planar arrays
+    (`_draw_bessel_or_planar`), the zero-forcing filters, and the ridge
+    filters at beta = 0, which are zero forcing, leave no ISI or MUI on
+    either link: both stay within 1e-10 + K kappa eps of the draw's
+    largest per-user cascade energy, with kappa the spread of the bin Gram
+    eigenvalues. A draw the rank check rejects has no buckets to check."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @st.composite
     def cases(draw):
-        M = draw(st.integers(1, 12))
+        if draw(st.booleans()):
+            corr = _draw_bessel_or_planar(draw, st, hypothesis)
+            M = corr.A.shape[0]
+        else:
+            M = draw(st.integers(1, 12))
+            corr = exponential_correlation(
+                ula(M), draw(st.sampled_from([0.0, 0.5, 0.9])))
         L = draw(st.integers(1, 4))
         N = draw(st.integers(L + 1, 8))
         dims = SimulationDims(M=M, K=draw(st.integers(1, M)), L=L, N=N, T=N,
                               T_c=draw(st.integers(L + 1, N)),
                               seed=draw(st.integers(0, 2 ** 32)))
-        corr = exponential_correlation(
-            ula(M), draw(st.sampled_from([0.0, 0.5, 0.9])))
         return dims, corr
 
     @hypothesis.settings(derandomize=True, max_examples=150, deadline=5000,
@@ -932,6 +937,22 @@ def test_prefix_read_keeps_the_stacks_of_every_slot(monkeypatch, link, filt):
         assert np.array_equal(whole, want)
 
 
+@pytest.mark.parametrize("entry", [
+    mc_buckets, factor_draws,
+    lambda scn, trials: mc_buckets_group([(scn, [("zfp", 0.0)], None)],
+                                         trials)])
+def test_bucket_core_entries_reject_bad_draw_counts(entry):
+    """Every bucket-core entry names a draw count that is not an integer
+    >= 1, with sum_rate_mc's messages, before any draw."""
+    scn = scenario(filt="zfp")
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match=r"^trials must be >= 1$"):
+            entry(scn, trials)
+    for trials in (2.5, True):
+        with pytest.raises(TypeError, match=r"^trials must be an integer"):
+            entry(scn, trials)
+
+
 @pytest.mark.parametrize("n", [-1, 2])
 def test_read_of_more_slots_than_factored_raises(n):
     scn = scenario(filt="zfp")
@@ -957,7 +978,7 @@ def test_zero_energy_ridge_draw_names_filter_seed_and_trial():
 @pytest.mark.parametrize("link,ridge,other", [
     ("downlink", "rzfp", "cmfp"), ("downlink", "rzfp", "zfp"),
     ("uplink", "mmsee", "cmfe"), ("uplink", "mmsee", "zfe")])
-def test_mc_buckets_group_rejects_factors_that_do_not_serve_a_filter(
+def test_mc_buckets_group_rejects_factors_not_serving_a_filter(
         link, ridge, other):
     """Factors built for the ridge filter alone hold neither the matched
     nor the zero-forcing stacks: a request for those names the filter and

@@ -55,6 +55,9 @@ def test_pdp_validation():
         PowerDelayProfile(np.array([[1.5, -0.5]]))       # negative tap
     with pytest.raises(ValueError):
         exponential_pdp(0, 4)
+    # a fractional tap count is an error, not a rounded-up profile
+    with pytest.raises(TypeError, match=r"^L must be an integer, got L=2.5$"):
+        exponential_pdp(3, 2.5)
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +71,22 @@ def test_dims_validation():
         small_dims(T_c=2, L=2)      # CP must exceed the channel memory
     with pytest.raises(ValueError):
         small_dims(M=2, K=3)        # more users than antennas
+
+
+@pytest.mark.parametrize("name", ["M", "K", "L", "N", "T", "T_c"])
+def test_dims_sizes_are_integers_of_at_least_one(name):
+    """Every size is an integer >= 1, checked before the relations between
+    sizes; NumPy integers are integers."""
+    sizes = dict(M=8, K=3, L=2, N=4, T=8, T_c=4)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=rf"^need {name} >= 1, "
+                                             rf"got {name}={bad}$"):
+            small_dims(**{**sizes, name: bad})
+    with pytest.raises(TypeError, match=rf"^{name} must be an integer, "
+                                        rf"got {name}=8.5$"):
+        small_dims(**{**sizes, name: 8.5})
+    assert getattr(small_dims(**{**sizes, name: np.int64(sizes[name])}),
+                   name) == sizes[name]
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])

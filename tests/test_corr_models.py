@@ -42,6 +42,15 @@ def test_geometry_validation(bad):
         ArrayGeometry(**bad)
 
 
+def test_geometry_antenna_counts_are_integers():
+    """A fractional array size is an error, not a rounded-up array."""
+    for make in (lambda: ula(8.5), lambda: upa(8, 2.0),
+                 lambda: ArrayGeometry("upa", 8.0, 2, 0.5)):
+        with pytest.raises(TypeError, match=r"^M(_x)? must be an integer"):
+            make()
+    assert ula(np.int64(8)).M == 8
+
+
 def test_pairwise_distance_ula():
     D = distance_matrix(ula(16, 0.5))
     assert D[0, 3] == pytest.approx(1.5)

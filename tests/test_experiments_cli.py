@@ -133,6 +133,18 @@ def test_load_config_bad_values(tmp_path):
             ("dims.t_c=2", "^dims: need T_c > L"),
             ("dims.t_c=9", "^dims: need T_c <= T"),
             ("dims.k=9", "^dims: need K <= M"),
+            # a size is an integer >= 1, named by its section
+            ("dims.k=0", "^dims: need K >= 1"),
+            ("dims.k=-1", "^dims: need K >= 1"),
+            ("dims.l=0", "^dims: need L >= 1"),
+            ("geometry.m=0", "^geometry: antenna counts"),
+            ("geometry.m_x=0", "^geometry: antenna counts"),
+            ("trials=-1", "^trials: trials must be >= 1$"),
+            # an empty entry in a number list is an error, not skipped
+            ("corr.alpha=0.5,,0.7", "^corr.alpha: empty entry"),
+            ("corr.alpha=0.5,", "^corr.alpha: empty entry"),
+            ("grid.rho_db=0,,5", "^grid.rho_db: empty entry"),
+            ("grid.rho_db=,0", "^grid.rho_db: empty entry"),
             ("corr.alpha=0.5,1.5", "^corr.alpha: "),
             ("corr.alpha=-0.1", "^corr.alpha: "),
             ("corr.alpha=nan", "^corr.alpha: "),
@@ -140,6 +152,9 @@ def test_load_config_bad_values(tmp_path):
             ("geometry.spacing=nan", "^geometry: element spacing")]:
         with pytest.raises(ValueError, match=match):
             load_config(base, overrides=[override])
+    with pytest.raises(ValueError, match="^corr.pairs: empty entry"):
+        load_config(base, overrides=["corr.model=bessel",
+                                     "corr.pairs=20,,0"])
     for pairs in ("20,0;-1,0", "nan,0", "inf,0.5", "20,0;20,nan", "20,-inf"):
         with pytest.raises(ValueError, match="^corr.pairs: need a finite"):
             load_config(base, overrides=["corr.model=bessel",
