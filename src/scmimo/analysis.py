@@ -145,6 +145,17 @@ def _check_combo(link, filt):
                          f"(expected one of {LINK_FILTERS[link]})")
 
 
+def _check_draw(scenario, ch):
+    """Raise ValueError unless the draw ch has its scenario's sizes: the
+    bucket core reads the scenario's dims, the probe path the draw's."""
+    have, want = (", ".join(f"{n}={getattr(dims, n)}" for n in
+                            ("M", "K", "L", "N", "T", "T_c"))
+                  for dims in (ch.dims, scenario.dims))
+    if have != want:
+        raise ValueError(f"channel draw dims ({have}) differ from the "
+                         f"scenario's ({want})")
+
+
 def _make_pipeline(scenario, ch):
     """Return run(symbols, noise) -> output block, through the real ops."""
     filt, beta = scenario.filt, scenario.beta
@@ -177,8 +188,10 @@ def decompose(scenario, ch):
     diagonal, isi_u and mui_u its same-user and cross-user energies
     beyond that. One unit noise impulse per receive input (K on the
     downlink, M on the uplink), without symbols, measures awgn: each
-    user's output energy summed over the impulses.
+    user's output energy summed over the impulses. A draw made at other
+    dims is rejected (`_check_draw`).
     """
+    _check_draw(scenario, ch)
     K, T = ch.dims.K, scenario.dims.T
     inputs = K if scenario.link == "downlink" else ch.dims.M
     run = _make_pipeline(scenario, ch)
@@ -705,8 +718,9 @@ def _draw_buckets(scenario, ch):
     g holds the realized gains, isi_u and mui_u the same-user and
     cross-user interference energies at unit symbol power, awgn the exact
     per-draw AWGN bucket (downlink: 1; uplink: mean squared equalizer row
-    norm).
+    norm). A draw made at other dims is rejected (`_check_draw`).
     """
+    _check_draw(scenario, ch)
     factors = DrawFactors(scenario, 1)
     factors.fill(0, ch.Hhat[None])
     return tuple(s[0] for s in factors.buckets(scenario.filt, scenario.beta))

@@ -25,19 +25,16 @@ import functools
 import math
 import os
 
-import numpy as np
-
 from . import analysis
 from .analysis import (Scenario, _blas_threads, _load_library,
-                       _one_blas_thread, buckets_to_result, cmfe_rate_closed,
-                       cmfp_rate_closed, coop_capacity, mc_buckets,
-                       sum_rate_mc)
-from .channel import (DEFAULT_SEED, SimulationDims, composite_taps,
-                      draw_channel, exponential_pdp, positive_finite_power,
-                      rekey, taps_to_freq, trial_rng)
+                       _one_blas_thread, buckets_to_result)
+# perfbench traces these names, and every correlation build, on this module
+from .analysis import mc_buckets, sum_rate_mc  # noqa: F401
+from .channel import (DEFAULT_SEED, SimulationDims, exponential_pdp,
+                      positive_finite_power)
+from .channel import draw_channel  # noqa: F401
 from .corr_models import (ArrayGeometry, bessel_correlation,
-                          correlation_label, exponential_correlation, ula)
-# perfbench traces every correlation build under this module's names
+                          correlation_label, exponential_correlation)
 from .corr_models import identity_correlation  # noqa: F401
 from .dl_precoding import ridge_beta
 
@@ -644,284 +641,11 @@ def emit_plot_script(table, path, csv_path):
     return path
 
 
-# ---------------------------------------------------------------------------
-# validation suites
-
-
-class _Report:
-    def __init__(self):
-        self.lines = []
-        self.ok = True
-
-    def check(self, name, expected, measured, tol, kind="rel"):
-        if kind == "rel":
-            err = abs(measured - expected) / abs(expected)
-        else:
-            err = abs(measured - expected)
-        verdict = "PASS" if err <= tol else "FAIL"
-        if verdict == "FAIL":
-            self.ok = False
-        self.lines.append(
-            f"{name:<52s} expected={expected:<14.6g} "
-            f"measured={measured:<14.6g} tol={tol:<10.3g} {verdict}")
-
-    def check_order(self, name, lhs, rhs, strict=True, slack=0.0):
-        good = lhs > rhs if strict else lhs >= rhs - slack
-        if not good:
-            self.ok = False
-        op = ">" if strict else ">="
-        self.lines.append(
-            f"{name:<52s} expected={'lhs ' + op + ' rhs':<14s} "
-            f"measured={lhs:.4f} vs {rhs:.4f}{'':<4s} "
-            f"tol={slack:<10.3g} {'PASS' if good else 'FAIL'}")
-
-
-def _quick_cfg(link, filters, M=64, K=10, L=4, T=100, trials=500,
-               kind="ula", M_x=None):
-    return ScenarioConfig(
-        link=link, filters=list(filters), corr_model="exponential",
-        corr_params=[0.0], geometry=ArrayGeometry(kind, M, M_x or M, 0.5),
-        K=K, L=L, N=20, T=T, T_c=20, rho_grid=list(RHO_GRID_DEFAULT),
-        trials=trials, seed=DEFAULT_SEED)
-
-
-def _validate_closed_forms(rep):
-    M, K, L, T = 16, 4, 4, 64
-    trials = 2000
-    cfg = _quick_cfg("downlink", ["cmfp"], M=M, K=K, L=L, T=T,
-                     trials=trials)
-    pdp = exponential_pdp(K, L)
-    rho = 1.0
-
-    for alpha in (0.0, 0.7, 0.9, 0.99):
-        scn = _scenario(cfg, "cmfp", alpha, 0.0)
-        g, isi_u, mui_u, _ = mc_buckets(scn, trials)
-        mean_g = g.mean(axis=0)
-        mean_g2 = (np.abs(g) ** 2).mean(axis=0)
-        desired = rho * np.abs(mean_g) ** 2
-        eff = rho * (mean_g2 - np.abs(mean_g) ** 2) \
-            + rho * isi_u.mean(axis=0) + rho * mui_u.mean(axis=0) + 1.0
-        trA2 = scn.corr.trace_A2
-        rep.check(f"cmfp desired power (alpha={alpha})", M * rho / K,
-                  float(desired.mean()), 0.03)
-        rep.check(f"cmfp effective noise (alpha={alpha})",
-                  trA2 * rho / M + 1.0, float(eff.mean()), 0.05)
-
-    ul_cfg = _quick_cfg("uplink", ["cmfe"], M=M, K=K, L=L, T=T,
-                        trials=trials)
-    for alpha in (0.0, 0.7):
-        scn = _scenario(ul_cfg, "cmfe", alpha, 0.0)
-        stacks = mc_buckets(scn, trials)
-        awgn = stacks[3].mean()
-        rep.check(f"cmfe post-filter AWGN (alpha={alpha})",
-                  scn.corr.trace_A / (M * K), float(awgn), 0.03)
-        rate_mc = buckets_to_result(scn, trials, *stacks).rate_bpcu
-        rate_closed = cmfe_rate_closed(rho, M, K, scn.corr.trace_A,
-                                       scn.corr.trace_A2, pdp.d[0])
-        rep.check(f"cmfe sum rate vs closed form (alpha={alpha})",
-                  rate_closed, rate_mc, 0.05)
-
-    rep.check("cmfp closed-form rate (M=64, K=10, rho=1, A=I)",
-              10.352, cmfp_rate_closed(1.0, 64, 10, 64.0), 1e-3, kind="abs")
-    rep.check("cmfp closed-form high-power limit",
-              14.44, cmfp_rate_closed(np.inf, 64, 10, 64.0), 1e-2,
-              kind="abs")
-    rep.check("cooperative bound (M=64, K=10, rho=1)",
-              coop_capacity(1.0, 64, 10), 14.4376, 1e-3)
-
-    big = _quick_cfg("downlink", ["cmfp"])
-    mc = sum_rate_mc(_scenario(big, "cmfp", 0.0, 0.0), big.trials).rate_bpcu
-    rep.check("cmfp Monte Carlo rate vs closed form (M=64)",
-              cmfp_rate_closed(1.0, 64, 10, 64.0), mc, 0.03)
-
-
-def _validate_appendix(rep):
-    M, K, L = 8, 3, 3
-    draws = 100_000
-    seed = DEFAULT_SEED
-    geom = ula(M, 0.5)
-    corr = exponential_correlation(geom, 0.5)
-    pdp = exponential_pdp(K, L)
-    cases = [
-        ("k=q l=l' b=0", (1, 1, 0, 1, 1)),
-        ("k=q l=l' b!=0", (1, 1, 1, 1, 1)),
-        ("k=q l!=l' b=0", (1, 2, 0, 1, 1)),
-        ("k=q l!=l' b!=0", (1, 2, 1, 1, 1)),
-        ("k!=q l=l' b=0", (1, 1, 0, 0, 2)),
-        ("k!=q l=l' b!=0", (1, 1, 1, 0, 2)),
-        ("k!=q l!=l'", (1, 2, 0, 0, 2)),
-    ]
-    chunk, done = 5000, 0
-    sums = {name: 0.0 + 0.0j for name, _ in cases}
-    sqsums = {name: 0.0 for name, _ in cases}
-    ci = 0
-    while done < draws:
-        n = min(chunk, draws - done)
-        rng = trial_rng(seed, 10_000 + ci)
-        H = (rng.standard_normal((n, L, M, K))
-             + 1j * rng.standard_normal((n, L, M, K))) / np.sqrt(2)
-        F = analysis._tap_products(composite_taps(H, pdp, corr))
-        for name, (l, lp, b, k, q) in cases:
-            z = F[:, l, k, l - b, q] * np.conj(F[:, lp, k, lp - b, q])
-            sums[name] += z.sum()
-            sqsums[name] += float(np.sum(np.abs(z) ** 2))
-        done += n
-        ci += 1
-    for name, (l, lp, b, k, q) in cases:
-        closed = analysis.appendix_moment(l, lp, b, k, q, corr, pdp)
-        mean = sums[name] / draws
-        var = sqsums[name] / draws - abs(mean) ** 2
-        stderr = math.sqrt(max(var, 0.0) / draws)
-        if abs(closed) > 0:
-            rep.check(f"appendix moment {name}", float(closed.real),
-                      float(mean.real), 0.05)
-        else:
-            rep.check(f"appendix moment {name} (zero case, 3 sigma)",
-                      0.0, abs(mean), 3.0 * stderr, kind="abs")
-
-
-def _validate_zero_forcing(rep):
-    M, K, L, N = 16, 4, 4, 20
-    dims = SimulationDims(M=M, K=K, L=L, N=N, T=N, T_c=N,
-                          rho_f_db=0.0, seed=DEFAULT_SEED)
-    corr = exponential_correlation(ula(M, 0.5), 0.7)
-    pdp = exponential_pdp(K, L)
-    zfp = Scenario(link="downlink", filt="zfp", dims=dims, corr=corr,
-                   pdp=pdp)
-    zfe = dataclasses.replace(zfp, link="uplink", filt="zfe")
-    from .dl_precoding import synthesis_bins, zfp_bank
-    from .ul_equalization import zfe_bank
-
-    worst_dl = worst_ul = 0.0
-    worst_isi_dl = worst_isi_ul = 0.0
-    rng = trial_rng(dims.seed, 0)
-    for t in range(5):
-        ch = draw_channel(dims, pdp, corr, rekey(rng, dims.seed, t))
-        wb = zfp_bank(ch)
-        # every bin at once: B_nu^H (a W_nu), and Q_nu Hhat_nu
-        prod = np.conj(np.swapaxes(synthesis_bins(ch.Hhat, N), -1, -2)) \
-            @ (wb.norm * wb.freq)
-        a = np.trace(prod, axis1=-2, axis2=-1).real / K
-        worst_dl = max(worst_dl, float(np.max(
-            np.abs(prod - a[:, None, None] * np.eye(K)).max(axis=(1, 2)) / a)))
-        prod = zfe_bank(ch).freq @ taps_to_freq(ch.Hhat, N)
-        worst_ul = max(worst_ul, float(np.max(np.abs(prod - np.eye(K)))))
-        _, isi, mui, _ = analysis.decompose(zfp, ch)
-        worst_isi_dl = max(worst_isi_dl, float((isi + mui).max()))
-        _, isi, mui, _ = analysis.decompose(zfe, ch)
-        worst_isi_ul = max(worst_isi_ul, float((isi + mui).max()))
-    rep.check("zfp per-bin cascade is scaled identity", 0.0, worst_dl,
-              1e-8, kind="abs")
-    rep.check("zfe per-bin cascade is identity", 0.0, worst_ul,
-              1e-8, kind="abs")
-    rep.check("zfp measured ISI+MUI at rho=1 (T=N)", 0.0, worst_isi_dl,
-              1e-6, kind="abs")
-    rep.check("zfe measured ISI+MUI at rho=1 (CP framing)", 0.0,
-              worst_isi_ul, 1e-6, kind="abs")
-
-    # An oracle independent of the banks, through the bucket core at paper
-    # size: at alpha = 0 each bin's Gram matrix is complex Wishart
-    # W_K(M, I), as the PDP rows sum to 1, and E[W^-1] = I / (M - K), so
-    # the ZFE AWGN bucket has mean 1 / (M - K) and ZFP at T = N has
-    # E[1 / |g_k|^2] = K / (M - K). Each sample mean must lie within 3
-    # standard errors of its per-draw values.
-    M, K, trials = 64, 10, 500
-    for link, filt, exact in (("downlink", "zfp", K / (M - K)),
-                              ("uplink", "zfe", 1 / (M - K))):
-        cfg = _quick_cfg(link, [filt], M=M, K=K, T=N, trials=trials)
-        g, _, _, awgn = mc_buckets(_scenario(cfg, filt, 0.0, 0.0), trials)
-        per_draw = (1 / np.abs(g) ** 2 if filt == "zfp" else awgn).mean(
-            axis=1)
-        name = "1/|g|^2 (T=N)" if filt == "zfp" else "AWGN"
-        rep.check(f"{filt} {name} vs Wishart mean (M={M}, alpha=0)",
-                  exact, float(per_draw.mean()),
-                  3 * float(per_draw.std(ddof=1)) / math.sqrt(trials),
-                  kind="abs")
-
-
-def _validate_figures(rep):
-    def cell(cfg, alpha, rho_grid):
-        """{(filter, rho_db): rate} of one sweep cell, a ridge filter at
-        its own beta* (the sweep row, the better of beta* and 0, would
-        make "rzfp >= zfp" hold by construction)."""
-        cfg = dataclasses.replace(cfg, rho_grid=rho_grid)
-        [per_filter] = _sweep_group(cfg, [alpha])
-        return {(filt, rho_db): results[0].rate_bpcu
-                for filt, per_power in zip(cfg.filters, per_filter)
-                for rho_db, results in zip(rho_grid, per_power)}
-
-    dl_cfg = _quick_cfg("downlink", ["cmfp", "zfp", "rzfp"])
-    ul_cfg = _quick_cfg("uplink", ["cmfe", "zfe", "mmsee"])
-    upa_cfg = _quick_cfg("downlink", ["cmfp"], kind="upa", M_x=8)
-    from_m5 = [g for g in RHO_GRID_DEFAULT if g >= -5.0]
-    dl = {0.0: cell(dl_cfg, 0.0, [-10.0]), 0.7: cell(dl_cfg, 0.7, from_m5),
-          0.9: cell(dl_cfg, 0.9, [20.0]), 0.99: cell(dl_cfg, 0.99, [20.0])}
-    ul = {alpha: cell(ul_cfg, alpha, [20.0])
-          for alpha in (0.0, 0.7, 0.9, 0.99)}
-    upa = {alpha: cell(upa_cfg, alpha, [20.0]) for alpha in (0.7, 0.9)}
-
-    # uncorrelated downlink at low power: matched filter wins
-    for filt in ("zfp", "rzfp"):
-        rep.check_order(f"downlink alpha=0, -10 dB: cmfp >= {filt}",
-                        dl[0.0]["cmfp", -10.0], dl[0.0][filt, -10.0],
-                        strict=False)
-
-    # alpha=0.7: regularized zero-forcing overtakes from -5 dB up
-    for rho_db in from_m5:
-        rep.check_order(f"downlink alpha=0.7, {rho_db:+.1f} dB: "
-                        f"rzfp > cmfp", dl[0.7]["rzfp", rho_db],
-                        dl[0.7]["cmfp", rho_db])
-
-    # uplink at 20 dB: ridge equalizer beats matched filter at every alpha
-    for alpha, rates in ul.items():
-        rep.check_order(f"uplink alpha={alpha}, 20 dB: mmsee > cmfe",
-                        rates["mmsee", 20.0], rates["cmfe", 20.0])
-
-    # planar array degrades the matched-filter downlink at high power
-    for alpha, rates in upa.items():
-        rep.check_order(f"cmfp 20 dB alpha={alpha}: ULA > UPA",
-                        dl[alpha]["cmfp", 20.0], rates["cmfp", 20.0])
-
-    # 20 dB ordering chain and its growth with correlation. "Growth" is
-    # multiplicative: at extreme correlation every filter's rate collapses,
-    # so the absolute lead over the matched filter eventually shrinks while
-    # the rate ratio keeps rising.
-    ratio_zfp, ratio_rzfp = [], []
-    for alpha in (0.7, 0.9, 0.99):
-        cm, zf, rz = (dl[alpha][filt, 20.0] for filt in dl_cfg.filters)
-        rep.check_order(f"20 dB alpha={alpha}: zfp > cmfp", zf, cm)
-        rep.check_order(f"20 dB alpha={alpha}: rzfp >= zfp", rz, zf,
-                        strict=False, slack=1e-9)
-        ratio_zfp.append(zf / cm)
-        ratio_rzfp.append(rz / cm)
-    for name, r in (("zfp/cmfp", ratio_zfp), ("rzfp/cmfp", ratio_rzfp)):
-        rep.check_order(f"{name} rate ratio grows 0.7 -> 0.9", r[1], r[0])
-        rep.check_order(f"{name} rate ratio grows 0.9 -> 0.99", r[2], r[1])
-
-    # regularization never hurts the uplink under an optimized ridge
-    rep.check_order("uplink alpha=0.9, 20 dB: mmsee >= zfe",
-                    ul[0.9]["mmsee", 20.0], ul[0.9]["zfe", 20.0],
-                    strict=False, slack=1e-9)
-
-
-SUITES = {
-    "closed_forms": _validate_closed_forms,
-    "appendix": _validate_appendix,
-    "zero_forcing": _validate_zero_forcing,
-    "figures": _validate_figures,
-}
-
-
-def validate(suite):
-    """Run one named validation suite; returns (all_passed, report_lines).
-    Its cells run with OpenBLAS on one thread, as `run_sweep`'s do."""
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r} "
-                         f"(expected one of {sorted(SUITES)})")
-    rep = _Report()
-    with _one_blas_thread():
-        SUITES[suite](rep)
-    return rep.ok, rep.lines
+def __getattr__(name):  # PEP 562: the suites load only when asked for
+    if name != "validate":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .validation import validate
+    return validate
 
 
 # ---------------------------------------------------------------------------
@@ -929,6 +653,7 @@ def validate(suite):
 
 
 def main(argv=None):
+    from . import validation
     parser = argparse.ArgumentParser(
         prog="scmimo",
         description="Sum-rate sweeps for correlated single-carrier "
@@ -948,7 +673,7 @@ def main(argv=None):
              "workers than CPUs only oversubscribe them")
 
     p_val = sub.add_parser("validate", help="run an acceptance suite")
-    p_val.add_argument("--suite", required=True, choices=SUITES)
+    p_val.add_argument("--suite", required=True, choices=validation.SUITES)
 
     p_plot = sub.add_parser("plot", help="emit a plotting script for a CSV")
     p_plot.add_argument("--csv", required=True)
@@ -963,16 +688,22 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
 
+    def config():
+        try:
+            return load_config(args.config, args.override)
+        except ValueError as err:
+            parser.error(str(err))
+
     if args.command == "sweep":
         if args.workers is not None and args.workers < 1:
             parser.error(f"--workers: must be >= 1, got {args.workers}")
-        cfg = load_config(args.config, args.override)
+        cfg = config()
         rows = run_sweep(cfg, workers=args.workers)
         print(f"wrote {len(rows)} rows to {cfg.output}")
         return 0
 
     if args.command == "validate":
-        ok, lines = validate(args.suite)
+        ok, lines = validation.validate(args.suite)
         for line in lines:
             print(line)
         print(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}")
@@ -988,7 +719,7 @@ def main(argv=None):
         if not positive_finite_power(args.rho_db):
             parser.error(f"--rho-db: must be finite with a positive finite "
                          f"linear value, got {args.rho_db}")
-        cfg = load_config(args.config, args.override)
+        cfg = config()
         filt = next((f for f in cfg.filters if f in BETA_FILTERS), None)
         if filt is None:
             parser.error("config has no ridge-regularized filter")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -328,7 +329,9 @@ def test_core_rejects_what_the_reference_rejects_at_the_edges():
     decompose), with the same exception type, for all six filters:
     K = M at alpha 0.99 and 0.999, ridge parameters 1e-300 and 1e300,
     all-zero taps (a zero correlation matrix), and a PDP or correlation
-    matrix shaped for other dims."""
+    matrix shaped for other dims. Away from K = M, half the correlations
+    are Bessel or planar (`_draw_bessel_or_planar`), the rest exponential
+    on a linear array."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -337,7 +340,12 @@ def test_core_rejects_what_the_reference_rejects_at_the_edges():
         edge = draw(st.sampled_from(["near_singular", "extreme_beta",
                                      "zero_taps", "pdp_shape",
                                      "corr_shape"]))
-        M = draw(st.integers(1, 8))
+        corr = None
+        if edge != "near_singular" and draw(st.booleans()):
+            corr = _draw_bessel_or_planar(draw, st, hypothesis)
+            M = corr.A.shape[0]
+        else:
+            M = draw(st.integers(1, 8))
         K = M if edge == "near_singular" else draw(st.integers(1, M))
         L = draw(st.integers(1, 3))
         N = draw(st.integers(L + 1, 6))
@@ -351,8 +359,10 @@ def test_core_rejects_what_the_reference_rejects_at_the_edges():
             beta = draw(st.sampled_from(
                 [1e-300, 1e300] if edge == "extreme_beta"
                 else [0.0, 1e-4, 1.0]))
-        corr = exponential_correlation(ula(M), draw(st.sampled_from(
-            [0.99, 0.999] if edge == "near_singular" else [0.0, 0.5, 0.9])))
+        if corr is None:
+            corr = exponential_correlation(ula(M), draw(st.sampled_from(
+                [0.99, 0.999] if edge == "near_singular"
+                else [0.0, 0.5, 0.9])))
         pdp = exponential_pdp(K, L)
         if edge == "zero_taps":
             zero = np.zeros((M, M))
@@ -382,6 +392,22 @@ def test_core_rejects_what_the_reference_rejects_at_the_edges():
         assert outcome(lambda: mc_buckets(scn, 1)) is ref
 
     check()
+
+
+def test_core_and_reference_reject_a_draw_made_at_other_dims():
+    """Both paths read a draw's buckets under its scenario, so a draw made
+    at other dims is an error that names both, not two different
+    answers: the core reads the scenario's N and T, the probes the
+    draw's N and T_c."""
+    scn = scenario(link="uplink", filt="zfe", M=8, K=3, L=3, N=5, T=7,
+                   T_c=5, alpha=0.5)
+    other = dataclasses.replace(scn.dims, N=4, T=4, T_c=4)
+    ch = draw_channel(other, scn.pdp, scn.corr, trial_rng(other.seed, 0))
+    for path in (_draw_buckets, decompose):
+        with pytest.raises(ValueError, match=re.escape(
+                "channel draw dims (M=8, K=3, L=3, N=4, T=4, T_c=4) differ "
+                "from the scenario's (M=8, K=3, L=3, N=5, T=7, T_c=5)")):
+            path(scn, ch)
 
 
 def test_zero_forcing_matches_the_wishart_inverse_mean():

@@ -23,6 +23,7 @@ import pytest
 
 import scmimo
 from scmimo import analysis, channel, dl_precoding, experiments_cli as cli
+from scmimo import validation
 from scmimo.analysis import Scenario, _draw_buckets, sum_rate_mc
 from scmimo.channel import (DEFAULT_SEED, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
@@ -31,7 +32,8 @@ from scmimo.corr_models import (exponential_correlation, identity_correlation,
 from scmimo.experiments_cli import (CSV_HEADER, _brent_min, _scenario,
                                     _sweep_group, emit_plot_script,
                                     load_config, main, optimize_beta,
-                                    read_csv, run_sweep, validate)
+                                    read_csv, run_sweep)
+from scmimo.validation import validate
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -928,6 +930,20 @@ def test_import_leaves_cli_unloaded():
     assert _run_fresh(code) == "False"
 
 
+def test_cli_serves_validate_without_loading_the_suites():
+    """Loading the CLI module leaves the validation suites unloaded, and
+    its `validate` name is the one scmimo.validation defines."""
+    code = """
+        import sys
+        import scmimo.experiments_cli
+        print("scmimo.validation" in sys.modules)
+        from scmimo.experiments_cli import validate
+        import scmimo.validation
+        print(validate is scmimo.validation.validate)
+    """
+    assert _run_fresh(code) == "False\nTrue"
+
+
 def test_pool_start_method_is_pinned():
     """run_sweep picks its workers' start method itself, fork where the
     platform has it, whatever the interpreter's default: with the default
@@ -1567,7 +1583,7 @@ def test_validate_closed_forms_passes():
 
 
 def test_report_check_records_a_failure():
-    rep = cli._Report()
+    rep = validation._Report()
     rep.check("within tolerance", 1.0, 1.0 + 1e-9, 1e-6)
     rep.check("outside tolerance", 0.0, 1e-3, 1e-6, kind="abs")
     assert not rep.ok
@@ -1582,7 +1598,7 @@ def test_report_check_order_records_its_verdict(lhs, rhs, strict, slack,
                                                 verdict):
     """A strict ordering fails on a tie; a non-strict one passes within
     its slack and fails beyond it."""
-    rep = cli._Report()
+    rep = validation._Report()
     rep.check_order("ordering", lhs, rhs, strict=strict, slack=slack)
     assert rep.ok == (verdict == "PASS")
     assert rep.lines[0].endswith(verdict)
@@ -1627,11 +1643,10 @@ def test_benchmark_tracing_hooks_resolve(monkeypatch):
 
 
 def test_main_validate_exit_codes(monkeypatch, capsys):
-    import scmimo.experiments_cli as cli
-    monkeypatch.setattr(cli, "validate",
+    monkeypatch.setattr(validation, "validate",
                         lambda suite: (False, ["something FAIL"]))
     assert main(["validate", "--suite", "appendix"]) == 1
-    monkeypatch.setattr(cli, "validate",
+    monkeypatch.setattr(validation, "validate",
                         lambda suite: (True, ["something PASS"]))
     assert main(["validate", "--suite", "appendix"]) == 0
     out = capsys.readouterr().out
@@ -1722,7 +1737,7 @@ def test_main_runs_cells_on_one_blas_thread(tmp_path, monkeypatch, command):
         hooked, name = cli, "_sweep_group"
     else:
         argv = ["validate", "--suite", "zero_forcing"]
-        hooked, name = cli._Report, "check"
+        hooked, name = validation._Report, "check"
     call = getattr(hooked, name)
 
     def checked(*args, **kwargs):
@@ -1776,6 +1791,24 @@ def test_main_beta_rejects_non_finite_power(tmp_path, capsys, rho_db):
               f"--rho-db={rho_db}"])
     assert exc.value.code == 2
     assert "--rho-db: must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sweep", "beta"])
+def test_main_reports_a_rejected_config_as_a_usage_error(tmp_path, capsys,
+                                                         command):
+    """A config value that load_config rejects ends the command as a bad
+    flag does: one usage line naming the key, exit 2, no traceback."""
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", cfg_file(tmp_path, BASE_CFG),
+            f"--override=output={out}", "--override=dims.n=2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--rho-db", "0"] if command == "beta" else []))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: scmimo")
+    assert err.endswith("error: dims: need N > L, got N=2, L=2\n")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_main_beta_requires_ridge_filter(tmp_path):
