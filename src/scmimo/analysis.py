@@ -54,12 +54,11 @@ import numpy as np
 from .channel import composite_taps, draw_fading, rekey, trial_rng
 from .channel import draw_channel  # noqa: F401 (perfbench traces this name)
 from . import dl_precoding
-from .dl_precoding import (check_gram_conditioning, cmfp_transmit,
-                           downlink_receive, gram_rcond, precoded_transmit,
+from .dl_precoding import (apply_bank, check_gram_conditioning,
+                           cmfp_transmit, downlink_receive, gram_rcond,
                            ridge_beta, rzfp_bank, zfp_bank)
-from .ul_equalization import (apply_equalizer_bank, cmfe_apply,
-                              make_uplink_frame, mmsee_bank, uplink_receive,
-                              zfe_bank)
+from .ul_equalization import (cmfe_apply, make_uplink_frame, mmsee_bank,
+                              uplink_receive, zfe_bank)
 
 DL_FILTERS = ("cmfp", "zfp", "rzfp")
 UL_FILTERS = ("cmfe", "zfe", "mmsee")
@@ -69,18 +68,13 @@ JACKKNIFE_BLOCKS = 10   # contiguous draw blocks of the rate's stderr
 
 @dataclass
 class NoiseBreakdown:
-    """Per-user power buckets and their across-user means.
-
-    gains holds the realized complex same-symbol gain per user (the
-    diagonal of the delay-zero cascade tap).
-    """
+    """Per-user power buckets and their across-user means."""
 
     desired_k: np.ndarray
     if_k: np.ndarray
     isi_k: np.ndarray
     mui_k: np.ndarray
     awgn_k: np.ndarray
-    gains: np.ndarray
 
     @property
     def desired(self):
@@ -102,14 +96,19 @@ class NoiseBreakdown:
     def awgn(self):
         return float(self.awgn_k.mean())
 
-    def sinr(self):
-        return self.desired_k / (self.if_k + self.isi_k + self.mui_k
-                                 + self.awgn_k)
+
+def _user_rates(desired, if_, isi, mui, awgn):
+    """Per-user rates (1/2) log2(1 + SINR), SINR = desired / (IF + ISI +
+    MUI + AWGN); every argument may carry leading axes in front of the
+    user axis."""
+    return 0.5 * np.log2(1.0 + desired / (if_ + isi + mui + awgn))
 
 
 def rate_from_breakdown(breakdown):
     """Sum rate sum_k (1/2) log2(1 + SINR_k) from a breakdown's buckets."""
-    per_user = 0.5 * np.log2(1.0 + breakdown.sinr())
+    per_user = _user_rates(breakdown.desired_k, breakdown.if_k,
+                           breakdown.isi_k, breakdown.mui_k,
+                           breakdown.awgn_k)
     return float(per_user.sum()), per_user
 
 
@@ -164,13 +163,13 @@ def _make_pipeline(scenario, ch):
             tx = lambda s: cmfp_transmit(ch, s)
         else:
             bank = zfp_bank(ch) if filt == "zfp" else rzfp_bank(ch, beta)
-            tx = lambda s: precoded_transmit(bank, s)
+            tx = lambda s: apply_bank(bank, s)
         return lambda s, n: downlink_receive(ch, tx(s), n)
     if filt == "cmfe":
         eq = lambda r: cmfe_apply(ch, r)
     else:
         bank = zfe_bank(ch) if filt == "zfe" else mmsee_bank(ch, beta)
-        eq = lambda r: apply_equalizer_bank(bank, r)
+        eq = lambda r: apply_bank(bank, r)
 
     def run(s, n):
         frame = make_uplink_frame(s, ch.dims.T_c)
@@ -823,11 +822,8 @@ def _aggregate(scenario, g, isi_u, mui_u, awgn):
     squared wander around it. Uplink: desired is the mean squared realized
     gain and IF is zero.
     """
-    mean_g = g.mean(axis=0)
-    buckets = _user_buckets(scenario, mean_g, (np.abs(g) ** 2).mean(axis=0),
-                            isi_u.mean(axis=0), mui_u.mean(axis=0),
-                            awgn.mean(axis=0))
-    return NoiseBreakdown(*buckets, gains=mean_g)
+    return NoiseBreakdown(*_user_buckets(scenario, *(
+        x.mean(axis=0) for x in (g, np.abs(g) ** 2, isi_u, mui_u, awgn))))
 
 
 def _user_buckets(scenario, mean_g, mean_g2, isi, mui, awgn):
@@ -866,8 +862,7 @@ def _jackknife_rate_stderr(scenario, g, isi_u, mui_u, awgn):
     for x in (g, np.abs(g) ** 2, isi_u, mui_u, awgn):
         sums = np.add.reduceat(x, starts, axis=0)           # (blocks, K)
         means.append((sums.sum(axis=0) - sums) / kept)
-    desired, *noise = _user_buckets(scenario, *means)
-    rates = 0.5 * np.log2(1.0 + desired / sum(noise)).sum(axis=1)
+    rates = _user_rates(*_user_buckets(scenario, *means)).sum(axis=1)
     return float(np.sqrt((blocks - 1) / blocks
                          * np.sum((rates - rates.mean()) ** 2)))
 

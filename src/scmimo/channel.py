@@ -38,6 +38,14 @@ def _check_integer(name, value):
                         f"{name}={value!r}") from None
 
 
+def check_seed(seed):
+    """Raise TypeError unless seed is an integer, and ValueError unless it
+    lies in [0, 2**64), the key range of the per-trial Philox streams."""
+    _check_integer("seed", seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must lie in [0, 2**64), got seed={seed}")
+
+
 @dataclass(frozen=True)
 class SimulationDims:
     """Static scenario dimensions.
@@ -82,10 +90,7 @@ class SimulationDims:
             raise ValueError(f"need a finite rho_f_db whose linear power "
                              f"is a positive finite float, got "
                              f"rho_f_db={self.rho_f_db}")
-        _check_integer("seed", self.seed)
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must lie in [0, 2**64), got "
-                             f"seed={self.seed}")
+        check_seed(self.seed)
 
     @property
     def rho_f(self):
@@ -135,13 +140,12 @@ def exponential_pdp(K, L):
 class ChannelRealization:
     """One channel draw: raw fading H and composite CSI Hhat.
 
-    Both are (L, M, K) tap stacks. The generating PDP and dimensions ride
-    along since every downstream stage needs them.
+    Both are (L, M, K) tap stacks. The dimensions ride along since every
+    downstream stage needs them.
     """
 
     H: np.ndarray
     Hhat: np.ndarray
-    pdp: PowerDelayProfile = field(repr=False)
     dims: SimulationDims = field(repr=False)
 
 
@@ -240,7 +244,7 @@ def draw_channel(dims, pdp, corr, rng_stream):
     """
     H = draw_fading(dims, rng_stream)
     return ChannelRealization(H=H, Hhat=composite_taps(H, pdp, corr),
-                              pdp=pdp, dims=dims)
+                              dims=dims)
 
 
 def taps_to_freq(taps, N):

@@ -59,8 +59,11 @@ def synthesis_bins(taps, N):
     return np.fft.ifft(taps, n=N, axis=0) * N
 
 
-def _apply_bank(bank, block):
-    """Cyclic bank application: out[i] = norm * sum_m time[m] @ block[(i-m) % T]."""
+def apply_bank(bank, block):
+    """Cyclic application of a bank to a T-column block, T >= N:
+    out[i] = norm * sum_m time[m] @ block[(i-m) mod T]. It precodes,
+    x[i] = a sum_m W_m s[(i-m) mod T], and equalizes,
+    y[i] = sum_m Q_m r[(i-m) mod T], alike."""
     T = block.shape[1]
     N = bank.time.shape[0]
     if T < N:
@@ -154,11 +157,6 @@ def normalize_bank(bank):
     if energy == 0:
         raise ValueError("cannot normalize a zero-energy filter bank")
     return float(np.sqrt(bank.freq.shape[0] / energy))
-
-
-def precoded_transmit(bank, symbols):
-    """Cyclic precoding x[i] = a sum_m W_m s[(i-m) mod T]; needs T >= N."""
-    return _apply_bank(bank, symbols)
 
 
 def cmfp_transmit(ch, symbols):

@@ -26,12 +26,12 @@ import math
 import os
 
 from . import analysis
-from .analysis import (Scenario, _blas_threads, _load_library,
-                       _one_blas_thread, buckets_to_result)
+from .analysis import (Scenario, _load_library, _one_blas_thread,
+                       buckets_to_result)
 # perfbench traces these names, and every correlation build, on this module
 from .analysis import mc_buckets, sum_rate_mc  # noqa: F401
-from .channel import (DEFAULT_SEED, SimulationDims, exponential_pdp,
-                      positive_finite_power)
+from .channel import (DEFAULT_SEED, SimulationDims, check_seed,
+                      exponential_pdp, positive_finite_power)
 from .channel import draw_channel  # noqa: F401
 from .corr_models import (ArrayGeometry, bessel_correlation,
                           correlation_label, exponential_correlation)
@@ -130,8 +130,7 @@ def _distinct(key, values):
 
 def load_config(path, overrides=()):
     """Parse a flat key=value config file, then apply KEY=VALUE overrides;
-    reject, by key, each value whose check needs no correlation matrix,
-    except the seed's range, which the sweep's cells check."""
+    reject, by key, each value whose check needs no correlation matrix."""
     kv = _parse_kv_file(path)
     for item in overrides:
         if "=" not in item:
@@ -231,7 +230,8 @@ def load_config(path, overrides=()):
     for key, check, value in (("trials", analysis._check_trials, cfg.trials),
                               ("beta.trials", analysis._check_trials,
                                cfg.beta_trials),
-                              ("beta.value", ridge_beta, cfg.beta_value)):
+                              ("beta.value", ridge_beta, cfg.beta_value),
+                              ("seed", check_seed, cfg.seed)):
         try:
             check(value)
         except ValueError as err:
@@ -469,27 +469,18 @@ _WORKER_MMAP_THRESHOLD, _WORKER_TRIM_THRESHOLD = 32 << 20, 64 << 20
 
 
 def _init_worker():
-    """Pool-worker initializer: run this process's BLAS on one thread and
-    keep its heap mapped between bucket-core chunks. Never raises.
+    """Pool-worker initializer: keep this process's heap mapped between
+    bucket-core chunks by fixing glibc's mmap and trim thresholds; under
+    any other C library it does nothing. Never raises. It leaves the BLAS
+    thread count to its owners (`run_sweep`).
 
-    By default the pool runs one worker per CPU, so a multithreaded BLAS
-    in each worker only oversubscribes the CPUs: on a 2-CPU box, workers
-    without this ran their cells about 10% slower, and 12 of 32 ran a
-    64 x 64 `eigh` 10-100x slower. A worker forked by `run_sweep` already
-    holds the one thread its parent set, and this leaves it alone; a
-    spawned worker starts on OpenBLAS's default and is set to one thread
-    (`_blas_threads`).
-
-    Under glibc it also fixes malloc's mmap and trim thresholds. Left
-    dynamic, they rise only to twice the largest mmapped block ever freed
-    (about 1 MB in `analysis.DrawFactors.fill`), so the heap top went back
-    to the kernel after every 8-draw chunk and the next chunk faulted it
-    in again: on the fig1 CMFP/ZFP and fig3 CMFE/ZFE sweeps at two
-    workers, the workers took 381 k minor page faults and 0.78 s of
-    system time, against 23 k and 0.10 s with the heap kept. Under any
-    other C library this part does nothing.
+    Left dynamic, the thresholds rise only to twice the largest mmapped
+    block ever freed (about 1 MB in `analysis.DrawFactors.fill`), so the
+    heap top went back to the kernel after every 8-draw chunk and the next
+    chunk faulted it in again: on the fig1 CMFP/ZFP and fig3 CMFE/ZFE
+    sweeps at two workers, the workers took 381 k minor page faults and
+    0.78 s of system time, against 23 k and 0.10 s with the heap kept.
     """
-    _blas_threads(1)
     libc = _load_library(None)
     # the parameter numbers are glibc's own: no other libc is passed them
     if hasattr(libc, "gnu_get_libc_version") and hasattr(libc, "mallopt"):
@@ -507,18 +498,24 @@ def run_sweep(cfg, workers=None):
 
     Each correlation parameter is one cell serving every filter, run in a
     group (`_sweep_group`) that draws each reporting draw's fading once
-    for all its cells; no row depends on the grouping. While the cells
-    run, this process's OpenBLAS runs on one thread, and the count it had
-    is restored before this returns or raises if the count is still that
-    one thread (`_one_blas_thread`). With more than one worker (by
-    default one per CPU, at most one per cell; more than the CPUs only
-    oversubscribe them), worker i runs the group params[i::workers] in a
-    process forked where the platform can fork, else spawned, with its
-    BLAS on one thread and, under glibc, a heap kept mapped between
-    bucket-core chunks (`_init_worker`); a forked worker inherits the one
-    thread and starts no BLAS helper thread. The pool is shut down before
-    this returns or raises. Otherwise all the cells are one group in this
-    process, whose malloc settings are left as they are.
+    for all its cells; no row depends on the grouping. With more than one
+    worker (by default one per CPU, at most one per cell; more than the
+    CPUs only oversubscribe them), worker i runs the group
+    params[i::workers] in a process forked where the platform can fork,
+    else spawned, under glibc with a heap kept mapped between bucket-core
+    chunks (`_init_worker`). The pool is shut down before this returns or
+    raises. Otherwise all the cells are one group in this process, whose
+    malloc settings are left as they are.
+
+    Every cell runs its BLAS on one thread, with one owner per process:
+    a multithreaded BLAS in each of one worker per CPU only oversubscribes
+    the CPUs (on a 2-CPU box such workers ran their cells about 10%
+    slower). This process, and a worker forked from it, run on the one
+    thread of the scope this holds around the cells (`_one_blas_thread`),
+    so a forked worker starts no BLAS helper thread. A spawned worker
+    starts on its BLAS's default and makes every BLAS call of its cells,
+    correlation builds included, inside the bucket core's own one-thread
+    scopes (`analysis.mc_buckets_group`).
     """
     params = cfg.corr_params
     if not params:
@@ -688,9 +685,17 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
 
+    def read(flag, path, reader, *rest):
+        """reader(path, *rest); a path that cannot be read is a usage
+        error naming the flag."""
+        try:
+            return reader(path, *rest)
+        except OSError as err:
+            parser.error(f"{flag}: cannot read {path}: {err.strerror}")
+
     def config():
         try:
-            return load_config(args.config, args.override)
+            return read("--config", args.config, load_config, args.override)
         except ValueError as err:
             parser.error(str(err))
 
@@ -710,7 +715,7 @@ def main(argv=None):
         return 0 if ok else 1
 
     if args.command == "plot":
-        table = read_csv(args.csv)
+        table = read("--csv", args.csv, read_csv)
         emit_plot_script(table, args.out, csv_path=args.csv)
         print(f"wrote {args.out}")
         return 0

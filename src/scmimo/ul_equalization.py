@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import taps_to_freq
-from .dl_precoding import FrequencyFilterBank, _apply_bank, ridge_inverse
+from .dl_precoding import FrequencyFilterBank, ridge_inverse
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,3 @@ def zfe_bank(ch):
 def mmsee_bank(ch, beta):
     """Ridge-regularized equalizer bank, Q_nu = (G_nu G_nu^H + beta I)^{-1} G_nu."""
     return _ridge_bank_ul(ch, beta)
-
-
-def apply_equalizer_bank(bank, r):
-    """Cyclic equalization y[i] = sum_m Q_m r[(i-m) mod T]; needs T >= N."""
-    return _apply_bank(bank, r)

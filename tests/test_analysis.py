@@ -22,7 +22,7 @@ from scmimo.channel import (ChannelRealization, PowerDelayProfile,
 from scmimo.corr_models import (CorrelationMatrix, bessel_correlation,
                                 exponential_correlation, identity_correlation,
                                 ula, upa)
-from scmimo.dl_precoding import downlink_receive, precoded_transmit, zfp_bank
+from scmimo.dl_precoding import apply_bank, downlink_receive, zfp_bank
 
 
 def scenario(link="downlink", filt="cmfp", M=8, K=2, L=2, N=4, T=16,
@@ -1051,8 +1051,7 @@ def test_ridge_rejects_nonpositive_shifted_eigenvalue(link, filt):
     ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(3, 0))
     Hhat = ch.Hhat.copy()
     Hhat[:, :, 1] = 0.0
-    silent = ChannelRealization(H=ch.H, Hhat=Hhat,
-                                pdp=ch.pdp, dims=ch.dims)
+    silent = ChannelRealization(H=ch.H, Hhat=Hhat, dims=ch.dims)
     with pytest.raises(np.linalg.LinAlgError, match=r"<= 0 at bin \d+"):
         _draw_buckets(scn, silent)
     for beta in (1e-3, 1.0):
@@ -1096,7 +1095,7 @@ def test_total_power_equals_bucket_sum():
         ch = draw_channel(scn.dims, scn.pdp, scn.corr, trial_rng(51, t))
         s = np.sqrt(rho / 2) * (rng.standard_normal((2, 16))
                                 + 1j * rng.standard_normal((2, 16)))
-        x = precoded_transmit(zfp_bank(ch), s)
+        x = apply_bank(zfp_bank(ch), s)
         noise = np.sqrt(0.5) * (rng.standard_normal((2, 16))
                                 + 1j * rng.standard_normal((2, 16)))
         y = downlink_receive(ch, x, noise)

@@ -10,10 +10,10 @@ from scmimo.analysis import Scenario, decompose, mc_buckets
 from scmimo.channel import (ChannelRealization, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
 from scmimo.corr_models import exponential_correlation, identity_correlation, ula
-from scmimo.dl_precoding import (FrequencyFilterBank, cmfp_transmit,
-                                 downlink_receive, normalize_bank,
-                                 precoded_transmit, rzfp_bank,
-                                 synthesis_bins, zfp_bank)
+from scmimo.dl_precoding import (FrequencyFilterBank, apply_bank,
+                                 cmfp_transmit, downlink_receive,
+                                 normalize_bank, rzfp_bank, synthesis_bins,
+                                 zfp_bank)
 
 
 def make_scenario(filt="zfp", M=16, K=4, L=4, N=20, T=40, T_c=20, seed=11,
@@ -108,8 +108,7 @@ def test_zfp_singular_gram_names_bin():
     # duplicate user columns make every per-bin Gram matrix singular
     Hhat = ch.Hhat.copy()
     Hhat[:, :, 1] = Hhat[:, :, 0]
-    broken = ChannelRealization(H=ch.H, Hhat=Hhat,
-                                pdp=pdp, dims=dims)
+    broken = ChannelRealization(H=ch.H, Hhat=Hhat, dims=dims)
     with pytest.raises(np.linalg.LinAlgError, match=r"bin \d+"):
         zfp_bank(broken)
 
@@ -199,7 +198,7 @@ def test_transmit_power_normalized():
         for _ in range(1000):
             s = np.sqrt(rho_f / 2) * (rng.standard_normal((K, T))
                                       + 1j * rng.standard_normal((K, T)))
-            x = precoded_transmit(bank, s)
+            x = apply_bank(bank, s)
             total += float(np.sum(np.abs(x) ** 2))
             count += T
         avg = total / count
@@ -231,10 +230,8 @@ def test_cmfp_identity_channel_unit_symbol():
     M = 3
     dims = SimulationDims(M=M, K=M, L=1, N=2, T=6, T_c=2,
                           rho_f_db=0.0, seed=0)
-    pdp = exponential_pdp(M, 1)
     Hhat = np.eye(M, dtype=complex)[None, :, :]
-    ch = ChannelRealization(H=Hhat.copy(), Hhat=Hhat,
-                            pdp=pdp, dims=dims)
+    ch = ChannelRealization(H=Hhat.copy(), Hhat=Hhat, dims=dims)
     s = np.zeros((M, 6), dtype=complex)
     s[0, 0] = 1.0
     x = cmfp_transmit(ch, s)
@@ -246,11 +243,9 @@ def test_cmfp_identity_channel_unit_symbol():
 def test_cmfp_reads_future_symbols_modulo_t():
     dims = SimulationDims(M=2, K=2, L=2, N=4, T=5, T_c=4,
                           rho_f_db=0.0, seed=0)
-    pdp = exponential_pdp(2, 2)
     Hhat = np.zeros((2, 2, 2), dtype=complex)
     Hhat[1] = np.eye(2)                 # only the delayed tap is active
-    ch = ChannelRealization(H=Hhat.copy(), Hhat=Hhat,
-                            pdp=pdp, dims=dims)
+    ch = ChannelRealization(H=Hhat.copy(), Hhat=Hhat, dims=dims)
     s = np.zeros((2, 5), dtype=complex)
     s[0, 0] = 1.0
     x = cmfp_transmit(ch, s)
@@ -272,7 +267,7 @@ def test_precoded_transmit_memoryless():
     time[0] = C
     bank = FrequencyFilterBank(freq=np.fft.fft(time, axis=0), time=time)
     s = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-    assert_allclose(precoded_transmit(bank, s), C @ s, atol=1e-12)
+    assert_allclose(apply_bank(bank, s), C @ s, atol=1e-12)
 
 
 def test_precoded_transmit_cyclic_wrap():
@@ -280,7 +275,7 @@ def test_precoded_transmit_cyclic_wrap():
     time[2, 0, 0] = 1.0                  # pure two-sample delay
     bank = FrequencyFilterBank(freq=np.fft.fft(time, axis=0), time=time)
     s = np.arange(1.0, 6.0)[None, :].astype(complex)
-    x = precoded_transmit(bank, s)
+    x = apply_bank(bank, s)
     assert_allclose(x[0], np.roll(s[0], 2), atol=1e-12)
 
 
@@ -290,7 +285,7 @@ def test_precoded_transmit_frequency_equivalence():
     bank = rzfp_bank(ch, 0.3)
     rng = np.random.default_rng(6)
     s = rng.normal(size=(4, 40)) + 1j * rng.normal(size=(4, 40))
-    x = precoded_transmit(bank, s)
+    x = apply_bank(bank, s)
     Wt = np.fft.fft(bank.norm * bank.time, n=40, axis=0)   # (T, M, K)
     Xf = np.einsum("fmk,kf->mf", Wt, np.fft.fft(s, axis=1))
     assert np.max(np.abs(np.fft.fft(x, axis=1) - Xf)) < 1e-8
@@ -300,7 +295,7 @@ def test_precoded_transmit_rejects_short_block():
     ch = make_channel()
     bank = zfp_bank(ch)
     with pytest.raises(ValueError):
-        precoded_transmit(bank, np.zeros((4, 19), dtype=complex))
+        apply_bank(bank, np.zeros((4, 19), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +316,9 @@ def test_receive_single_tap_exact():
 def test_receive_applies_conjugate_taps_with_delay():
     dims = SimulationDims(M=2, K=2, L=2, N=4, T=6, T_c=4,
                           rho_f_db=0.0, seed=0)
-    pdp = exponential_pdp(2, 2)
     Hhat = np.zeros((2, 2, 2), dtype=complex)
     Hhat[1] = np.diag([2.0 + 1j, 3.0])
-    ch = ChannelRealization(H=Hhat.copy(), Hhat=Hhat,
-                            pdp=pdp, dims=dims)
+    ch = ChannelRealization(H=Hhat.copy(), Hhat=Hhat, dims=dims)
     x = np.zeros((2, 6), dtype=complex)
     x[0, 0] = 1.0
     y = downlink_receive(ch, x, np.zeros((2, 6), dtype=complex))

@@ -151,7 +151,11 @@ def test_load_config_bad_values(tmp_path):
             ("corr.alpha=-0.1", "^corr.alpha: "),
             ("corr.alpha=nan", "^corr.alpha: "),
             ("geometry.spacing=inf", "^geometry: element spacing"),
-            ("geometry.spacing=nan", "^geometry: element spacing")]:
+            ("geometry.spacing=nan", "^geometry: element spacing"),
+            # the seed keys the per-trial Philox streams: [0, 2**64)
+            ("seed=-1", r"^seed: seed must lie in \[0, 2\*\*64\), "
+                        r"got seed=-1$"),
+            ("seed=18446744073709551616", "^seed: seed must lie in ")]:
         with pytest.raises(ValueError, match=match):
             load_config(base, overrides=[override])
     with pytest.raises(ValueError, match="^corr.pairs: empty entry"):
@@ -284,8 +288,9 @@ def test_override_reseeds(tmp_path, monkeypatch):
 
 def test_sweep_rejects_negative_seed_before_writing(tmp_path):
     out = tmp_path / "neg.csv"
-    cfg = load_config(cfg_file(tmp_path, BASE_CFG),
-                      overrides=["seed=-1", f"output={out}"])
+    cfg = dataclasses.replace(load_config(cfg_file(tmp_path, BASE_CFG),
+                                          overrides=[f"output={out}"]),
+                              seed=-1)
     with pytest.raises(ValueError, match="seed=-1"):
         run_sweep(cfg)
     assert not out.exists()
@@ -979,6 +984,41 @@ def test_pool_start_method_is_pinned():
         link="downlink", filt="rzfp")) == f"['{method}'] True"
 
 
+def test_pool_spawns_its_workers_where_the_platform_cannot_fork():
+    """Where the platform has no fork, run_sweep spawns its workers: with
+    multiprocessing.get_all_start_methods patched to omit fork, a
+    two-worker grid_opt sweep starts only spawned processes, and writes
+    the same bytes as a one-worker sweep."""
+    code = """
+        import multiprocessing, sys, tempfile, os
+        from multiprocessing.process import BaseProcess
+        from scmimo.experiments_cli import load_config, run_sweep
+        methods, start = set(), BaseProcess.start
+        platform_methods = multiprocessing.get_all_start_methods()
+        multiprocessing.get_all_start_methods = lambda: [
+            m for m in platform_methods if m != "fork"]
+
+        def recorded_start(self):
+            methods.add(self._start_method)
+            start(self)
+
+        BaseProcess.start = recorded_start
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "w") as fh:
+                fh.write(sys.argv[1])
+            out = []
+            for workers in (2, 1):
+                cfg = load_config(path, [f"output={tmp}/{workers}.csv"])
+                run_sweep(cfg, workers=workers)
+                with open(cfg.output, "rb") as fh:
+                    out.append(fh.read())
+        print(sorted(methods), out[0] == out[1])
+    """
+    assert _run_fresh(code, CELL_CFG.format(
+        link="downlink", filters="cmfp,zfp,rzfp")) == "['spawn'] True"
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the checking cell reaches workers by fork")
 def test_pool_workers_run_blas_on_one_thread():
@@ -1196,8 +1236,8 @@ def test_worker_initializer_is_quiet_without_its_libraries(
 
     monkeypatch.setattr(ctypes, "CDLL", cdll)
     assert cli._init_worker() is None
-    assert len(loaded) == 2
-    assert cli._blas_threads(2) is None
+    assert len(loaded) == 1
+    assert analysis._blas_threads(2) is None
     assert counts == []
 
 
@@ -1799,16 +1839,44 @@ def test_main_reports_a_rejected_config_as_a_usage_error(tmp_path, capsys,
     """A config value that load_config rejects ends the command as a bad
     flag does: one usage line naming the key, exit 2, no traceback."""
     out = tmp_path / "out.csv"
-    argv = [command, "--config", cfg_file(tmp_path, BASE_CFG),
-            f"--override=output={out}", "--override=dims.n=2"]
+    for override, message in [
+            ("dims.n=2", "dims: need N > L, got N=2, L=2"),
+            ("seed=-1", "seed: seed must lie in [0, 2**64), got seed=-1")]:
+        argv = [command, "--config", cfg_file(tmp_path, BASE_CFG),
+                f"--override=output={out}", f"--override={override}"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--rho-db", "0"] if command == "beta" else []))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: scmimo")
+        assert err.endswith(f"error: {message}\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--config", ["sweep", "--config", "{missing}"]),
+    ("--config", ["sweep", "--config", "{directory}"]),
+    ("--config", ["beta", "--config", "{missing}", "--rho-db", "0"]),
+    ("--csv", ["plot", "--csv", "{missing}", "--out", "{script}"])])
+def test_main_reports_an_unreadable_input_file_as_a_usage_error(
+        tmp_path, capsys, flag, argv):
+    """A --config or --csv path that cannot be read (missing, or a
+    directory) ends the command in one usage line naming the flag and the
+    path, exit 2, no traceback, and nothing written."""
+    paths = dict(missing=str(tmp_path / "nope.cfg"), directory=str(tmp_path),
+                 script=str(tmp_path / "p.py"))
+    argv = [arg.format(**paths) for arg in argv]
+    path = argv[argv.index(flag) + 1]
     with pytest.raises(SystemExit) as exc:
-        main(argv + (["--rho-db", "0"] if command == "beta" else []))
+        main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: scmimo")
-    assert err.endswith("error: dims: need N > L, got N=2, L=2\n")
+    assert re.search(rf"error: {flag}: cannot read {re.escape(path)}: "
+                     r"[^\n]+\n\Z", err), err
     assert "Traceback" not in err
-    assert not out.exists()
+    assert os.listdir(tmp_path) == []
 
 
 def test_main_beta_requires_ridge_filter(tmp_path):

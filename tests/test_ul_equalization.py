@@ -8,10 +8,9 @@ from scmimo.analysis import Scenario, decompose, sum_rate_mc
 from scmimo.channel import (ChannelRealization, SimulationDims, draw_channel,
                             exponential_pdp, trial_rng)
 from scmimo.corr_models import exponential_correlation, identity_correlation, ula
-from scmimo.dl_precoding import FrequencyFilterBank
-from scmimo.ul_equalization import (apply_equalizer_bank, cmfe_apply,
-                                    make_uplink_frame, mmsee_bank,
-                                    uplink_receive, zfe_bank)
+from scmimo.dl_precoding import FrequencyFilterBank, apply_bank
+from scmimo.ul_equalization import (cmfe_apply, make_uplink_frame,
+                                    mmsee_bank, uplink_receive, zfe_bank)
 
 
 def make_scenario(filt="zfe", M=16, K=4, L=4, N=20, T=40, T_c=20, seed=17,
@@ -219,8 +218,7 @@ def test_zfe_singular_names_bin():
     ch = draw_channel(dims, pdp, identity_correlation(4), trial_rng(1, 0))
     Hhat = ch.Hhat.copy()
     Hhat[:, :, 1] = Hhat[:, :, 0]
-    broken = ChannelRealization(H=ch.H, Hhat=Hhat,
-                                pdp=pdp, dims=dims)
+    broken = ChannelRealization(H=ch.H, Hhat=Hhat, dims=dims)
     with pytest.raises(np.linalg.LinAlgError, match=r"bin \d+"):
         zfe_bank(broken)
 
@@ -266,7 +264,7 @@ def test_apply_bank_memoryless():
     time[0] = C
     bank = FrequencyFilterBank(freq=np.fft.fft(time, axis=0), time=time)
     r = rng.normal(size=(5, 9)) + 1j * rng.normal(size=(5, 9))
-    assert_allclose(apply_equalizer_bank(bank, r), C @ r, atol=1e-12)
+    assert_allclose(apply_bank(bank, r), C @ r, atol=1e-12)
 
 
 def test_apply_bank_frequency_equivalence():
@@ -274,7 +272,7 @@ def test_apply_bank_frequency_equivalence():
     bank = mmsee_bank(ch, 0.2)
     rng = np.random.default_rng(8)
     r = rng.normal(size=(16, 40)) + 1j * rng.normal(size=(16, 40))
-    y = apply_equalizer_bank(bank, r)
+    y = apply_bank(bank, r)
     Qt = np.fft.fft(bank.norm * bank.time, n=40, axis=0)
     Yf = np.einsum("fkm,mf->kf", Qt, np.fft.fft(r, axis=1))
     assert np.max(np.abs(np.fft.fft(y, axis=1) - Yf)) < 1e-8
@@ -286,8 +284,8 @@ def test_apply_bank_linearity():
     rng = np.random.default_rng(9)
     r1 = rng.normal(size=(16, 40)) + 1j * rng.normal(size=(16, 40))
     r2 = rng.normal(size=(16, 40)) + 1j * rng.normal(size=(16, 40))
-    lhs = apply_equalizer_bank(bank, r1 + r2)
-    rhs = apply_equalizer_bank(bank, r1) + apply_equalizer_bank(bank, r2)
+    lhs = apply_bank(bank, r1 + r2)
+    rhs = apply_bank(bank, r1) + apply_bank(bank, r2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -295,7 +293,7 @@ def test_apply_bank_rejects_short_block():
     ch = make_channel()
     bank = zfe_bank(ch)
     with pytest.raises(ValueError):
-        apply_equalizer_bank(bank, np.zeros((16, 19), dtype=complex))
+        apply_bank(bank, np.zeros((16, 19), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
