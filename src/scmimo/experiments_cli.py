@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import math
 import os
+from collections import namedtuple
 
 from . import analysis
 from .analysis import (Scenario, _load_library, _one_blas_thread,
@@ -381,11 +382,18 @@ def optimize_beta(scenario, rho_f, trials=100, *, factors=None):
 # sweeps
 
 
+CellRow = namedtuple("CellRow", "own row")  # see `_sweep_group`
+
+
 def _sweep_group(cfg, params):
-    """Every result a group of correlation parameters compared: per
-    parameter (`params` order), filter (config order) and power point, a
-    list of SumRateResults: a searched ridge filter's beta*, then beta =
-    0's when beta* != 0; any other filter's one result at its fixed beta.
+    """One mapping per correlation parameter of the group (`params`
+    order), from (filter, power in dB) to the cell's CellRow there.
+
+    The row rule lives here, where the candidates are made: a searched
+    ridge filter's row is its beta* result unless beta = 0 rates strictly
+    higher on the same reporting draws; any other filter's row is its own
+    result. So a row's beta* is `own.meta["beta"]`, and beta = 0 won
+    exactly when `row is not own`.
 
     With a beta search, each cell in turn factors its draws
     0 .. beta.trials - 1 for every filter, searches beta at every power
@@ -395,9 +403,7 @@ def _sweep_group(cfg, params):
     later draw's fading once for all its cells (every draw with a fixed
     beta; `analysis.mc_buckets_group`), and holds every cell's reporting
     stacks until it ends. A draw's stacks depend only on (seed, t) and its
-    own correlation, so no row depends on the grouping. A sweep row
-    (`run_sweep`) keeps beta* unless beta = 0 rates strictly higher on
-    the reporting draws.
+    own correlation, so no row depends on the grouping.
     """
     fixed = {f: cfg.beta_value if f in BETA_FILTERS else 0.0
              for f in cfg.filters}
@@ -426,17 +432,19 @@ def _sweep_group(cfg, params):
         cells.append((scn0, requests, betas))
         return scn0, requests, factors
 
-    def results(scn0, stacks, filt, rho_db, beta_star):
+    def cell_row(scn0, stacks, filt, rho_db, beta_star):
         candidates = (beta_star, 0.0) if filt == search else (fixed[filt],)
-        return [buckets_to_result(at(scn0, filt, rho_db, b), cfg.trials,
-                                  *stacks[filt, b])
-                for b in dict.fromkeys(candidates)]
+        own, *rest = [buckets_to_result(at(scn0, filt, rho_db, b),
+                                        cfg.trials, *stacks[filt, b])
+                      for b in dict.fromkeys(candidates)]
+        return CellRow(own, max([own, *rest], key=lambda r: r.rate_bpcu))
 
     # lazy: a cell's search runs once the previous cell's factors are read
     per_cell = analysis.mc_buckets_group(map(searched, params), cfg.trials)
-    return [[[results(scn0, dict(zip(requests, stacks)), filt, rho_db, beta)
-              for rho_db, beta in zip(cfg.rho_grid, betas)]
-             for filt in cfg.filters]
+    return [{(filt, rho_db): cell_row(scn0, dict(zip(requests, stacks)),
+                                      filt, rho_db, beta)
+             for filt in cfg.filters
+             for rho_db, beta in zip(cfg.rho_grid, betas)}
             for (scn0, requests, betas), stacks in zip(cells, per_cell)]
 
 
@@ -490,11 +498,23 @@ def _init_worker():
         mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_THRESHOLD)
 
 
+def check_output(path):
+    """Reject an output path that cannot name a new or existing file: an
+    empty one, a directory, or one whose directory does not exist. Opens
+    nothing, so a file already there is left as it is."""
+    if not path or os.path.isdir(path):
+        raise ValueError(f"output: expected a file path, got {path!r}")
+    directory = os.path.dirname(path)
+    if directory and not os.path.isdir(directory):
+        raise ValueError(f"output: no directory {directory!r}")
+
+
 def run_sweep(cfg, workers=None):
     """Evaluate the config's full (filter x parameter x power) grid and
     write it to cfg.output in filter-major config order, whatever order
-    the cells finish in; returns the row dicts. A row reports the best
-    result its cell compared at that point.
+    the cells finish in; returns the row dicts. Each is its cell's
+    `CellRow.row`, picked by the row rule of `_sweep_group`. The output
+    path is checked (`check_output`) before any cell runs.
 
     Each correlation parameter is one cell serving every filter, run in a
     group (`_sweep_group`) that draws each reporting draw's fading once
@@ -521,6 +541,7 @@ def run_sweep(cfg, workers=None):
     if not params:
         raise ValueError("corr_params: a sweep needs at least one "
                          "correlation parameter")
+    check_output(cfg.output)
     if workers is None:
         workers = os.cpu_count() or 1
     elif workers < 1:
@@ -544,9 +565,8 @@ def run_sweep(cfg, workers=None):
                     per_cell[i::workers] = cells
         else:
             per_cell = _sweep_group(cfg, params)
-    rows = [_result_row(max(results, key=lambda r: r.rate_bpcu))
-            for i in range(len(cfg.filters)) for cell in per_cell
-            for results in cell[i]]
+    rows = [_result_row(cell[filt, rho_db].row) for filt in cfg.filters
+            for cell in per_cell for rho_db in cfg.rho_grid]
     write_csv(rows, cfg.output)
     return rows
 
@@ -620,11 +640,13 @@ def emit_plot_script(table, path, csv_path):
 
     The script references the CSV by a path relative to its own location,
     so the pair can move together. Regenerating with identical inputs is
-    byte-identical. Raises on an empty table (nothing to plot) before
-    touching the output file.
+    byte-identical. Raises on an empty table (nothing to plot), and on a
+    path that names the CSV itself, before touching any file.
     """
     if not table:
         raise ValueError("cannot emit a plot script for an empty table")
+    if os.path.realpath(path) == os.path.realpath(csv_path):
+        raise ValueError(f"the script would overwrite its CSV {csv_path}")
     out_dir = os.path.dirname(os.path.abspath(path)) or "."
     csv_rel = os.path.relpath(os.path.abspath(csv_path), out_dir)
     png_rel = os.path.splitext(os.path.basename(path))[0] + ".png"
@@ -693,16 +715,22 @@ def main(argv=None):
         except OSError as err:
             parser.error(f"{flag}: cannot read {path}: {err.strerror}")
 
-    def config():
+    def checked(call, *rest):
+        """call(*rest); a ValueError is a usage error."""
         try:
-            return read("--config", args.config, load_config, args.override)
+            return call(*rest)
         except ValueError as err:
             parser.error(str(err))
+
+    def config():
+        return checked(read, "--config", args.config, load_config,
+                       args.override)
 
     if args.command == "sweep":
         if args.workers is not None and args.workers < 1:
             parser.error(f"--workers: must be >= 1, got {args.workers}")
         cfg = config()
+        checked(check_output, cfg.output)
         rows = run_sweep(cfg, workers=args.workers)
         print(f"wrote {len(rows)} rows to {cfg.output}")
         return 0
@@ -716,7 +744,14 @@ def main(argv=None):
 
     if args.command == "plot":
         table = read("--csv", args.csv, read_csv)
-        emit_plot_script(table, args.out, csv_path=args.csv)
+        if not table:
+            parser.error(f"--csv: {args.csv} holds no rows to plot")
+        try:
+            emit_plot_script(table, args.out, csv_path=args.csv)
+        except ValueError as err:
+            parser.error(f"--out: {err}")
+        except OSError as err:
+            parser.error(f"--out: cannot write {args.out}: {err.strerror}")
         print(f"wrote {args.out}")
         return 0
 
@@ -732,10 +767,8 @@ def main(argv=None):
         # is searched whatever beta.mode says
         cfg = dataclasses.replace(cfg, filters=[filt],
                                   rho_grid=[args.rho_db], beta_mode="grid_opt")
-        with _one_blas_thread():
-            per_cell = _sweep_group(cfg, cfg.corr_params)
-        for cell in per_cell:
-            result = cell[0][0][0]
+        for cell in _sweep_group(cfg, cfg.corr_params):
+            result = cell[filt, args.rho_db].own
             meta, rate = result.meta, result.rate_bpcu
             label = correlation_label(meta["corr_model"], meta["corr_param"],
                                       meta["mu"])

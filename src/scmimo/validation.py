@@ -242,9 +242,9 @@ FIGURE_CLAIMS = (
 
 def _validate_figures(rep):
     """Apply FIGURE_CLAIMS in order to one quick sweep cell per (cell,
-    alpha) they read, on the powers they read there, a ridge filter at its
-    own beta* (a sweep row, the better of beta* and 0, passes rzfp >= zfp
-    by construction)."""
+    alpha) they read, on the powers they read there. Each filter is read
+    at its own beta (`CellRow.own`), not at the sweep's row, which passes
+    rzfp >= zfp by construction (the row rule of `_sweep_group`)."""
     powers = {}
     for claim in FIGURE_CLAIMS:
         for cell, alpha, _, rho_db in (claim.lhs, claim.rhs):
@@ -252,10 +252,9 @@ def _validate_figures(rep):
     rates = {}
     for (cell, alpha), grid in powers.items():
         cfg = _quick_cfg(**FIGURE_CELLS[cell], rho_grid=sorted(grid))
-        [per_filter] = _sweep_group(cfg, [alpha])
-        rates.update(((cell, alpha, filt, rho_db), results[0].rate_bpcu)
-                     for filt, per_power in zip(cfg.filters, per_filter)
-                     for rho_db, results in zip(cfg.rho_grid, per_power))
+        [rows] = _sweep_group(cfg, [alpha])
+        rates.update(((cell, alpha, filt, rho_db), pair.own.rate_bpcu)
+                     for (filt, rho_db), pair in rows.items())
 
     def read(cell, alpha, filt, rho_db):
         num, _, den = filt.partition("/")

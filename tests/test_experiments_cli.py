@@ -1450,25 +1450,36 @@ def test_grid_opt_cell_rejects_zero_forcing_draws_before_the_search(
         _sweep_group(cfg, [0.7])
 
 
-@pytest.mark.parametrize("filt", ["rzfp", "cmfp"])
+@pytest.mark.parametrize("filt", ["rzfp", "cmfp", "mmsee"])
 def test_sweep_cell_reports_each_beta_bit_identically(tmp_path, filt):
-    """A cell lists beta*'s own result first at every power point, and
-    beta = 0's after it when they differ; each reuses the search's
-    factored draws and is bit-identical to a fresh evaluation at its
-    beta."""
-    text = SHORTFALL_CFG.format(link="downlink", filt=filt)
+    """A cell maps each (filter, power) to its CellRow: `own` at the
+    filter's own beta (a searched beta* > 0 for a ridge filter, the fixed
+    0 for CMFP), and `row`, which is `own` unless beta = 0 rates strictly
+    higher on the same draws (as it does for uplink MMSEE at 20 and
+    30 dB). Each reuses the search's factored draws and is bit-identical
+    to a fresh evaluation at its beta."""
+    text = SHORTFALL_CFG.format(
+        link="uplink" if filt == "mmsee" else "downlink", filt=filt)
     cfg = load_config(cfg_file(tmp_path, text))
-    [[per_power]] = _sweep_group(cfg, [0.7])
-    assert len(per_power) == len(cfg.rho_grid)
-    for rho_db, results in zip(cfg.rho_grid, per_power):
-        betas = [r.meta["beta"] for r in results]
-        assert betas == ([betas[0], 0.0] if filt == "rzfp" else [0.0])
-        assert (filt == "rzfp") == (betas[0] > 0)
-        for result in results:
-            fresh = sum_rate_mc(dataclasses.replace(
-                _scenario(cfg, filt, 0.7, rho_db), beta=result.meta["beta"]),
-                cfg.trials)
-            assert result.rate_bpcu == fresh.rate_bpcu
+    [cell] = _sweep_group(cfg, [0.7])
+    assert list(cell) == [(filt, rho_db) for rho_db in cfg.rho_grid]
+    zero_won = []
+    for rho_db in cfg.rho_grid:
+        own, row = cell[filt, rho_db]
+
+        def fresh(beta):
+            return sum_rate_mc(dataclasses.replace(
+                _scenario(cfg, filt, 0.7, rho_db), beta=beta), cfg.trials)
+
+        assert (filt != "cmfp") == (own.meta["beta"] > 0)
+        assert own.rate_bpcu == fresh(own.meta["beta"]).rate_bpcu
+        zero = fresh(0.0)
+        assert (row is own) == (own.rate_bpcu >= zero.rate_bpcu)
+        assert row.rate_bpcu == max(own.rate_bpcu, zero.rate_bpcu)
+        assert row.meta["beta"] == (own.meta["beta"] if row is own else 0.0)
+        if row is not own:
+            zero_won.append(rho_db)
+    assert zero_won == ([20.0, 30.0] if filt == "mmsee" else [])
 
 
 # ---------------------------------------------------------------------------
@@ -1746,6 +1757,48 @@ def test_main_sweep_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("output,message", [
+    ("{tmp}/missing/out.csv", "output: no directory '{tmp}/missing'"),
+    ("{tmp}", "output: expected a file path, got '{tmp}'"),
+    ("", "output: expected a file path, got ''")])
+def test_sweep_rejects_an_unwritable_output_before_any_cell(
+        tmp_path, monkeypatch, capsys, output, message):
+    """An output in a missing directory, naming a directory, or empty is
+    rejected before any cell runs: `scmimo sweep` prints one usage line
+    naming `output` and exits 2, run_sweep raises, and no file changes."""
+    def no_cell(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_group", no_cell)
+    output, message = (text.format(tmp=tmp_path) for text in (output,
+                                                               message))
+    path = cfg_file(tmp_path, BASE_CFG)
+    before = sorted(os.listdir(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", path, f"--override=output={output}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: scmimo")
+    assert err.endswith(f"error: {message}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_sweep(load_config(path, [f"output={output}"]), workers=2)
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_sweep_that_raises_leaves_an_existing_csv_as_it_was(tmp_path,
+                                                           monkeypatch):
+    """The output check opens nothing: a sweep whose cells raise leaves
+    the CSV of an earlier sweep byte for byte."""
+    out = tmp_path / "out.csv"
+    out.write_text("an earlier sweep's rows\n")
+    cfg = load_config(cfg_file(tmp_path, BASE_CFG), [f"output={out}"])
+    # a rank threshold no Gram matrix meets: the first cell raises
+    monkeypatch.setattr(dl_precoding, "RCOND_MIN", 1.0)
+    with pytest.raises(np.linalg.LinAlgError, match="zfp"):
+        run_sweep(cfg, workers=1)
+    assert out.read_text() == "an earlier sweep's rows\n"
+
+
 def test_main_beta_subcommand(tmp_path, capsys):
     text = BASE_CFG.replace("filters = cmfp,zfp,rzfp", "filters = rzfp")
     text = text.replace("corr.alpha = 0.0,0.5,0.9,0.99", "corr.alpha = 0.7")
@@ -1774,7 +1827,7 @@ def test_main_runs_cells_on_one_blas_thread(tmp_path, monkeypatch, command):
         text = BASE_CFG.replace("filters = cmfp,zfp,rzfp", "filters = rzfp")
         argv = ["beta", "--config", cfg_file(tmp_path, text),
                 "--rho-db", "0"]
-        hooked, name = cli, "_sweep_group"
+        hooked, name = analysis.DrawFactors, "fill"
     else:
         argv = ["validate", "--suite", "zero_forcing"]
         hooked, name = validation._Report, "check"
@@ -1821,6 +1874,29 @@ def test_main_beta_prints_one_labelled_line_per_parameter(tmp_path, capsys,
                                  10.0 ** 0.5, trials=cfg.beta_trials)
         assert line.startswith(f"beta* = {expected!r}  (sum rate ")
         assert line.endswith(f" bpcu at +5.0 dB, filter rzfp{label})")
+
+
+def test_main_beta_prints_the_rate_at_beta_star_not_the_row(tmp_path,
+                                                            capsys):
+    """`scmimo beta` prints beta*'s own sum rate (`CellRow.own`), even at
+    a point where beta = 0 rates higher on the reporting draws, so the
+    sweep's row there reports beta = 0's rate instead (uplink MMSEE,
+    alpha = 0.9, +20 dB)."""
+    overrides = ["corr.alpha=0.9", "grid.rho_db=20",
+                 f"output={tmp_path / 'out.csv'}"]
+    path = cfg_file(tmp_path, SHORTFALL_CFG.format(link="uplink",
+                                                   filt="mmsee"))
+    assert main(["beta", "--config", path, "--rho-db", "20"]
+                + [f"--override={o}" for o in overrides]) == 0
+    out = capsys.readouterr().out
+    cfg = load_config(path, overrides)
+    scn = _scenario(cfg, "mmsee", 0.9, 20.0)
+    beta = optimize_beta(scn, scn.dims.rho_f, trials=cfg.beta_trials)
+    own = sum_rate_mc(dataclasses.replace(scn, beta=beta), cfg.trials)
+    [row] = run_sweep(cfg, workers=1)
+    assert out.startswith(f"beta* = {beta!r}  (sum rate "
+                          f"{own.rate_bpcu:.4f} bpcu at +20.0 dB, ")
+    assert f"{float(row['rate_bpcu']):.4f}" != f"{own.rate_bpcu:.4f}"
 
 
 @pytest.mark.parametrize("rho_db", ["nan", "inf", "-inf", "4000", "-4000"])
@@ -1877,6 +1953,38 @@ def test_main_reports_an_unreadable_input_file_as_a_usage_error(
                      r"[^\n]+\n\Z", err), err
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("case,flag,message", [
+    ("missing directory", "--out",
+     "cannot write {tmp}/missing/p.py: No such file or directory"),
+    ("the CSV itself", "--out",
+     "the script would overwrite its CSV {tmp}/./data.csv"),
+    ("header-only CSV", "--csv", "{tmp}/data.csv holds no rows to plot")])
+def test_main_plot_reports_a_bad_argument_as_a_usage_error(
+        tmp_path, capsys, case, flag, message):
+    """A --out in a missing directory or naming the --csv file, or a --csv
+    with no rows, ends `scmimo plot` in one usage line naming the flag,
+    exit 2, no traceback, and every file as it was."""
+    csv_path = tmp_path / "data.csv"
+    csv_path.write_text(CSV_HEADER + "\n" + (
+        "" if case == "header-only CSV" else
+        "downlink,CMFP,exponential,0.5,,0.0,1.0,1.0,0.0,0.0,0.0,1.0,3,99\n"))
+    out = {"missing directory": f"{tmp_path}/missing/p.py",
+           "the CSV itself": f"{tmp_path}/data.csv",
+           "header-only CSV": f"{tmp_path}/p.py"}[case]
+    csv_arg = f"{tmp_path}/./data.csv" if case == "the CSV itself" \
+        else str(csv_path)
+    before = csv_path.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["plot", "--csv", csv_arg, "--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: scmimo")
+    assert err.endswith(f"error: {flag}: {message.format(tmp=tmp_path)}\n")
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["data.csv"]
+    assert csv_path.read_bytes() == before
 
 
 def test_main_beta_requires_ridge_filter(tmp_path):
